@@ -37,6 +37,7 @@ from .backends import (
     probe_reset_family,
     unitary_family,
     validate_exterior_span,
+    validate_table_spans,
 )
 from .causaloid import (
     Causaloid,
@@ -120,7 +121,6 @@ from .operational import (
     estimate_prob,
     load_stacks,
     parse_stacks,
-    restrict_to_region,
     sample_stacks,
 )
 from .report import (

@@ -58,6 +58,7 @@ __all__ = [
     "joint_prob",
     "build_prob_table",
     "validate_exterior_span",
+    "validate_table_spans",
     "conditioning_span",
     "full_pack",
 ]
@@ -158,9 +159,9 @@ class TheorySpec:
     instruments: tuple[InstrumentFamily, ...]  # sorted by location
     preparations: tuple[tuple[Preparation, ...], ...]  # per chain
     effects: tuple[tuple[TerminalEffect, ...], ...]  # per chain
-    conditioning_actions: tuple[tuple[int, tuple[int, ...]], ...]  # (loc, actions)
-    extra_preparations: tuple[tuple[Preparation, ...], ...] = ()
-    extra_effects: tuple[tuple[TerminalEffect, ...], ...] = ()
+    # only the empty value is accepted: every action at an unprobed
+    # location is swept into the exterior
+    conditioning_actions: tuple = ()
 
     def __post_init__(self):
         locs = [f.location for f in self.instruments]
@@ -195,14 +196,8 @@ class TheorySpec:
                             f"{T.shape} transfer matrix on a size-{d} wire"
                         )
             self._check_total_probability(fam)
-        cond_locs = [x for x, _ in self.conditioning_actions]
-        if cond_locs != sorted(cond_locs) or len(set(cond_locs)) != len(cond_locs):
-            raise BackendError("conditioning restrictions must be sorted by location")
-        for x, acts in self.conditioning_actions:
-            fam = self.family(x)
-            for a in acts:
-                if not 0 <= a < fam.n_actions:
-                    raise UnknownProcedure(f"conditioning action {a} unknown at location {x}")
+        if self.conditioning_actions:
+            raise BackendError("conditioning restrictions are not supported")
 
     # -- structural helpers -------------------------------------------------
 
@@ -231,12 +226,6 @@ class TheorySpec:
 
     def locations(self) -> tuple[int, ...]:
         return tuple(f.location for f in self.instruments)
-
-    def allowed_conditioning(self, location: int) -> tuple[int, ...]:
-        for x, acts in self.conditioning_actions:
-            if x == location:
-                return acts
-        return tuple(range(self.family(location).n_actions))
 
     def _check_total_probability(self, fam: InstrumentFamily) -> None:
         chain = self.chain_of(fam.location)
@@ -563,30 +552,14 @@ def enumerate_labels(spec: TheorySpec, region: Region) -> GammaSet:
     return GammaSet(region, tuple(labels))
 
 
-def _exterior_axes(
-    spec: TheorySpec, probed: Iterable[int]
-) -> tuple[list[int], list[list[tuple[int, int]]], list[int], list[int]]:
-    """Enumeration bounds for the exterior product axis."""
-    probed = set(probed)
-    cond_locs = sorted(x for x in spec.locations() if x not in probed)
-    cond_choices = []
-    for x in cond_locs:
-        fam = spec.family(x)
-        pairs = [
-            (a, s)
-            for a in spec.allowed_conditioning(x)
-            for s in range(fam.n_outcomes(a))
-        ]
-        cond_choices.append(pairs)
-    prep_counts = [len(p) for p in spec.preparations]
-    eff_counts = [len(e) for e in spec.effects]
-    return cond_locs, cond_choices, prep_counts, eff_counts
-
-
 def enumerate_exteriors(
     spec: TheorySpec, probed: Iterable[int]
 ) -> tuple[ExteriorConfiguration, ...]:
-    cond_locs, cond_choices, prep_counts, eff_counts = _exterior_axes(spec, probed)
+    probed = set(probed)
+    cond_locs = sorted(x for x in spec.locations() if x not in probed)
+    cond_choices = [spec.family(x).labels() for x in cond_locs]
+    prep_counts = [len(p) for p in spec.preparations]
+    eff_counts = [len(e) for e in spec.effects]
     out = []
     for preps in itertools.product(*(range(n) for n in prep_counts)):
         for conds in itertools.product(*cond_choices):
@@ -810,8 +783,43 @@ def _extended_spec(spec: TheorySpec) -> TheorySpec:
         instruments=spec.instruments,
         preparations=preps,
         effects=effs,
-        conditioning_actions=spec.conditioning_actions,
     )
+
+
+def _axis_rank(values: np.ndarray, axis: int, tol_rank: float) -> tuple[int, int]:
+    """(rank, column count) of a table with one region axis first."""
+    m = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
+    return len(greedy_independent_rows(m, tol_rank)), m.shape[1]
+
+
+def validate_table_spans(
+    spec: TheorySpec,
+    table: ProbTable,
+    tol_rank: float = 1e-9,
+    cap: int = DEFAULT_TABLE_CAP,
+) -> tuple[SpanValidation, ...]:
+    """Confirm the declared exterior set already exhausts the reachable span.
+
+    For each region of ``table`` (built from ``spec``), its measurement
+    matrix puts the region's labels on the rows and everything else, the
+    other regions' labels included, on the columns. The same matrix is
+    read off one table of a spec with a second, independent family of
+    preparations and effects added; if a region's rank grows there, the
+    declared exteriors were not informationally complete for it and the
+    compression ranks could not be trusted.
+    """
+    wide = build_prob_table(_extended_spec(spec), table.regions, cap)
+    out = []
+    for axis, region in enumerate(table.regions):
+        rank0, n0 = _axis_rank(table.values, axis, tol_rank)
+        rank1, n1 = _axis_rank(wide.values, axis, tol_rank)
+        if rank1 > rank0:
+            raise SpanDeficient(
+                f"region {region}: rank grows from {rank0} to {rank1} when the "
+                f"exterior set is extended; declare more preparations/effects"
+            )
+        out.append(SpanValidation(region, rank0, rank1, n0, n1))
+    return tuple(out)
 
 
 def validate_exterior_span(
@@ -820,46 +828,22 @@ def validate_exterior_span(
     tol_rank: float = 1e-9,
     cap: int = DEFAULT_TABLE_CAP,
 ) -> SpanValidation:
-    """Confirm the declared exterior set already exhausts the reachable span.
-
-    The region's measurement matrix is rebuilt after adding a second,
-    independent family of preparations and effects; if its rank grows, the
-    declared exteriors were not informationally complete for this region
-    and the compression ranks could not be trusted.
-    """
-    base = build_prob_table(spec, [region], cap)
-    m0 = base.values.reshape(base.gammas[0].size, -1)
-    rank0 = len(greedy_independent_rows(m0, tol_rank))
-    extended = _extended_spec(spec)
-    wide = build_prob_table(extended, [region], cap)
-    m1 = wide.values.reshape(wide.gammas[0].size, -1)
-    rank1 = len(greedy_independent_rows(m1, tol_rank))
-    report = SpanValidation(
-        region, rank0, rank1, len(base.exteriors), len(wide.exteriors)
-    )
-    if rank1 > rank0:
-        raise SpanDeficient(
-            f"region {region}: rank grows from {rank0} to {rank1} when the "
-            f"exterior set is extended; declare more preparations/effects"
-        )
-    return report
+    """Span check of one region on its own table (see validate_table_spans)."""
+    table = build_prob_table(spec, [region], cap)
+    return validate_table_spans(spec, table, tol_rank, cap)[0]
 
 
 def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:
     """(span dimension, full dimension) of the conditioning maps at a location.
 
-    A mediating location whose allowed conditioning maps do not span the
-    full transfer space cannot be counted on to decouple the regions it
-    sits between; composite compressions across it are flagged.
+    A mediating location whose conditioning maps do not span the full
+    transfer space cannot be counted on to decouple the regions it sits
+    between; composite compressions across it are flagged.
     """
     fam = spec.family(location)
-    chain = spec.chain_of(location)
-    d = spec.vec_dim(chain)
-    rows = []
-    for a in spec.allowed_conditioning(location):
-        for s in range(fam.n_outcomes(a)):
-            rows.append(fam.actions[a][s].reshape(-1))
-    dim = len(greedy_independent_rows(np.array(rows), 1e-9))
+    d = spec.vec_dim(spec.chain_of(location))
+    rows = fam.stacked().reshape(len(fam.labels()), -1)
+    dim = len(greedy_independent_rows(rows, 1e-9))
     return dim, d * d
 
 

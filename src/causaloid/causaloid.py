@@ -18,8 +18,8 @@ from .compositional import (
     CompositeRegion,
     CompositionalLambda,
     compute_compositional_lambda,
-    fiducial_rows_matrix,
     find_composite_omega,
+    product_rows_matrix,
 )
 from .errors import (
     ContextMismatch,
@@ -289,27 +289,18 @@ class Causaloid:
 # ---------------------------------------------------------------------------
 
 def _leaf_rows(
-    causaloid_regions: tuple[Region, ...],
-    entries: dict,
-    key,
+    entries: dict, key
 ) -> tuple[tuple[Region, ...], list[tuple[int, ...]]]:
     """Per fiducial element of ``key``: one gamma row index per leaf region."""
-    entry = entries[key]
+    omega = entries[key].omega
     if isinstance(key, Region):
-        return (key,), [(i,) for i in entry.omega.indices]
-    parts = [_leaf_rows(causaloid_regions, entries, child) for child in key]
-    dims = [entries[child].omega.size for child in key]
+        return (key,), [(i,) for i in omega.indices]
+    parts = [_leaf_rows(entries, child) for child in key]
     regions = tuple(itertools.chain(*(p[0] for p in parts)))
     rows = []
-    for flat in entry.omega.indices:
-        rem, pos = flat, []
-        for d in reversed(dims):
-            rem, q = divmod(rem, d)
-            pos.append(q)
-        pos.reverse()
-        rows.append(
-            tuple(itertools.chain(*(parts[i][1][pos[i]] for i in range(len(key)))))
-        )
+    for flat in omega.indices:
+        pos = np.unravel_index(flat, omega.dims)
+        rows.append(tuple(itertools.chain(*(p[1][q] for p, q in zip(parts, pos)))))
     return regions, rows
 
 
@@ -351,23 +342,10 @@ def build_causaloid(
                     "must be built first"
                 )
         factor_omegas = tuple(entries[child].omega for child in key)
-        parts = [_leaf_rows(regions, entries, child) for child in key]
-        leaves = tuple(itertools.chain(*(p[0] for p in parts)))
-        dims = tuple(o.size for o in factor_omegas)
-        row_keys = []
-        assignment_rows = []
-        for combo in itertools.product(*(range(d) for d in dims)):
-            row_keys.append(combo)
-            assignment_rows.append(
-                tuple(itertools.chain(*(parts[i][1][pos] for i, pos in enumerate(combo))))
-            )
-        matrix = fiducial_rows_matrix(
+        matrix = product_rows_matrix(
             table,
-            leaves,
-            np.array(assignment_rows, dtype=int),
-            row_keys=tuple(row_keys),
-            factors=tuple(key_union(child) for child in key),
-            dims=dims,
+            [_leaf_rows(entries, child) for child in key],
+            tuple(key_union(child) for child in key),
         )
         omega = find_composite_omega(matrix, tol_rank)
         entry = compute_compositional_lambda(matrix, omega, factor_omegas, tol_residual)
@@ -516,7 +494,8 @@ def expand(causaloid: Causaloid) -> Causaloid:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_hex(matrix: np.ndarray) -> list[list[str]]:
+def matrix_hex(matrix: np.ndarray) -> list[list[str]]:
+    """Exact float hex strings, row by row."""
     return [[float(x).hex() for x in row] for row in matrix]
 
 
@@ -573,7 +552,7 @@ def causaloid_to_dict(causaloid: Causaloid) -> dict:
                     [list(a), list(s)] for a, s in entry.gamma.labels
                 ],
                 "omega": _omega_to_dict(entry.omega),
-                "matrix_hex": _matrix_hex(entry.matrix),
+                "matrix_hex": matrix_hex(entry.matrix),
             }
         )
     composites = []
@@ -583,7 +562,7 @@ def causaloid_to_dict(causaloid: Causaloid) -> dict:
                 "key": _key_to_json(key),
                 "factor_omegas": [_omega_to_dict(o) for o in entry.factor_omegas],
                 "omega": _omega_to_dict(entry.omega),
-                "matrix_hex": _matrix_hex(entry.matrix),
+                "matrix_hex": matrix_hex(entry.matrix),
             }
         )
     deduced = []

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .backends import build_prob_table, enumerate_labels, validate_exterior_span
+from .backends import build_prob_table, enumerate_labels, validate_table_spans
 from .causaloid import build_causaloid
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
@@ -43,7 +43,13 @@ from .errors import (
     ZeroDenominatorVector,
 )
 from .heralding import HeraldQuery, herald
-from .report import report_json, run_pipeline, write_report
+from .report import (
+    checked_causaloid,
+    report_json,
+    run_pipeline,
+    span_rows,
+    write_report,
+)
 from .scenario import ScenarioFile, parse_scenario
 
 __all__ = ["main"]
@@ -201,14 +207,8 @@ def _cmd_herald(args) -> int:
     )
     query = HeraldQuery.from_labels(target, given)
 
-    for region in scenario.regions:
-        validate_exterior_span(scenario.spec, region, tol_rank=tol_rank)
-    table = build_prob_table(scenario.spec, scenario.regions)
-    causaloid = build_causaloid(
-        table,
-        composites=scenario.composites,
-        tol_rank=tol_rank,
-        tol_residual=scenario.tol_residual,
+    table, _, causaloid = checked_causaloid(
+        scenario, tol_rank, scenario.tol_residual
     )
     result = herald(causaloid, query, tol=tol_herald, table=table)
 
@@ -272,21 +272,9 @@ def _cmd_validate(args) -> int:
     scenario = _load(args)
     overrides = _overrides(args)
     tol_rank = overrides.get("rank", scenario.tol_rank)
-    rows = []
-    for region in scenario.regions:
-        check = validate_exterior_span(scenario.spec, region, tol_rank=tol_rank)
-        rows.append(
-            {
-                "region": scenario.name_of(region),
-                "locations": list(region.locations),
-                "rank": check.rank,
-                "extended_rank": check.extended_rank,
-                "exteriors": check.n_exteriors,
-                "extended_exteriors": check.n_extended_exteriors,
-                "stable": check.stable,
-            }
-        )
-    payload = {"scenario": scenario.name, "span_validation": rows}
+    table = build_prob_table(scenario.spec, scenario.regions)
+    spans = validate_table_spans(scenario.spec, table, tol_rank=tol_rank)
+    payload = {"scenario": scenario.name, "span_validation": span_rows(scenario, spans)}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContextMismatch, DegenerateExterior
+from .errors import ContextMismatch, DegenerateExterior, MissingEntry
 from .operational import Region
 from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
@@ -23,15 +24,18 @@ from .tomographic import (
     OmegaSet,
     find_fiducial_set,
     fold_to_exterior,
-    build_measurement_matrix,
     solve_expansion,
 )
+
+if TYPE_CHECKING:
+    from .causaloid import Causaloid
 
 __all__ = [
     "CompositeRegion",
     "CompositionalLambda",
     "joint_fiducial_matrix",
     "fiducial_rows_matrix",
+    "product_rows_matrix",
     "find_composite_omega",
     "compute_compositional_lambda",
     "is_causally_adjacent",
@@ -153,6 +157,36 @@ def fiducial_rows_matrix(
     )
 
 
+def product_rows_matrix(
+    table: ProbTable,
+    parts: Sequence[tuple[tuple[Region, ...], Sequence[tuple[int, ...]]]],
+    factors: tuple[Region, ...],
+) -> MeasurementMatrix:
+    """Joint probabilities at every product of the factors' fiducial rows.
+
+    ``parts`` holds, per factor, its leaf regions and, per fiducial
+    element, one gamma row index per leaf. The row multi-index runs
+    lexicographically with the last factor fastest.
+    """
+    dims = tuple(len(rows) for _, rows in parts)
+    grid = np.indices(dims).reshape(len(dims), -1)
+    assignments = np.concatenate(
+        [
+            np.array(rows, dtype=int).reshape(len(rows), len(leaves))[pos]
+            for (leaves, rows), pos in zip(parts, grid)
+        ],
+        axis=1,
+    )
+    return fiducial_rows_matrix(
+        table,
+        tuple(itertools.chain(*(leaves for leaves, _ in parts))),
+        assignments,
+        row_keys=tuple(itertools.product(*(range(d) for d in dims))),
+        factors=factors,
+        dims=dims,
+    )
+
+
 def joint_fiducial_matrix(
     table: ProbTable, omegas: Sequence[OmegaSet]
 ) -> MeasurementMatrix:
@@ -174,27 +208,8 @@ def joint_fiducial_matrix(
             raise ContextMismatch(
                 f"fiducial set of {o.region} does not index this table"
             )
-    regions = tuple(o.region for o in omegas)
-    dims = tuple(o.size for o in omegas)
-    rows = [
-        tuple(combo)
-        for combo in itertools.product(*(range(d) for d in dims))
-    ]
-    assignments = np.array(
-        [
-            [omegas[i].indices[pos] for i, pos in enumerate(combo)]
-            for combo in rows
-        ],
-        dtype=int,
-    )
-    return fiducial_rows_matrix(
-        table,
-        regions,
-        assignments,
-        row_keys=tuple(rows),
-        factors=regions,
-        dims=dims,
-    )
+    parts = [((o.region,), [(i,) for i in o.indices]) for o in omegas]
+    return product_rows_matrix(table, parts, tuple(o.region for o in omegas))
 
 
 def find_composite_omega(
@@ -287,29 +302,29 @@ class AdjacencyGraph:
 
 
 def adjacency_graph(
-    table: ProbTable,
-    regions: Sequence[Region] | None = None,
-    tol: float = DEFAULT_RANK_TOL,
+    causaloid: Causaloid, table: ProbTable, tol: float = DEFAULT_RANK_TOL
 ) -> AdjacencyGraph:
-    """Map out causal adjacency by compressing every region pair."""
-    regions = tuple(
-        sorted(regions if regions is not None else table.regions,
-               key=lambda r: r.locations)
-    )
-    omegas = {
-        r: find_fiducial_set(build_measurement_matrix(table, r), tol)
-        for r in regions
-    }
+    """Map out causal adjacency over every region pair of a registry.
+
+    Pair sizes are read from the registry's pair entries; a pair it lacks
+    is compressed here from the registry's per-region fiducial sets.
+    """
+    regions = causaloid.regions
     pairs = []
     for a, b in itertools.combinations(regions, 2):
-        joint = joint_fiducial_matrix(table, [omegas[a], omegas[b]])
-        comp = find_composite_omega(joint, tol)
+        try:
+            omega = causaloid.entry((a, b)).omega
+        except MissingEntry:
+            joint = joint_fiducial_matrix(
+                table, [causaloid.omega_of(a), causaloid.omega_of(b)]
+            )
+            omega = find_composite_omega(joint, tol)
         pairs.append(
             PairCompression(
                 first=a,
                 second=b,
-                composite_size=comp.size,
-                product_size=comp.parent_size,
+                composite_size=omega.size,
+                product_size=omega.parent_size,
             )
         )
     return AdjacencyGraph(regions=regions, pairs=tuple(pairs))

@@ -23,7 +23,6 @@ __all__ = [
     "FullPack",
     "Stack",
     "EstimateResult",
-    "restrict_to_region",
     "estimate_prob",
     "sample_stacks",
     "dump_stacks",
@@ -67,18 +66,6 @@ class Region:
 
     def union(self, other: "Region") -> "Region":
         return Region(self.locations + other.locations)
-
-    def intersection(self, other: "Region") -> "Region":
-        common = set(self.locations) & set(other.locations)
-        if not common:
-            raise ValueError("regions are disjoint; the intersection is empty")
-        return Region(common)
-
-    def difference(self, other: "Region") -> "Region":
-        rest = set(self.locations) - set(other.locations)
-        if not rest:
-            raise ValueError("the difference is empty")
-        return Region(rest)
 
     def overlaps(self, other: "Region") -> bool:
         return bool(set(self.locations) & set(other.locations))
@@ -229,11 +216,6 @@ class Stack:
 
     def sorted_cards(self) -> tuple[Card, ...]:
         return tuple(sorted(self.cards))
-
-
-def restrict_to_region(cards: Iterable[Card], region: Region) -> frozenset[Card]:
-    """Keep only the cards whose location lies in ``region``."""
-    return frozenset(c for c in cards if c.location in region)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """End to end compression pipeline and its deterministic JSON report.
 
-``run_pipeline`` executes the full chain for one scenario: exterior span
-validation per probed region, full probability table, per-region and
-grouped compression, adjacency classification with mediator diagnostics,
-and the requested heralds. The report payload is a plain dict that
-serializes byte-identically across runs: keys are sorted, floats carry an
-exact hex companion, and matrices are summarized by sha256 digest (full
-hex rows only on request).
+``run_pipeline`` executes the full chain for one scenario: one probability
+table over the probed regions, exterior span validation of each region
+against it, per-region and grouped compression, adjacency classification
+read from the registry with mediator diagnostics, and the requested
+heralds. The report payload is a plain dict that serializes
+byte-identically across runs: keys are sorted, floats carry an exact hex
+companion, and matrices are summarized by sha256 digest (full hex rows
+only on request).
 """
 from __future__ import annotations
 
@@ -17,11 +18,12 @@ from typing import Mapping
 
 from . import __version__
 from .backends import (
+    SpanValidation,
     build_prob_table,
     conditioning_span,
-    validate_exterior_span,
+    validate_table_spans,
 )
-from .causaloid import Causaloid, build_causaloid
+from .causaloid import Causaloid, build_causaloid, matrix_hex
 from .compositional import adjacency_graph
 from .errors import CausaloidError, IoError
 from .heralding import HeraldResult, herald
@@ -53,13 +55,8 @@ class CompressionReport:
 
 
 def _matrix_digest(matrix) -> str:
-    rows = [[float(v).hex() for v in row] for row in matrix]
-    blob = json.dumps(rows, separators=(",", ":")).encode("ascii")
+    blob = json.dumps(matrix_hex(matrix), separators=(",", ":")).encode("ascii")
     return hashlib.sha256(blob).hexdigest()
-
-
-def _matrix_hex(matrix) -> list[list[str]]:
-    return [[float(v).hex() for v in row] for row in matrix]
 
 
 def _float_pair(value: float) -> dict:
@@ -76,22 +73,38 @@ def _key_names(scenario: ScenarioFile, key) -> list:
     return [_key_names(scenario, part) for part in key]
 
 
-def _span_section(scenario: ScenarioFile, tol_rank: float) -> list[dict]:
-    out = []
-    for region in scenario.regions:
-        check = validate_exterior_span(scenario.spec, region, tol_rank=tol_rank)
-        out.append(
-            {
-                "region": _region_name(scenario, region),
-                "locations": list(region.locations),
-                "rank": check.rank,
-                "extended_rank": check.extended_rank,
-                "exteriors": check.n_exteriors,
-                "extended_exteriors": check.n_extended_exteriors,
-                "stable": check.stable,
-            }
-        )
-    return out
+def span_rows(
+    scenario: ScenarioFile, spans: tuple[SpanValidation, ...]
+) -> list[dict]:
+    """The report's ``span_validation`` rows, one per region."""
+    return [
+        {
+            "region": _region_name(scenario, check.region),
+            "locations": list(check.region.locations),
+            "rank": check.rank,
+            "extended_rank": check.extended_rank,
+            "exteriors": check.n_exteriors,
+            "extended_exteriors": check.n_extended_exteriors,
+            "stable": check.stable,
+        }
+        for check in spans
+    ]
+
+
+def checked_causaloid(
+    scenario: ScenarioFile, tol_rank: float, tol_residual: float
+) -> tuple[ProbTable, tuple[SpanValidation, ...], Causaloid]:
+    """Build the scenario's table once, check its spans, then compress it."""
+    table = build_prob_table(scenario.spec, scenario.regions)
+    spans = validate_table_spans(scenario.spec, table, tol_rank=tol_rank)
+    table.validate()
+    causaloid = build_causaloid(
+        table,
+        composites=scenario.composites,
+        tol_rank=tol_rank,
+        tol_residual=tol_residual,
+    )
+    return table, spans, causaloid
 
 
 def _elementary_section(
@@ -110,7 +123,7 @@ def _elementary_section(
             "lambda_sha256": _matrix_digest(entry.matrix),
         }
         if full_matrices:
-            item["lambda_hex"] = _matrix_hex(entry.matrix)
+            item["lambda_hex"] = matrix_hex(entry.matrix)
         if len(item["omega_indices"]) != item["omega_size"]:
             raise CausaloidError("omega index list lost entries")
         out.append(item)
@@ -135,7 +148,7 @@ def _composite_section(
             "lambda_sha256": _matrix_digest(entry.matrix),
         }
         if full_matrices:
-            item["lambda_hex"] = _matrix_hex(entry.matrix)
+            item["lambda_hex"] = matrix_hex(entry.matrix)
         out.append(item)
     return out
 
@@ -161,11 +174,11 @@ def _mediators(
 
 
 def _adjacency_section(
-    scenario: ScenarioFile, table: ProbTable, tol_rank: float
+    scenario: ScenarioFile, causaloid: Causaloid, table: ProbTable, tol_rank: float
 ) -> dict | None:
     if len(scenario.regions) < 2:
         return None
-    graph = adjacency_graph(table, scenario.regions, tol=tol_rank)
+    graph = adjacency_graph(causaloid, table, tol=tol_rank)
     pairs = []
     for pair in graph.pairs:
         locs = pair.first.locations + pair.second.locations
@@ -241,15 +254,7 @@ def run_pipeline(
     tol_residual = float(overrides.get("residual", scenario.tol_residual))
     tol_herald = float(overrides.get("herald", scenario.tol_herald))
 
-    spans = _span_section(scenario, tol_rank)
-    table = build_prob_table(scenario.spec, scenario.regions)
-    table.validate()
-    causaloid = build_causaloid(
-        table,
-        composites=scenario.composites,
-        tol_rank=tol_rank,
-        tol_residual=tol_residual,
-    )
+    table, spans, causaloid = checked_causaloid(scenario, tol_rank, tol_residual)
     herald_results = tuple(
         (spec.name, herald(causaloid, spec.query, tol=tol_herald, table=table))
         for spec in scenario.heralds
@@ -277,10 +282,10 @@ def run_pipeline(
             "residual": _float_pair(tol_residual),
             "herald": _float_pair(tol_herald),
         },
-        "span_validation": spans,
+        "span_validation": span_rows(scenario, spans),
         "regions": _elementary_section(scenario, causaloid, full_matrices),
         "composites": _composite_section(scenario, causaloid, full_matrices),
-        "adjacency": _adjacency_section(scenario, table, tol_rank),
+        "adjacency": _adjacency_section(scenario, causaloid, table, tol_rank),
         "heralds": _herald_section(scenario, herald_results),
     }
     return CompressionReport(

@@ -214,7 +214,6 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
         instruments=tuple(families),
         preparations=preparations,
         effects=effects,
-        conditioning_actions=(),
     )
 
 

@@ -308,7 +308,6 @@ def test_criterion_8_frequency_convergence():
         instruments=(polariser_family(1, (0.0, 30.0, 60.0, 90.0)),),
         preparations=(ic_preparations("quantum", 2),),
         effects=(ic_effects("quantum", 2),),
-        conditioning_actions=(),
     )
     procedure = ProcedureSpec({1: 1})  # the 30 degree setting
     stacks = sample_stacks(spec, procedure, runs=100000, seed=2026)

@@ -28,9 +28,12 @@ from causaloid import (
     probe_reprepare_family,
     probe_reset_family,
     validate_exterior_span,
+    validate_table_spans,
 )
 from causaloid.errors import SpanDeficient, UnknownProcedure
 from causaloid.tables import ExteriorConfiguration
+
+from conftest import SCENARIO_NAMES
 
 
 def cos2(deg: float) -> float:
@@ -46,7 +49,6 @@ def _polariser_spec(angle_lists):
         ),
         preparations=(ic_preparations("quantum", 2),),
         effects=(ic_effects("quantum", 2) + (complete_effect("quantum", 2),),),
-        conditioning_actions=(),
     )
 
 
@@ -74,8 +76,7 @@ def test_classical_kernels_must_be_stochastic():
             instruments=(bad,),
             preparations=(ic_preparations("classical", 2),),
             effects=(ic_effects("classical", 2),),
-            conditioning_actions=(),
-        )
+            )
 
 
 def test_deterministic_family_maps():
@@ -131,7 +132,6 @@ def _one_chain_spec(name, location):
         instruments=(_coin_family(location),),
         preparations=(ic_preparations("classical", 2),),
         effects=(ic_effects("classical", 2),),
-        conditioning_actions=(),
     )
 
 
@@ -141,7 +141,6 @@ def test_joint_prob_factorizes_across_chains():
         instruments=(_coin_family(1), _coin_family(2)),
         preparations=(ic_preparations("classical", 2), ic_preparations("classical", 2)),
         effects=(ic_effects("classical", 2), ic_effects("classical", 2)),
-        conditioning_actions=(),
     )
     lab0, lab1 = ((0,), (0,)), ((0,), (1,))
     one = ExteriorConfiguration((0,), (0,), (), False)
@@ -188,10 +187,53 @@ def test_span_deficiency_is_loud():
         instruments=(probe_reprepare_family(1, 2),),
         preparations=((ic_preparations("quantum", 2)[0],),),
         effects=((complete_effect("quantum", 2),),),
-        conditioning_actions=(),
     )
     with pytest.raises(SpanDeficient):
         validate_exterior_span(spec, Region((1,)))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_table_spans_match_per_region_checks(scenarios, name):
+    s = scenarios(name)
+    table = build_prob_table(s.spec, s.regions)
+    joint = validate_table_spans(s.spec, table, tol_rank=s.tol_rank)
+    per_region = tuple(
+        validate_exterior_span(s.spec, r, tol_rank=s.tol_rank) for r in s.regions
+    )
+    assert joint == per_region
+
+
+def test_table_spans_stop_at_the_first_deficient_region():
+    # chain "a" is fully probed; chain "b" has one preparation and one
+    # effect, too few to span the exterior of its probe-and-reprepare family
+    spec = QuantumSpec(
+        chains=(Chain("a", 2, (1,)), Chain("b", 2, (2,))),
+        instruments=(probe_reprepare_family(1, 2), probe_reprepare_family(2, 2)),
+        preparations=(
+            ic_preparations("quantum", 2),
+            (ic_preparations("quantum", 2)[0],),
+        ),
+        effects=(ic_effects("quantum", 2), (complete_effect("quantum", 2),)),
+    )
+    r1, r2 = Region((1,)), Region((2,))
+    assert validate_exterior_span(spec, r1).stable
+    with pytest.raises(SpanDeficient) as single:
+        validate_exterior_span(spec, r2)
+    with pytest.raises(SpanDeficient) as joint:
+        validate_table_spans(spec, build_prob_table(spec, [r1, r2]))
+    assert str(joint.value) == str(single.value)
+    assert str(joint.value).startswith("region {2}:")
+
+
+def test_conditioning_restrictions_are_rejected():
+    with pytest.raises(BackendError):
+        QuantumSpec(
+            chains=(Chain("photon", 2, (1,)),),
+            instruments=(polariser_family(1, [0, 90]),),
+            preparations=(ic_preparations("quantum", 2),),
+            effects=(ic_effects("quantum", 2),),
+            conditioning_actions=((1, (0,)),),
+        )
 
 
 def test_conditioning_span_flags():
@@ -200,7 +242,6 @@ def test_conditioning_span_flags():
         instruments=(probe_reset_family(1, 2),),
         preparations=(ic_preparations("classical", 2),),
         effects=(ic_effects("classical", 2),),
-        conditioning_actions=(),
     )
     dim, full = conditioning_span(classical, 1)
     assert (dim, full) == (4, 4)

@@ -90,7 +90,7 @@ def test_pair_product_matches_table(chain3):
     r1, r2 = s.regions[0], s.regions[1]
     entry = c.entry((r1, r2))
     entries = {k: c.entry(k) for k in c.keys()}
-    leaves, rows = _leaf_rows(c.regions, entries, (r1, r2))
+    leaves, rows = _leaf_rows(entries, (r1, r2))
     assert leaves == (r1, r2)
     lam1, lam2 = c.tomographic(r1), c.tomographic(r2)
     rng = np.random.default_rng(90)
@@ -130,7 +130,7 @@ def test_evaluate_joint_against_oracle(polariser):
     from causaloid.causaloid import _leaf_rows
 
     entries = {k: c.entry(k) for k in c.keys()}
-    leaves, rows = _leaf_rows(c.regions, entries, (r1, r2, r3))
+    leaves, rows = _leaf_rows(entries, (r1, r2, r3))
     assert leaves == (r1, r2, r3)
     rng = np.random.default_rng(91)
     for _ in range(60):
@@ -163,8 +163,8 @@ def test_nested_grouping_agrees_with_flat(scenarios):
     from causaloid.causaloid import _leaf_rows
 
     entries = {k: c.entry(k) for k in c.keys()}
-    _, flat_rows = _leaf_rows(c.regions, entries, (r1, r2, r3))
-    _, nested_rows = _leaf_rows(c.regions, entries, ((r1, r2), r3))
+    _, flat_rows = _leaf_rows(entries, (r1, r2, r3))
+    _, nested_rows = _leaf_rows(entries, ((r1, r2), r3))
     rng = np.random.default_rng(92)
     lam = [c.tomographic(r) for r in (r1, r2, r3)]
     for _ in range(40):

@@ -10,6 +10,7 @@ from causaloid import (
     CompositeRegion,
     Region,
     adjacency_graph,
+    build_causaloid,
     build_measurement_matrix,
     build_prob_table,
     compute_compositional_lambda,
@@ -107,7 +108,8 @@ def test_adjacency_strictness(scenarios):
 def test_adjacency_graph_chain(scenarios):
     s = scenarios("classical_chain3")
     table = build_prob_table(s.spec, s.regions)
-    graph = adjacency_graph(table)
+    # an empty registry: every pair is compressed by adjacency_graph itself
+    graph = adjacency_graph(build_causaloid(table, composites=()), table)
     by_pair = {
         (str(p.first), str(p.second)): (p.composite_size, p.product_size, p.adjacent)
         for p in graph.pairs
@@ -147,3 +149,27 @@ def test_single_exterior_is_degenerate():
     o2 = find_fiducial_set(build_measurement_matrix(table, r2))
     with pytest.raises(DegenerateExterior):
         joint_fiducial_matrix(table, [o1, o2])
+
+
+def test_adjacency_compresses_only_pairs_missing_from_the_registry(
+    scenarios, monkeypatch
+):
+    import causaloid.compositional as comp
+
+    s = scenarios("polariser_chain")
+    table = build_prob_table(s.spec, s.regions)
+    r1, r2, r3 = s.regions
+    calls = []
+    original = comp.find_composite_omega
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].factors)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(comp, "find_composite_omega", counted)
+    full = adjacency_graph(build_causaloid(table), table)
+    assert calls == []
+    partial = adjacency_graph(build_causaloid(table, composites=[(r1, r2)]), table)
+    assert calls == [(r1, r3), (r2, r3)]
+    assert partial.pairs == full.pairs
+    assert partial.edges == ((0, 1), (1, 2))

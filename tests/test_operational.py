@@ -116,7 +116,6 @@ def _tiny_spec():
         instruments=(polariser_family(1, [0, 45]),),
         preparations=(ic_preparations("quantum", 2),),
         effects=(ic_effects("quantum", 2),),
-        conditioning_actions=(),
     )
 
 

@@ -312,3 +312,26 @@ def test_cli_seed_lands_in_report(tmp_path):
     main(["compress", "--scenario", _scn("classical_bit"),
           "--seed", "424242", "--out", str(out)])
     assert json.loads(out.read_text())["seed"] == 424242
+
+
+def test_pipeline_builds_two_tables(scenarios, monkeypatch):
+    # the scenario's table plus one extended-exterior table for span checks
+    import sys
+
+    import causaloid.backends as backends
+
+    original = backends.build_prob_table
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "causaloid" or name.startswith("causaloid."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    s = scenarios("polariser_chain")
+    run_pipeline(s)
+    assert calls == [s.regions, s.regions]
