@@ -25,7 +25,7 @@ from .errors import (
     UnknownProcedure,
     UnknownRegion,
 )
-from .operational import Card, FullPack, ProcedureSpec, Region
+from .operational import FullPack, ProcedureSpec, Region
 from .tables import (
     ExteriorConfiguration,
     GammaSet,
@@ -247,43 +247,51 @@ class TheorySpec:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_cards(
-        self,
-        procedure: ProcedureSpec,
-        rng: np.random.Generator,
-        preparation_choice: Mapping[str, int] | None = None,
-    ) -> tuple[Card, ...]:
-        """Draw the cards of one run; outcomes sampled location by location.
+    def sample_cards(self, procedure: ProcedureSpec, uniforms: np.ndarray) -> np.ndarray:
+        """Draw the outcomes of many runs at once, location by location.
 
-        The preparation defaults to each chain's first declared one; pass
-        ``preparation_choice`` (chain name -> index) to override.
+        ``uniforms`` is a ``(runs, n_locations)`` array of uniforms in
+        [0, 1), one row per run. Its columns follow the draw order: chains
+        in spec order, then each chain's locations in order. Every chain
+        starts from its first declared preparation, and each outcome is
+        picked by inverting the cumulative outcome weights at that run's
+        uniform, as ``Generator.choice`` does. Returns the
+        ``(runs, n_locations)`` integer outcome array in the same column
+        order.
         """
-        choice = dict(preparation_choice or {})
-        cards = []
+        u = np.asarray(uniforms, dtype=float)
+        n_locations = sum(len(c.locations) for c in self.chains)
+        if u.ndim != 2 or u.shape[1] != n_locations:
+            raise ValueError(
+                f"uniforms must have shape (runs, {n_locations}), got {u.shape}"
+            )
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+            raise ValueError("uniforms must lie in [0, 1)")
+        runs = u.shape[0]
+        outcomes = np.empty((runs, n_locations), dtype=np.intp)
+        rows = np.arange(runs)
+        col = 0
         for ci, chain in enumerate(self.chains):
-            pi = choice.get(chain.name, 0)
-            if not 0 <= pi < len(self.preparations[ci]):
-                raise UnknownExterior(
-                    f"chain {chain.name!r} has no preparation {pi}"
-                )
-            v = self.preparations[ci][pi].vector.copy()
+            v = np.broadcast_to(self.preparations[ci][0].vector, (runs, self.vec_dim(chain)))
             t = self.total_covector(chain)
             for loc in chain.locations:
                 fam = self.family(loc)
                 a = procedure.action_at(loc)
                 if not 0 <= a < fam.n_actions:
                     raise UnknownProcedure(f"location {loc} has no action {a}")
-                weights = np.array([float(t @ (T @ v)) for T in fam.actions[a]])
-                weights = np.clip(weights, 0.0, None)
-                wsum = float(weights.sum())
-                if wsum <= 0:
+                # every run's state after every outcome: (runs, outcomes, D)
+                after = np.einsum("sde,re->rsd", np.stack(fam.actions[a]), v)
+                cdf = np.cumsum(np.clip(after @ t, 0.0, None), axis=1)
+                total = cdf[:, -1:]
+                if (total <= 0).any():
                     raise BackendError(
                         f"all outcomes at location {loc} have zero probability"
                     )
-                s = int(rng.choice(len(weights), p=weights / wsum))
-                cards.append(Card(loc, a, s))
-                v = fam.actions[a][s] @ v
-        return tuple(cards)
+                s = (cdf / total <= u[:, col:col + 1]).sum(axis=1)
+                outcomes[:, col] = s
+                v = after[rows, s]
+                col += 1
+        return outcomes
 
 
 class ClassicalSpec(TheorySpec):
@@ -330,14 +338,15 @@ def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
     The per-outcome maps are rho -> Tr[P_m rho] sigma_j and
     rho -> Tr[(I - P_m) rho] sigma_j, whose transfer matrices are rank-1.
     """
-    kets = ops.ic_pure_kets(dim)
+    coords = [
+        (name, ops.operator_coords(ops.density_from_ket(ket), dim))
+        for name, ket in ops.ic_pure_kets(dim)
+    ]
     t = ops.trace_covector(dim)
     actions = []
     names = []
-    for mname, mket in kets:
-        w = ops.operator_coords(ops.density_from_ket(mket), dim)
-        for jname, jket in kets:
-            v = ops.operator_coords(ops.density_from_ket(jket), dim)
+    for mname, w in coords:
+        for jname, v in coords:
             T_hit = np.outer(v, w)
             T_miss = np.outer(v, t - w)
             actions.append((T_miss, T_hit))

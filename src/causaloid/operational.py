@@ -9,6 +9,7 @@ are estimated directly from collections of stacks; everything downstream
 from __future__ import annotations
 
 import io
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -242,7 +243,7 @@ def estimate_prob(
     condition = tuple(condition)
     n_num = 0
     n_den = 0
-    for stack in stacks:
+    for stack, count in Counter(stacks).items():
         if not all(c in stack.cards for c in condition):
             continue
         try:
@@ -250,9 +251,9 @@ def estimate_prob(
                 continue
         except UnknownRegion:
             continue
-        n_den += 1
+        n_den += count
         if all(t in stack.cards for t in target):
-            n_num += 1
+            n_num += count
     if n_den == 0:
         raise ZeroConditionCount("no stack matches the conditioning event")
     return EstimateResult(n_num / n_den, n_num, n_den)
@@ -261,18 +262,27 @@ def estimate_prob(
 def sample_stacks(backend, procedure: ProcedureSpec, runs: int, seed: int) -> list[Stack]:
     """Simulate ``runs`` independent runs under one procedure.
 
-    ``backend`` must provide ``sample_cards(procedure, rng)`` returning the
-    cards of a single run. Each run draws from its own generator seeded by
-    (seed, run index), so results are reproducible and order-independent.
+    ``backend`` must provide ``chains`` (each with its ``locations``) and
+    ``sample_cards(procedure, uniforms)``, which maps a ``(runs,
+    n_locations)`` array of uniforms, columns in chain-then-location order,
+    to the outcome of every run at every location. The uniforms come from
+    one generator seeded by ``seed`` and are drawn row by row, so run i is
+    a function of (seed, i) only: results are reproducible and a shorter
+    batch is a prefix of a longer one. Runs with equal outcomes share one
+    immutable ``Stack``.
     """
     if runs < 0:
         raise ValueError("runs must be non-negative")
-    out = []
-    for i in range(runs):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        cards = backend.sample_cards(procedure, rng)
-        out.append(Stack(cards, procedure))
-    return out
+    order = [x for chain in backend.chains for x in chain.locations]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    outcomes = backend.sample_cards(procedure, rng.random((runs, len(order))))
+    rows, which = np.unique(outcomes, axis=0, return_inverse=True)
+    actions = [procedure.action_at(x) for x in order]
+    distinct = [
+        Stack((Card(x, a, s) for x, a, s in zip(order, actions, row.tolist())), procedure)
+        for row in rows
+    ]
+    return [distinct[j] for j in which.reshape(-1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +298,20 @@ def dump_stacks(stacks: Sequence[Stack], path) -> None:
 
 
 def _write_stacks(stacks: Sequence[Stack], fh: io.TextIOBase) -> None:
+    # everything after the run index depends on the stack alone, so each
+    # distinct stack is formatted once
+    bodies: dict[Stack, str] = {}
+    parts = []
     for i, stack in enumerate(stacks):
-        proc = " ".join(f"{x}:{a}" for x, a in stack.tag.assignment)
-        fh.write(f"# stack {i} procedure {proc}\n")
-        for card in stack.sorted_cards():
-            fh.write(f"{card.location},{card.action},{card.outcome}\n")
-        fh.write("\n")
+        body = bodies.get(stack)
+        if body is None:
+            proc = " ".join(f"{x}:{a}" for x, a in stack.tag.assignment)
+            cards = "".join(
+                f"{c.location},{c.action},{c.outcome}\n" for c in stack.sorted_cards()
+            )
+            body = bodies[stack] = f" procedure {proc}\n{cards}\n"
+        parts.append(f"# stack {i}{body}")
+    fh.write("".join(parts))
 
 
 def load_stacks(path) -> list[Stack]:
@@ -306,45 +324,58 @@ def load_stacks(path) -> list[Stack]:
 
 
 def parse_stacks(text: str) -> list[Stack]:
+    """Read the ``dump_stacks`` format back into stacks.
+
+    A stack is a ``# ... procedure x:a ...`` header line followed by its
+    ``x,a,s`` card lines; a blank line or the next header ends it. A card
+    line outside a stack is a ``SchemaError``. Each distinct procedure tag,
+    card line and stack record is parsed and validated once, and equal
+    records share one ``Stack``.
+    """
     stacks: list[Stack] = []
-    cards: list[Card] = []
-    tag: ProcedureSpec | None = None
-    lineno = 0
+    tags: dict[str, ProcedureSpec] = {}
+    cards: dict[str, Card] = {}
+    built: dict[tuple[str, tuple[str, ...]], Stack] = {}
+    tag_text: str | None = None
+    lines: list[str] = []
 
     def flush():
-        nonlocal cards, tag
-        if tag is None:
-            if cards:
-                raise SchemaError("cards appear before any stack header", f"line {lineno}")
-            return
-        stacks.append(Stack(cards, tag))
-        cards = []
-        tag = None
+        key = (tag_text, tuple(lines))
+        stack = built.get(key)
+        if stack is None:
+            stack = built[key] = Stack((cards[c] for c in lines), tags[tag_text])
+        stacks.append(stack)
 
-    for raw in text.splitlines():
-        lineno += 1
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
-            if tag is not None:
+            if tag_text is not None:
                 flush()
+                tag_text = None
             continue
         if line.startswith("#"):
-            if tag is not None:
+            if tag_text is not None:
                 flush()
             parts = line.split("procedure", 1)
             if len(parts) != 2:
                 raise SchemaError("stack header lacks a procedure tag", f"line {lineno}")
-            try:
-                pairs = [tuple(int(t) for t in item.split(":")) for item in parts[1].split()]
-                tag = ProcedureSpec(dict((x, a) for x, a in pairs))
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"bad procedure tag: {exc}", f"line {lineno}") from exc
+            tag_text, lines = parts[1], []
+            if tag_text not in tags:
+                try:
+                    pairs = [tuple(int(t) for t in item.split(":")) for item in tag_text.split()]
+                    tags[tag_text] = ProcedureSpec(dict((x, a) for x, a in pairs))
+                except (ValueError, TypeError) as exc:
+                    raise SchemaError(f"bad procedure tag: {exc}", f"line {lineno}") from exc
             continue
-        try:
-            x, a, s = (int(t) for t in line.split(","))
-        except ValueError as exc:
-            raise SchemaError(f"bad card record {line!r}", f"line {lineno}") from exc
-        cards.append(Card(x, a, s))
-    if tag is not None:
+        if tag_text is None:
+            raise SchemaError("cards appear before any stack header", f"line {lineno}")
+        if line not in cards:
+            try:
+                x, a, s = (int(t) for t in line.split(","))
+            except ValueError as exc:
+                raise SchemaError(f"bad card record {line!r}", f"line {lineno}") from exc
+            cards[line] = Card(x, a, s)
+        lines.append(line)
+    if tag_text is not None:
         flush()
     return stacks

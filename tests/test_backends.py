@@ -30,6 +30,7 @@ from causaloid import (
     validate_exterior_span,
     validate_table_spans,
 )
+from causaloid import operators as ops
 from causaloid.errors import SpanDeficient, UnknownProcedure
 from causaloid.tables import ExteriorConfiguration
 
@@ -59,6 +60,22 @@ def test_polariser_family_shape():
     assert fam.labels() == [(a, s) for a in range(4) for s in range(2)]
     with pytest.raises(UnknownProcedure):
         fam.n_outcomes(4)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_probe_reprepare_matrices_match_the_per_pair_construction(dim):
+    kets = ops.ic_pure_kets(dim)
+    t = ops.trace_covector(dim)
+    expected = []
+    for _, mket in kets:
+        for _, jket in kets:
+            w = ops.operator_coords(ops.density_from_ket(mket), dim)
+            v = ops.operator_coords(ops.density_from_ket(jket), dim)
+            expected.append((np.outer(v, t - w), np.outer(v, w)))
+    fam = probe_reprepare_family(1, dim)
+    assert len(fam.actions) == len(expected)
+    for got, want in zip(fam.actions, expected):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_probe_families_sizes():

@@ -1,26 +1,35 @@
 """Cards, stacks, regions, procedures, and frequency estimation."""
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from causaloid import (
     Card,
     Chain,
+    ClassicalSpec,
     FullPack,
     ProcedureSpec,
     QuantumSpec,
     Region,
     Stack,
     ZeroConditionCount,
+    complete_effect,
     dump_stacks,
     estimate_prob,
     ic_effects,
     ic_preparations,
+    joint_prob,
+    kernel_family,
     load_stacks,
+    parse_stacks,
     polariser_family,
     sample_stacks,
 )
-from causaloid.errors import UnknownRegion
+from causaloid.errors import SchemaError, UnknownProcedure, UnknownRegion
+from causaloid.tables import ExteriorConfiguration
 
 
 def test_region_is_sorted_and_set_like():
@@ -147,3 +156,129 @@ def test_sampled_frequencies_track_the_oracle():
     stacks = sample_stacks(spec, ProcedureSpec({1: 1}), 4000, seed=101)
     est = estimate_prob(stacks, target=[Card(1, 1, 0)])
     assert abs(est.probability - 0.5) < 0.05
+
+
+def _two_chain_kernel_spec():
+    # chain order puts location 3 before location 2 in the draw order
+    rng = np.random.default_rng(11)
+
+    def family(location, size, outcomes_per_action):
+        actions = []
+        for a, n in enumerate(outcomes_per_action):
+            kernel = rng.random((size, size))
+            kernel /= kernel.sum(axis=0)
+            split = rng.random((n, size, size))
+            if (location, a) == (1, 0):
+                split[0, :, 0] = 0.0  # outcome 0 never follows the first preparation
+            split /= split.sum(axis=0)
+            actions.append([kernel * part for part in split])
+        return kernel_family(location, size, actions)
+
+    return ClassicalSpec(
+        chains=(Chain("left", 3, (1, 3)), Chain("right", 2, (2,))),
+        instruments=(family(1, 3, (3, 2)), family(2, 2, (2,)), family(3, 3, (3,))),
+        preparations=(ic_preparations("classical", 3), ic_preparations("classical", 2)),
+        effects=(ic_effects("classical", 3), ic_effects("classical", 2)),
+    )
+
+
+def _reference_outcomes(spec, procedure, uniforms):
+    """Run by run, location by location inverse-CDF draw."""
+    out = np.empty(uniforms.shape, dtype=int)
+    for r, row in enumerate(uniforms):
+        col = 0
+        for ci, chain in enumerate(spec.chains):
+            v = spec.preparations[ci][0].vector
+            t = spec.total_covector(chain)
+            for loc in chain.locations:
+                mats = spec.family(loc).actions[procedure.action_at(loc)]
+                cdf = np.cumsum(np.clip([t @ (T @ v) for T in mats], 0.0, None))
+                s = int(np.searchsorted(cdf / cdf[-1], row[col], side="right"))
+                out[r, col] = s
+                v = mats[s] @ v
+                col += 1
+    return out
+
+
+def test_batched_draw_matches_the_per_run_reference():
+    spec = _two_chain_kernel_spec()
+    proc = ProcedureSpec({1: 0, 2: 0, 3: 0})
+    uniforms = np.random.default_rng(5).random((500, 3))
+    uniforms[:2] = [[0.0, 0.0, 0.0], [1 - 2**-53] * 3]
+    got = spec.sample_cards(proc, uniforms)
+    assert got.shape == (500, 3)
+    np.testing.assert_array_equal(got, _reference_outcomes(spec, proc, uniforms))
+
+
+def test_sampled_outcome_tuples_track_joint_prob():
+    spec = _two_chain_kernel_spec()
+    proc = ProcedureSpec({1: 1, 2: 0, 3: 0})
+    runs = 20000
+    stacks = sample_stacks(spec, proc, runs, seed=17)
+    counts: dict[tuple[int, ...], int] = {}
+    for stack in stacks:
+        key = tuple(stack.card_at(x).outcome for x in (1, 2, 3))
+        counts[key] = counts.get(key, 0) + 1
+    # the sampler starts from the first preparation and marginalizes the end
+    oracle = dataclasses.replace(
+        spec, effects=tuple((complete_effect("classical", c.size),) for c in spec.chains)
+    )
+    ext = ExteriorConfiguration((0, 0), (0, 0), (), True)
+    regions = [Region((x,)) for x in (1, 2, 3)]
+    total = 0.0
+    for key in np.ndindex(2, 2, 3):
+        labels = [((proc.action_at(x),), (s,)) for x, s in zip((1, 2, 3), key)]
+        p = joint_prob(oracle, dict(zip(regions, labels)), ext)
+        total += p
+        freq = counts.get(tuple(key), 0) / runs
+        assert abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / runs) + 1e-12, key
+    assert total == pytest.approx(1.0)
+    assert sum(counts.values()) == runs
+
+
+def test_sample_stacks_prefix_empty_and_bad_action():
+    spec = _two_chain_kernel_spec()
+    proc = ProcedureSpec({1: 1, 2: 0, 3: 0})
+    assert sample_stacks(spec, proc, 64, seed=4)[:16] == sample_stacks(spec, proc, 16, seed=4)
+    assert sample_stacks(spec, proc, 0, seed=4) == []
+    with pytest.raises(UnknownProcedure):
+        sample_stacks(spec, ProcedureSpec({1: 0, 2: 5, 3: 0}), 8, seed=4)
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    p = ProcedureSpec({1: 0, 2: 1})
+    q = ProcedureSpec({1: 1, 2: 1})
+    a = Stack([Card(2, 1, 1), Card(1, 0, 0)], p)
+    stacks = [
+        a,
+        a,
+        Stack([Card(1, 1, 1), Card(2, 1, 0)], q),
+        Stack([Card(1, 0, 0), Card(2, 1, 1)], p),
+        Stack([Card(1, 0, 1)], ProcedureSpec({1: 0})),
+    ]
+    path = tmp_path / "stacks.txt"
+    dump_stacks(stacks, path)
+    text = path.read_text(encoding="utf-8")
+    # stack files outlive the program that wrote them: these bytes are fixed
+    assert text == (
+        "# stack 0 procedure 1:0 2:1\n1,0,0\n2,1,1\n\n"
+        "# stack 1 procedure 1:0 2:1\n1,0,0\n2,1,1\n\n"
+        "# stack 2 procedure 1:1 2:1\n1,1,1\n2,1,0\n\n"
+        "# stack 3 procedure 1:0 2:1\n1,0,0\n2,1,1\n\n"
+        "# stack 4 procedure 1:0\n1,0,1\n\n"
+    )
+    assert parse_stacks(text) == stacks
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1,0,0\n# stack 0 procedure 1:0\n\n", 1),  # before the first header
+        ("# stack 0 procedure 1:0\n1,0,0\n\n1,0,1\n# stack 1 procedure 1:0\n", 4),
+        ("# stack 0 procedure 1:0\n1,0,0\n\n1,0,1\n", 4),  # trailing
+    ],
+    ids=["before-first-header", "between-stacks", "trailing"],
+)
+def test_cards_outside_a_stack_are_rejected(text, line):
+    with pytest.raises(SchemaError, match=f"line {line}: cards appear before any stack header"):
+        parse_stacks(text)

@@ -5,6 +5,17 @@ import importlib
 import importlib.util
 import pathlib
 
+from causaloid import (
+    Chain,
+    ProcedureSpec,
+    QuantumSpec,
+    ic_effects,
+    ic_preparations,
+    polariser_family,
+    sample_stacks,
+)
+from causaloid.backends import TheorySpec
+
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -24,3 +35,25 @@ def test_every_traced_target_resolves():
             assert hasattr(owner, part), f"causaloid.{mod_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"causaloid.{mod_name}.{attr}"
+
+
+def test_sample_stacks_draws_in_one_sample_cards_call(monkeypatch):
+    # the traced benchmark times sampling through TheorySpec.sample_cards,
+    # so every draw of a batch must happen inside one call of it
+    calls = []
+    draw = TheorySpec.sample_cards
+
+    def counted(self, *args):
+        calls.append(args)
+        return draw(self, *args)
+
+    monkeypatch.setattr(TheorySpec, "sample_cards", counted)
+    spec = QuantumSpec(
+        chains=(Chain("photon", 2, (1, 2)),),
+        instruments=(polariser_family(1, [0, 45]), polariser_family(2, [30])),
+        preparations=(ic_preparations("quantum", 2),),
+        effects=(ic_effects("quantum", 2),),
+    )
+    stacks = sample_stacks(spec, ProcedureSpec({1: 1, 2: 0}), 200, seed=9)
+    assert len(stacks) == 200
+    assert len(calls) == 1
