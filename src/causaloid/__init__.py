@@ -131,6 +131,7 @@ from .report import (
 )
 from .scenario import HeraldSpec, ScenarioFile, parse_scenario, parse_scenario_dict
 from .tables import (
+    ExteriorAxis,
     ExteriorConfiguration,
     GammaSet,
     MeasurementMatrix,

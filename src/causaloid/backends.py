@@ -27,6 +27,7 @@ from .errors import (
 )
 from .operational import FullPack, ProcedureSpec, Region
 from .tables import (
+    ExteriorAxis,
     ExteriorConfiguration,
     GammaSet,
     Label,
@@ -422,7 +423,11 @@ def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> I
         elif name == "uniform":
             T = ops.uniform_kernel(alphabet)
         elif name.startswith("reset:"):
-            T = ops.reset_kernel(alphabet, int(name.split(":", 1)[1]))
+            try:
+                symbol = int(name.split(":", 1)[1])
+            except ValueError:
+                raise BackendError(f"unknown classical map {name!r}") from None
+            T = ops.reset_kernel(alphabet, symbol)
         else:
             raise BackendError(f"unknown classical map {name!r}")
         actions.append((T,))
@@ -547,44 +552,35 @@ def _extra_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
 # label enumeration and exact probabilities
 # ---------------------------------------------------------------------------
 
+def _row_major_labels(spec: TheorySpec, region: Region) -> list[Label]:
+    """A region's labels with each location's (action, outcome) index
+    varying row-major, the last location fastest."""
+    return [
+        (tuple(a for a, _ in combo), tuple(s for _, s in combo))
+        for combo in itertools.product(
+            *(spec.family(x).labels() for x in region.locations)
+        )
+    ]
+
+
 def enumerate_labels(spec: TheorySpec, region: Region) -> GammaSet:
     """All measurement labels of a region, sorted by (action tuple, outcome tuple)."""
-    per_loc = []
-    for loc in region.locations:
-        fam = spec.family(loc)
-        per_loc.append(fam.labels())
-    labels = [
-        (tuple(a for a, _ in combo), tuple(s for _, s in combo))
-        for combo in itertools.product(*per_loc)
-    ]
-    labels.sort()
-    return GammaSet(region, tuple(labels))
+    return GammaSet(region, tuple(sorted(_row_major_labels(spec, region))))
 
 
-def enumerate_exteriors(
-    spec: TheorySpec, probed: Iterable[int]
-) -> tuple[ExteriorConfiguration, ...]:
+def enumerate_exteriors(spec: TheorySpec, probed: Iterable[int]) -> ExteriorAxis:
+    """The exterior axis of a table probing the ``probed`` locations."""
     probed = set(probed)
-    cond_locs = sorted(x for x in spec.locations() if x not in probed)
-    cond_choices = [spec.family(x).labels() for x in cond_locs]
-    prep_counts = [len(p) for p in spec.preparations]
-    eff_counts = [len(e) for e in spec.effects]
-    out = []
-    for preps in itertools.product(*(range(n) for n in prep_counts)):
-        for conds in itertools.product(*cond_choices):
-            for effs in itertools.product(*(range(n) for n in eff_counts)):
-                complete = all(
-                    spec.effects[ci][e].complete for ci, e in enumerate(effs)
-                )
-                out.append(
-                    ExteriorConfiguration(
-                        preps,
-                        effs,
-                        tuple(zip(cond_locs, conds)),
-                        complete,
-                    )
-                )
-    return tuple(out)
+    return ExteriorAxis(
+        folded=(),
+        preparations=tuple(len(p) for p in spec.preparations),
+        conditioning=tuple(
+            (x, tuple(spec.family(x).labels()))
+            for x in spec.locations()
+            if x not in probed
+        ),
+        effects=tuple(tuple(e.complete for e in effs) for effs in spec.effects),
+    )
 
 
 def joint_prob(
@@ -639,35 +635,6 @@ def joint_prob(
     return p
 
 
-def _chain_label_tensor(
-    spec: TheorySpec,
-    chain: Chain,
-    chain_probed: list[int],
-    prep_index: int,
-    eff_index: int,
-    cond: Mapping[int, tuple[int, int]],
-) -> np.ndarray:
-    """Probabilities over the chain's probed-location labels, one exterior.
-
-    Returns an array with one axis per probed location (wire order).
-    """
-    v = spec.preparations[spec.chain_index(chain)][prep_index].vector
-    ci = spec.chain_index(chain)
-    acc = v[np.newaxis, :]  # leading flat axis over probed-label combos
-    shape: list[int] = []
-    for loc in chain.locations:
-        fam = spec.family(loc)
-        if loc in chain_probed:
-            stack = fam.stacked()  # (n_labels, D, D)
-            acc = np.einsum("kmn,cn->ckm", stack, acc).reshape(-1, stack.shape[1])
-            shape.append(stack.shape[0])
-        else:
-            a, s = cond[loc]
-            acc = acc @ fam.actions[a][s].T
-    out = acc @ spec.effects[ci][eff_index].vector
-    return out.reshape(shape) if shape else out.reshape(())
-
-
 def build_prob_table(
     spec: TheorySpec,
     regions: Sequence[Region],
@@ -677,7 +644,9 @@ def build_prob_table(
 
     Everything not probed is swept as exterior: preparations and terminal
     effects per chain, plus one (action, outcome) conditioning choice per
-    unprobed location.
+    unprobed location. Each chain is contracted once over every label at
+    each of its locations; the chains' tensors multiply out and one
+    transpose puts the region axes first and the exterior digits last.
     """
     regions = tuple(regions)
     seen: set[int] = set()
@@ -699,65 +668,37 @@ def build_prob_table(
     if not exteriors:
         raise UnknownExterior("the scenario declares no exterior configurations")
 
-    # per-location label axes in (chain, wire-position) order
-    probed_locs = sorted(seen)
-    cols = []
-    for ext in exteriors:
-        cond = dict(ext.conditioning)
-        parts = []
-        for chain in spec.chains:
-            chain_probed = [x for x in chain.locations if x in seen]
-            ci = spec.chain_index(chain)
-            t = _chain_label_tensor(
-                spec, chain, chain_probed, ext.preparations[ci],
-                ext.effects[ci], cond,
-            )
-            parts.append((chain_probed, t))
-        # outer product across chains, then order axes by ascending location
-        axes_locs: list[int] = []
-        full = np.ones(())
-        for chain_probed, t in parts:
-            full = np.multiply.outer(full, t)
-            axes_locs.extend(chain_probed)
-        order = [axes_locs.index(x) for x in probed_locs]
-        full = np.transpose(full, order) if axes_locs else full
-        cols.append(full.reshape(-1))
-    flat = np.stack(cols, axis=-1)  # (prod per-loc labels, n_ext)
-
-    # regroup per-location axes into per-region label axes
-    loc_sizes = [len(spec.family(x).labels()) for x in probed_locs]
-    values = flat.reshape(tuple(loc_sizes) + (len(exteriors),))
-    # merge each region's location axes and permute into GammaSet order
-    out_axes = []
-    pos = {x: i for i, x in enumerate(probed_locs)}
-    for r, g in zip(regions, gammas):
-        out_axes.append([pos[x] for x in r.locations])
-    perm = [a for group in out_axes for a in group] + [len(probed_locs)]
-    values = np.transpose(values, perm)
-    new_shape = []
-    for r in regions:
-        size = 1
-        for x in r.locations:
-            size *= len(spec.family(x).labels())
-        new_shape.append(size)
-    values = values.reshape(tuple(new_shape) + (len(exteriors),))
-    # per-region permutation: row-major per-location order -> GammaSet order
-    for axis, (r, g) in enumerate(zip(regions, gammas)):
-        loc_label_index = [
-            {lab: i for i, lab in enumerate(spec.family(x).labels())}
-            for x in r.locations
-        ]
-        sizes = [len(m) for m in loc_label_index]
-        gather = []
-        for actions, outcomes in g.labels:
-            flat_idx = 0
-            for k in range(len(r.locations)):
-                flat_idx = flat_idx * sizes[k] + loc_label_index[k][(actions[k], outcomes[k])]
-            gather.append(flat_idx)
+    # axes of the product tensor, per chain: (preparation, label at each
+    # location in wire order, effect)
+    full = np.ones(())
+    prep_axes, eff_axes, loc_axes = [], [], {}
+    for ci, chain in enumerate(spec.chains):
+        acc = np.stack([p.vector for p in spec.preparations[ci]])
+        shape = [len(acc)]
+        for loc in chain.locations:
+            stack = spec.family(loc).stacked()  # (n_labels, D, D)
+            acc = np.einsum("kmn,cn->ckm", stack, acc.reshape(-1, stack.shape[1]))
+            loc_axes[loc] = full.ndim + len(shape)
+            shape.append(len(stack))
+        # one matrix-vector product per effect: a matrix product or einsum
+        # sums some entries in another order (last-bit changes on
+        # 9-dimensional wires)
+        flat = acc.reshape(-1, acc.shape[-1])
+        t = np.stack([flat @ e.vector for e in spec.effects[ci]], axis=-1)
+        prep_axes.append(full.ndim)
+        eff_axes.append(full.ndim + len(shape))
+        full = np.multiply.outer(full, t.reshape(shape + [t.shape[-1]]))
+    unprobed = [loc_axes[x] for x, _ in exteriors.conditioning]
+    region_axes = [loc_axes[x] for r in regions for x in r.locations]
+    values = np.transpose(full, region_axes + prep_axes + unprobed + eff_axes)
+    values = values.reshape(tuple(g.size for g in gammas) + (len(exteriors),))
+    # per region: row-major per-location order -> GammaSet (sorted) order
+    for axis, r in enumerate(regions):
+        labels = _row_major_labels(spec, r)
+        gather = sorted(range(len(labels)), key=labels.__getitem__)
         if gather != list(range(len(gather))):
             values = np.take(values, gather, axis=axis)
-    table = ProbTable(regions, gammas, exteriors, np.ascontiguousarray(values))
-    return table
+    return ProbTable(regions, gammas, exteriors, np.ascontiguousarray(values))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     ZeroDenominatorVector,
 )
 from .operational import Region
-from .tables import ExteriorConfiguration, Label, ProbTable
+from .tables import ExteriorAxis, ExteriorConfiguration, Label, ProbTable
 from .tomographic import fold_to_exterior, r_vector
 
 __all__ = [
@@ -205,26 +205,28 @@ def _chain_outer(parts: Sequence[np.ndarray]) -> np.ndarray:
     return w.reshape(-1)
 
 
-def _folded_query_view(
+def _conditional_parts(
     table: ProbTable, query: HeraldQuery
-) -> tuple[np.ndarray, tuple[ExteriorConfiguration, ...], tuple[int, ...], int, tuple[int, ...]]:
-    """Fold the table down to the query's regions, in canonical order.
+) -> tuple[np.ndarray, np.ndarray, ExteriorAxis]:
+    """Numerator and denominator of the direct conditional at every column.
 
-    Returns the folded values, folded exteriors, the fixed label index per
-    region axis, the target axis, and the consistent target row indices.
+    The table is folded down to the query's regions. Numerator: joint
+    weight of all named labels. Denominator: the same with the target
+    summed over outcome-consistent labels.
     """
     named = query.named_regions
     vals, exteriors = fold_to_exterior(table, named)
     fixed = dict(query.conditions)
     fixed[query.target[0]] = query.target[1]
-    sel = []
-    for r in named:
-        gamma = table.gammas[table.region_axis(r)]
-        sel.append(gamma.index_of(fixed[r]))
+    sel = [table.gammas[table.region_axis(r)].index_of(fixed[r]) for r in named]
     t_axis = named.index(query.target[0])
     t_gamma = table.gammas[table.region_axis(query.target[0])]
-    summed = t_gamma.labels_for_action(query.target[1][0])
-    return vals, exteriors, tuple(sel), t_axis, summed
+    num = vals[tuple(sel)]
+    den = np.zeros_like(num)
+    for row in t_gamma.labels_for_action(query.target[1][0]):
+        sel[t_axis] = row
+        den = den + vals[tuple(sel)]
+    return num, den, exteriors
 
 
 def conditional_from_table(
@@ -232,55 +234,42 @@ def conditional_from_table(
 ) -> float:
     """The direct conditional at one folded exterior configuration.
 
-    Numerator: joint weight of all named labels. Denominator: the same
-    with the target summed over outcome-consistent labels. This is the
-    diagnostic route used to exhibit exterior-dependence.
+    This is the diagnostic route used to exhibit exterior-dependence.
     """
-    vals, exteriors, sel, t_axis, summed = _folded_query_view(table, query)
+    num, den, exteriors = _conditional_parts(table, query)
     if not 0 <= exterior_index < len(exteriors):
         raise UnknownExterior(f"exterior index {exterior_index} out of range")
-    num = float(vals[sel][exterior_index])
-    den = 0.0
-    for row in summed:
-        alt = list(sel)
-        alt[t_axis] = row
-        den += float(vals[tuple(alt)][exterior_index])
-    if den <= MIN_DENOMINATOR:
+    d = float(den[exterior_index])
+    if d <= MIN_DENOMINATOR:
         raise ZeroDenominator(
-            f"conditioning event has probability {den:.3e} at exterior "
+            f"conditioning event has probability {d:.3e} at exterior "
             f"{exterior_index}"
         )
-    return num / den
+    return float(num[exterior_index]) / d
 
 
 def conditional_sweep(
     table: ProbTable, query: HeraldQuery
 ) -> tuple[tuple[ExteriorConfiguration, float | None], ...]:
     """The direct conditional at every folded exterior; None where undefined."""
-    vals, exteriors, sel, t_axis, summed = _folded_query_view(table, query)
-    num = vals[sel]
-    den = np.zeros_like(num)
-    for row in summed:
-        alt = list(sel)
-        alt[t_axis] = row
-        den = den + vals[tuple(alt)]
-    out: list[tuple[ExteriorConfiguration, float | None]] = []
-    for j, ext in enumerate(exteriors):
-        if den[j] <= MIN_DENOMINATOR:
-            out.append((ext, None))
-        else:
-            out.append((ext, float(num[j] / den[j])))
-    return tuple(out)
+    num, den, exteriors = _conditional_parts(table, query)
+    return tuple(
+        (ext, None if d <= MIN_DENOMINATOR else float(n / d))
+        for ext, n, d in zip(exteriors, num, den)
+    )
 
 
 def _max_disagreement(table: ProbTable, query: HeraldQuery):
-    values = [
-        (ext, p) for ext, p in conditional_sweep(table, query) if p is not None
-    ]
-    if len(values) < 2:
+    """The first columns of highest and of lowest defined conditional."""
+    num, den, exteriors = _conditional_parts(table, query)
+    defined = np.flatnonzero(den > MIN_DENOMINATOR)
+    if defined.size < 2:
         return None
-    hi = max(values, key=lambda pair: pair[1])
-    lo = min(values, key=lambda pair: pair[1])
-    if hi[1] == lo[1]:
+    p = num[defined] / den[defined]
+    hi, lo = int(np.argmax(p)), int(np.argmin(p))
+    if p[hi] == p[lo]:
         return None
-    return (hi, lo)
+    return (
+        (exteriors[int(defined[hi])], float(p[hi])),
+        (exteriors[int(defined[lo])], float(p[lo])),
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import backends
 from .backends import ClassicalSpec, QuantumSpec, TheorySpec, enumerate_labels
-from .errors import IoError, SchemaError
+from .errors import BackendError, IoError, SchemaError
 from .heralding import HeraldQuery
 from .operational import Region
 
@@ -112,20 +112,24 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 
 def _int_list(value, path: str) -> list[int]:
     if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
+        isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in value
     ):
-        raise SchemaError("expected a list of integers", path)
+        raise SchemaError("expected a list of non-negative integers", path)
     return value
 
 
-def _build_family(item: dict, size: int, path: str):
+def _locations(node) -> list[int]:
+    """Every location under a region or a nested grouping of regions."""
+    if isinstance(node, Region):
+        return list(node.locations)
+    return [x for child in node for x in _locations(child)]
+
+
+def _build_family(item: dict, location: int, size: int, path: str):
     family = _require(item, "family", path)
     if family not in _FAMILY_PARAMS:
         raise SchemaError(f"unknown instrument family {family!r}", path)
     _check_keys(item, {"location", "family"} | _FAMILY_PARAMS[family], path)
-    location = _require(item, "location", path)
-    if not isinstance(location, int) or isinstance(location, bool):
-        raise SchemaError("location must be an integer", f"{path}.location")
     if family == "polariser":
         angles = _require(item, "angles_deg", path)
         if not isinstance(angles, list) or not all(
@@ -189,7 +193,9 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
                     f"family {family_name!r} needs a {_FAMILY_KINDS[family_name]} theory",
                     f"{ip}.family",
                 )
-        loc = item.get("location")
+        loc = _require(item, "location", ip)
+        if not isinstance(loc, int) or isinstance(loc, bool):
+            raise SchemaError("location must be an integer", f"{ip}.location")
         if loc not in loc_to_size:
             raise SchemaError(
                 f"location {loc!r} is not on any declared chain", f"{ip}.location"
@@ -197,7 +203,10 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
         if loc in seen_locs:
             raise SchemaError(f"location {loc} is instrumented twice", f"{ip}.location")
         seen_locs.add(loc)
-        families.append(_build_family(item, loc_to_size[loc], ip))
+        try:
+            families.append(_build_family(item, loc, loc_to_size[loc], ip))
+        except BackendError as exc:
+            raise SchemaError(str(exc), ip) from exc
     missing = sorted(set(loc_to_size) - seen_locs)
     if missing:
         raise SchemaError(
@@ -229,9 +238,13 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
         if isinstance(node, list):
             if len(node) < 2:
                 raise SchemaError("a grouping needs at least two factors", npath)
-            return tuple(
+            key = tuple(
                 resolve(child, f"{npath}[{i}]") for i, child in enumerate(node)
             )
+            locs = _locations(key)
+            if len(set(locs)) != len(locs):
+                raise SchemaError("grouping factors must be pairwise disjoint", npath)
+            return key
         raise SchemaError("expected a region name or a nested grouping", npath)
 
     out = []
@@ -329,6 +342,8 @@ def parse_scenario_dict(doc: dict, source: str = "<dict>") -> ScenarioFile:
     for rname, locs in raw_regions.items():
         rp = f"$.regions.{rname}"
         locations = _int_list(locs, rp)
+        if not locations:
+            raise SchemaError("a region needs at least one location", rp)
         for x in locations:
             if x not in instrumented:
                 raise SchemaError(f"location {x} is not declared", rp)

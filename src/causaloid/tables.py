@@ -10,8 +10,10 @@ consume.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "Label",
     "GammaSet",
     "ExteriorConfiguration",
+    "ExteriorAxis",
     "ProbTable",
     "MeasurementMatrix",
     "greedy_independent_rows",
@@ -110,6 +113,77 @@ class ExteriorConfiguration:
         return out
 
 
+@dataclass(frozen=True)
+class ExteriorAxis:
+    """The exterior axis of a table as a mixed-radix index.
+
+    Digits, slowest first: the label of each folded region (in ``folded``
+    order), each chain's preparation, the (action, outcome) card at each
+    unprobed location (ascending), and each chain's terminal effect.
+    ``conditioning`` holds, per unprobed location, its cards in digit
+    order; ``effects`` holds, per chain, one completeness flag per effect.
+    An index decodes to one ExteriorConfiguration only when asked for.
+    """
+
+    folded: tuple[GammaSet, ...]
+    preparations: tuple[int, ...]
+    conditioning: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    effects: tuple[tuple[bool, ...], ...]
+
+    @property
+    def radices(self) -> tuple[int, ...]:
+        return (
+            tuple(g.size for g in self.folded)
+            + self.preparations
+            + tuple(len(cards) for _, cards in self.conditioning)
+            + tuple(len(flags) for flags in self.effects)
+        )
+
+    def __len__(self) -> int:
+        return math.prod(self.radices)
+
+    def __getitem__(self, index: int) -> ExteriorConfiguration:
+        n = len(self)
+        j = operator.index(index)
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError(f"exterior index {index} out of range")
+        digits = []
+        for radix in reversed(self.radices):
+            j, d = divmod(j, radix)
+            digits.append(d)
+        it = reversed(digits)
+        cards = []
+        for g in self.folded:
+            actions, outcomes = g.labels[next(it)]
+            cards.extend(zip(g.region.locations, zip(actions, outcomes)))
+        preps = tuple(next(it) for _ in self.preparations)
+        cards.extend((x, choices[next(it)]) for x, choices in self.conditioning)
+        effs = tuple(next(it) for _ in self.effects)
+        complete = all(flags[e] for flags, e in zip(self.effects, effs))
+        return ExteriorConfiguration(preps, effs, tuple(sorted(cards)), complete)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    def fold(self, gammas: Sequence[GammaSet]) -> "ExteriorAxis":
+        """The axis with ``gammas``' labels as new slowest digits."""
+        return replace(self, folded=tuple(gammas) + self.folded)
+
+    def unit_sum_mask(self) -> np.ndarray:
+        """Columns with complete effects on every chain and no conditioning.
+
+        Outcome sums over a fixed procedure must be exactly 1 there.
+        """
+        if self.folded or self.conditioning:
+            return np.zeros(len(self), dtype=bool)
+        complete = np.ones((), dtype=bool)
+        for flags in self.effects:
+            complete = np.logical_and.outer(complete, np.array(flags, dtype=bool))
+        return np.tile(complete.reshape(-1), math.prod(self.preparations))
+
+
 @dataclass(frozen=True, eq=False)
 class ProbTable:
     """Joint outcome probabilities over region labels and exteriors.
@@ -121,7 +195,7 @@ class ProbTable:
 
     regions: tuple[Region, ...]
     gammas: tuple[GammaSet, ...]
-    exteriors: tuple[ExteriorConfiguration, ...]
+    exteriors: ExteriorAxis
     values: np.ndarray
 
     def __post_init__(self):
@@ -162,16 +236,16 @@ class ProbTable:
         groups = [
             [g.labels_for_action(a) for a in g.action_tuples()] for g in self.gammas
         ]
+        unit = self.exteriors.unit_sum_mask()
         for combo in itertools.product(*groups):
             block = v[np.ix_(*combo)] if combo else v
             sums = block.sum(axis=tuple(range(len(self.regions))))
             if sums.max() > 1 + tol:
                 raise ValueError("outcome sums exceed 1 for a fixed procedure")
-            for j, ext in enumerate(self.exteriors):
-                if ext.complete and not ext.conditioning and abs(sums[j] - 1) > tol:
-                    raise ValueError(
-                        "complete terminal effects must give unit outcome sums"
-                    )
+            if (np.abs(sums[unit] - 1) > tol).any():
+                raise ValueError(
+                    "complete terminal effects must give unit outcome sums"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +259,7 @@ class MeasurementMatrix:
 
     row_kind: str
     row_keys: tuple
-    exteriors: tuple[ExteriorConfiguration, ...]
+    exteriors: ExteriorAxis
     values: np.ndarray
     region: Region | None = None
     factors: tuple[Region, ...] | None = None

@@ -10,7 +10,6 @@ with r-vectors.
 """
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .operational import Region
 from .tables import (
-    ExteriorConfiguration,
+    ExteriorAxis,
     GammaSet,
     Label,
     MeasurementMatrix,
@@ -160,7 +159,7 @@ class StateVector:
 
 def fold_to_exterior(
     table: ProbTable, keep: Sequence[Region]
-) -> tuple[np.ndarray, tuple[ExteriorConfiguration, ...]]:
+) -> tuple[np.ndarray, ExteriorAxis]:
     """Regroup a table so only ``keep`` regions stay on label axes.
 
     Every other region's label axis is folded into the exterior axis as
@@ -173,34 +172,9 @@ def fold_to_exterior(
     if len(set(keep_axes)) != len(keep_axes):
         raise IncompleteTable("kept regions must be distinct")
     other_axes = [i for i in range(len(table.regions)) if i not in keep_axes]
-    if not other_axes:
-        perm = keep_axes + [len(table.regions)]
-        vals = np.transpose(table.values, perm)
-        return np.ascontiguousarray(vals), table.exteriors
-
-    perm = keep_axes + other_axes + [len(table.regions)]
-    vals = np.transpose(table.values, perm)
-    keep_shape = vals.shape[: len(keep_axes)]
-    vals = np.ascontiguousarray(vals).reshape(keep_shape + (-1,))
-
-    folded: list[ExteriorConfiguration] = []
-    other_gammas = [table.gammas[i] for i in other_axes]
-    other_regions = [table.regions[i] for i in other_axes]
-    for combo in itertools.product(*(g.labels for g in other_gammas)):
-        extra: list[tuple[int, tuple[int, int]]] = []
-        for region, (actions, outcomes) in zip(other_regions, combo):
-            extra.extend(
-                (x, (a, s))
-                for x, a, s in zip(region.locations, actions, outcomes)
-            )
-        for ext in table.exteriors:
-            cond = tuple(sorted(ext.conditioning + tuple(extra)))
-            folded.append(
-                ExteriorConfiguration(
-                    ext.preparations, ext.effects, cond, ext.complete
-                )
-            )
-    return vals, tuple(folded)
+    vals = np.transpose(table.values, keep_axes + other_axes + [len(table.regions)])
+    vals = np.ascontiguousarray(vals).reshape(vals.shape[: len(keep_axes)] + (-1,))
+    return vals, table.exteriors.fold([table.gammas[i] for i in other_axes])
 
 
 def build_measurement_matrix(table: ProbTable, region: Region) -> MeasurementMatrix:

@@ -1,6 +1,7 @@
 """Exact theory evaluation: instrument families, joint probabilities, spans."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,11 +20,13 @@ from causaloid import (
     deterministic_family,
     enumerate_exteriors,
     enumerate_labels,
+    fold_to_exterior,
     full_pack,
     ic_effects,
     ic_preparations,
     joint_prob,
     kernel_family,
+    kraus_family,
     polariser_family,
     probe_reprepare_family,
     probe_reset_family,
@@ -189,6 +192,114 @@ def test_prob_table_matches_pointwise_oracle(scenarios):
             s.spec, dict(zip(table.regions, labels)), table.exteriors[e]
         )
         assert table.values[idx + (e,)] == pytest.approx(direct, abs=1e-12)
+
+
+def _assert_table_matches_oracle(spec, table):
+    exteriors = list(table.exteriors)
+    for idx in np.ndindex(table.values.shape):
+        labels = [g.labels[i] for g, i in zip(table.gammas, idx[:-1])]
+        want = joint_prob(spec, dict(zip(table.regions, labels)), exteriors[idx[-1]])
+        assert abs(table.values[idx] - want) <= 1e-12, idx
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_region_subset_table_matches_the_oracle(scenarios, name):
+    # a proper subset of the regions leaves unprobed locations, swept as
+    # conditioning; the full set is the table the pipeline builds
+    s = scenarios(name)
+    for k in range(1, len(s.regions) + 1):
+        for sub in itertools.combinations(s.regions, k):
+            _assert_table_matches_oracle(s.spec, build_prob_table(s.spec, sub))
+
+
+def _reference_exteriors(spec, probed):
+    """Exterior columns by nested loops: preparations, cards, effects."""
+    cond_locs = [x for x in spec.locations() if x not in probed]
+    out = []
+    for preps in itertools.product(*(range(len(p)) for p in spec.preparations)):
+        for conds in itertools.product(*(spec.family(x).labels() for x in cond_locs)):
+            for effs in itertools.product(*(range(len(e)) for e in spec.effects)):
+                complete = all(spec.effects[c][e].complete for c, e in enumerate(effs))
+                cond = tuple(zip(cond_locs, conds))
+                out.append(ExteriorConfiguration(preps, effs, cond, complete))
+    return out
+
+
+def _reference_fold(table, keep, base):
+    """Folded columns by nested loops: folded labels slowest, base fastest."""
+    others = [(r, g) for r, g in zip(table.regions, table.gammas) if r not in keep]
+    out = []
+    for combo in itertools.product(*(g.labels for _, g in others)):
+        extra = tuple(
+            (x, (a, s))
+            for (r, _), (actions, outcomes) in zip(others, combo)
+            for x, a, s in zip(r.locations, actions, outcomes)
+        )
+        for ext in base:
+            cond = tuple(sorted(ext.conditioning + extra))
+            out.append(
+                ExteriorConfiguration(ext.preparations, ext.effects, cond, ext.complete)
+            )
+    return out
+
+
+def _check_exterior_axes(spec, regions):
+    for k in range(1, len(regions) + 1):
+        for sub in itertools.combinations(regions, k):
+            table = build_prob_table(spec, sub)
+            base = _reference_exteriors(spec, {x for r in sub for x in r})
+            axes = [(table.exteriors, base)]
+            for j in range(1, k + 1):
+                for keep in itertools.combinations(sub, j):
+                    folded = fold_to_exterior(table, keep)[1]
+                    axes.append((folded, _reference_fold(table, keep, base)))
+            for axis, want in axes:
+                assert len(axis) == len(want)
+                assert list(axis) == want
+                assert axis[-1] == want[-1]
+                assert axis.unit_sum_mask().tolist() == [
+                    e.complete and not e.conditioning for e in want
+                ]
+                with pytest.raises(IndexError):
+                    axis[len(want)]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_exterior_axis_decodes_like_nested_loops(scenarios, name):
+    s = scenarios(name)
+    _check_exterior_axes(s.spec, s.regions)
+
+
+def _random_instrument(rng, dim, n_outcomes, kraus_per_outcome=2):
+    """Kraus operators, per outcome, cut from one random isometry."""
+    m = n_outcomes * kraus_per_outcome
+    z = rng.normal(size=(m * dim, dim)) + 1j * rng.normal(size=(m * dim, dim))
+    q, _ = np.linalg.qr(z)
+    blocks = [q[i * dim:(i + 1) * dim] for i in range(m)]
+    return [blocks[o * kraus_per_outcome:(o + 1) * kraus_per_outcome]
+            for o in range(n_outcomes)]
+
+
+def test_kraus_chain_tables_match_the_oracle():
+    rng = np.random.default_rng(2024)
+    spec = QuantumSpec(
+        chains=(Chain("qubit", 2, (1, 2)),),
+        instruments=(
+            kraus_family(1, 2, [_random_instrument(rng, 2, 2),
+                                _random_instrument(rng, 2, 3)]),
+            kraus_family(2, 2, [_random_instrument(rng, 2, 2),
+                                _random_instrument(rng, 2, 1)]),
+        ),
+        preparations=(ic_preparations("quantum", 2),),
+        effects=(ic_effects("quantum", 2) + (complete_effect("quantum", 2),),),
+    )
+    r1, r2 = Region((1,)), Region((2,))
+    for regions in ([r1], [r2], [r1, r2], [Region((1, 2))]):
+        table = build_prob_table(spec, regions)
+        table.validate()
+        _assert_table_matches_oracle(spec, table)
+    # the complete effect makes the unit-sum mask non-empty
+    _check_exterior_axes(spec, [r1, r2])
 
 
 def test_span_validation_ranks(scenarios):

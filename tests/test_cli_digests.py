@@ -1,10 +1,11 @@
-"""Byte-level pins of the ``compress`` and ``validate`` outputs.
+"""Byte-level pins of the ``compress``, ``validate`` and ``herald`` outputs.
 
 The digests are sha256 sums of the stdout bytes of ``causaloid compress``
-and ``causaloid validate`` on each bundled scenario. They pin the report
-format, every span rank and exterior count, every fiducial choice and
-every ``lambda_sha256``; a change that is meant to keep behaviour must
-keep them.
+and ``causaloid validate`` on each bundled scenario, and of two
+``causaloid herald`` queries. They pin the report format, every span rank
+and exterior count, every fiducial choice, every ``lambda_sha256`` and the
+witness exteriors of an ill-defined herald; a change that is meant to
+keep behaviour must keep them.
 """
 from __future__ import annotations
 
@@ -62,3 +63,20 @@ def test_output_bytes_are_pinned(capsys, name, command):
     assert main([command, "--scenario", scenario_path(name)]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == DIGESTS[name][command]
+
+
+# (--target, --given) on polariser_chain: the README example (well defined)
+# and criterion 7's pass-at-last given pass-at-first (witness exteriors)
+HERALD_DIGESTS = {
+    ("R2:2", "R1:0,R3:4"): "be171ba16051af0b7a059a982c2dbf2e96c7beb0cc6943894f9a826245a48e54",
+    ("R3:6", "R1:0"): "f31b5d7990011067b5d325de840a6e47b266e6b6d23d6d619df9997a624be040",
+}
+
+
+@pytest.mark.parametrize("target,given", sorted(HERALD_DIGESTS))
+def test_herald_output_bytes_are_pinned(capsys, target, given):
+    argv = ["herald", "--scenario", scenario_path("polariser_chain"),
+            "--target", target, "--given", given]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == HERALD_DIGESTS[(target, given)]

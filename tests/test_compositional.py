@@ -20,7 +20,7 @@ from causaloid import (
     joint_fiducial_matrix,
 )
 from causaloid.errors import ContextMismatch, DegenerateExterior
-from causaloid.tables import ExteriorConfiguration, GammaSet, ProbTable
+from causaloid.tables import ExteriorAxis, GammaSet, ProbTable
 
 
 def _omegas(table, regions):
@@ -142,7 +142,9 @@ def test_single_exterior_is_degenerate():
     table = ProbTable(
         regions=(r1, r2),
         gammas=(g1, g2),
-        exteriors=(ExteriorConfiguration((0,), (0,), (), True),),
+        exteriors=ExteriorAxis(
+            folded=(), preparations=(1,), conditioning=(), effects=((True,),)
+        ),
         values=np.array([[[0.25], [0.25]], [[0.25], [0.25]]]),
     )
     o1 = find_fiducial_set(build_measurement_matrix(table, r1))

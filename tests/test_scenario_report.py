@@ -277,6 +277,50 @@ def test_cli_missing_scenario(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _negative_chain(doc):
+    doc["theory"]["chains"][0]["locations"] = [-1]
+    doc["theory"]["instruments"][0]["location"] = -1
+    doc["regions"]["R1"] = [-1]
+
+
+def _reset_map(doc):
+    doc["theory"]["instruments"][0] = {
+        "location": 1, "family": "deterministic", "maps": ["identity", "reset:x"],
+    }
+
+
+# (scenario, edit, JSON path the error must name)
+MALFORMED = {
+    "empty-region": ("spacelike_bits", lambda d: d["regions"].update(R2=[]),
+                     "$.regions.R2"),
+    "negative-chain-location": ("classical_bit", _negative_chain,
+                                "$.theory.chains[0].locations"),
+    "negative-region-location": ("classical_chain3",
+                                 lambda d: d["regions"].update(R1=[-1]),
+                                 "$.regions.R1"),
+    "list-instrument-location": ("classical_bit",
+                                 lambda d: d["theory"]["instruments"][0].update(location=[1]),
+                                 "$.theory.instruments[0].location"),
+    "repeated-composite-factor": ("spacelike_bits",
+                                  lambda d: d.update(composites=[["R1", "R1"]]),
+                                  "$.composites[0]"),
+    "non-integer-reset": ("classical_bit", _reset_map, "$.theory.instruments[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_rejects_malformed_scenarios(tmp_path, capsys, case):
+    name, edit, path = MALFORMED[case]
+    doc = _doc(name)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["compress", "--scenario", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.out == ""
+
+
 def test_cli_numerical_failures(capsys):
     code = main(["compress", "--scenario", _scn("classical_trit"),
                  "--tol-rank", "2.0", "--out", "/dev/null"])
@@ -335,3 +379,22 @@ def test_pipeline_builds_two_tables(scenarios, monkeypatch):
     s = scenarios("polariser_chain")
     run_pipeline(s)
     assert calls == [s.regions, s.regions]
+
+
+def test_pipeline_decodes_only_witness_exteriors(scenarios, monkeypatch):
+    # exterior columns are index arithmetic; a configuration object is
+    # decoded only for the two witnesses of an ill-defined herald
+    from causaloid.tables import ExteriorConfiguration
+
+    built = []
+    check = ExteriorConfiguration.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ExteriorConfiguration, "__post_init__", counted)
+    report = run_pipeline(scenarios("polariser_chain"))
+    ill = [r for _, r in report.heralds if not r.well_defined]
+    assert ill
+    assert len(built) <= 2 * len(ill)
