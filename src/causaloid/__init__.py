@@ -26,7 +26,6 @@ from .backends import (
     deterministic_family,
     enumerate_exteriors,
     enumerate_labels,
-    full_pack,
     ic_effects,
     ic_preparations,
     joint_prob,
@@ -51,6 +50,7 @@ from .causaloid import (
     change_omega_basis,
     evaluate_joint,
     expand,
+    hybrid_product,
     joint_r_vector,
     key_to_str,
     key_union,
@@ -66,7 +66,6 @@ from .compositional import (
     adjacency_graph,
     compute_compositional_lambda,
     find_composite_omega,
-    is_causally_adjacent,
     joint_fiducial_matrix,
 )
 from .diagram import (
@@ -113,7 +112,6 @@ from .heralding import (
 from .operational import (
     Card,
     EstimateResult,
-    FullPack,
     ProcedureSpec,
     Region,
     Stack,

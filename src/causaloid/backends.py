@@ -25,7 +25,7 @@ from .errors import (
     UnknownProcedure,
     UnknownRegion,
 )
-from .operational import FullPack, ProcedureSpec, Region
+from .operational import ProcedureSpec, Region
 from .tables import (
     ExteriorAxis,
     ExteriorConfiguration,
@@ -61,7 +61,6 @@ __all__ = [
     "validate_exterior_span",
     "validate_table_spans",
     "conditioning_span",
-    "full_pack",
 ]
 
 DEFAULT_TABLE_CAP = 10_000_000
@@ -215,9 +214,6 @@ class TheorySpec:
             if location in c.locations:
                 return c
         raise UnknownRegion(f"no chain contains location {location}")
-
-    def chain_index(self, chain: Chain) -> int:
-        return self.chains.index(chain)
 
     def family(self, location: int) -> InstrumentFamily:
         for f in self.instruments:
@@ -795,12 +791,3 @@ def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:
     rows = fam.stacked().reshape(len(fam.labels()), -1)
     dim = len(greedy_independent_rows(rows, 1e-9))
     return dim, d * d
-
-
-def full_pack(spec: TheorySpec) -> FullPack:
-    """Card enumeration bounds of the whole arrangement."""
-    locs = tuple(sorted(spec.locations()))
-    counts = tuple(
-        tuple(len(group) for group in spec.family(x).actions) for x in locs
-    )
-    return FullPack(locs, counts)

@@ -54,6 +54,7 @@ __all__ = [
     "Causaloid",
     "build_causaloid",
     "change_omega_basis",
+    "hybrid_product",
     "causaloid_product",
     "joint_r_vector",
     "evaluate_joint",
@@ -402,21 +403,33 @@ def change_omega_basis(entry, new_omega: OmegaSet):
 # products and joint evaluation
 # ---------------------------------------------------------------------------
 
-def causaloid_product(r1: RVector, r2: RVector, causaloid: Causaloid) -> RVector:
-    """Compose two measurement vectors through the stored expansion.
+def hybrid_product(
+    causaloid: Causaloid, factors: Sequence[tuple[OmegaSet, np.ndarray]]
+) -> RVector:
+    """The registry-mediated product of (context, components) factors.
 
-    Component k of the result sums r1[l1] r2[l2] times the expansion entry
-    at row (l1, l2), column k. When the composite row set is the full
-    product this is exactly the outer product.
+    The factors are put in canonical order (least location first), their
+    components multiplied out (last factor fastest) and contracted with the
+    grouped entry whose factor fiducial sets are their contexts. Component
+    k of the result sums the product of one component per factor times
+    that entry's row for those components, column k; a full product row
+    set gives the plain outer product. One factor is returned as it is.
     """
-    try:
-        entry = causaloid.product_entry((r1.context, r2.context))
-        w = np.multiply.outer(r1.components, r2.components)
-    except MissingEntry:
-        entry = causaloid.product_entry((r2.context, r1.context))
-        w = np.multiply.outer(r2.components, r1.components)
-    comps = w.reshape(-1) @ entry.matrix
-    return RVector(context=entry.omega, components=comps)
+    ordered = sorted(factors, key=lambda f: f[0].region.locations)
+    if len(ordered) == 1:
+        return RVector(context=ordered[0][0], components=ordered[0][1])
+    entry = causaloid.product_entry(tuple(context for context, _ in ordered))
+    w = ordered[0][1]
+    for _, components in ordered[1:]:
+        w = np.multiply.outer(w, components)
+    return RVector(context=entry.omega, components=w.reshape(-1) @ entry.matrix)
+
+
+def causaloid_product(r1: RVector, r2: RVector, causaloid: Causaloid) -> RVector:
+    """Compose two measurement vectors, in either order, through the registry."""
+    return hybrid_product(
+        causaloid, [(r1.context, r1.components), (r2.context, r2.components)]
+    )
 
 
 def joint_r_vector(causaloid: Causaloid, labels: Sequence[Label]) -> RVector:
@@ -427,14 +440,7 @@ def joint_r_vector(causaloid: Causaloid, labels: Sequence[Label]) -> RVector:
         r_vector(lab, causaloid.tomographic(r))
         for r, lab in zip(causaloid.regions, labels)
     ]
-    if len(factors) == 1:
-        return factors[0]
-    entry = causaloid.product_entry(tuple(f.context for f in factors))
-    w = factors[0].components
-    for f in factors[1:]:
-        w = np.multiply.outer(w, f.components)
-    comps = w.reshape(-1) @ entry.matrix
-    return RVector(context=entry.omega, components=comps)
+    return hybrid_product(causaloid, [(f.context, f.components) for f in factors])
 
 
 def evaluate_joint(

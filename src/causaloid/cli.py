@@ -15,11 +15,11 @@ vanishing denominators), 4 a herald came back ill defined while
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .backends import build_prob_table, enumerate_labels, validate_table_spans
-from .causaloid import build_causaloid
+from .backends import build_prob_table, validate_table_spans
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
     BackendError,
@@ -50,7 +50,7 @@ from .report import (
     span_rows,
     write_report,
 )
-from .scenario import ScenarioFile, parse_scenario
+from .scenario import ScenarioFile, label_ref, parse_scenario
 
 __all__ = ["main"]
 
@@ -135,19 +135,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioFile:
-    scenario = parse_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
-    return scenario
-
-
-def _overrides(args) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if args.tol_rank is not None:
-        out["rank"] = args.tol_rank
-    if args.tol_herald is not None:
-        out["herald"] = args.tol_herald
-    return out
+    """The parsed scenario with the flags that were given written into it."""
+    for flag, value in (("--tol-rank", args.tol_rank), ("--tol-herald", args.tol_herald)):
+        if value is not None and not value > 0:
+            raise SchemaError("tolerance must be a positive number", flag)
+    flags = {"seed": args.seed, "tol_rank": args.tol_rank,
+             "tol_herald": args.tol_herald}
+    return dataclasses.replace(
+        parse_scenario(args.scenario),
+        **{field: value for field, value in flags.items() if value is not None},
+    )
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -163,9 +160,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_compress(args) -> int:
     scenario = _load(args)
-    report = run_pipeline(
-        scenario, full_matrices=args.full_matrices, overrides=_overrides(args)
-    )
+    report = run_pipeline(scenario, full_matrices=args.full_matrices)
     if args.out is not None:
         write_report(report, args.out)
     else:
@@ -181,36 +176,26 @@ def _cmd_compress(args) -> int:
 def _parse_ref(scenario: ScenarioFile, text: str, flag: str):
     region_name, sep, index = text.partition(":")
     if not sep or not index.lstrip("-").isdigit():
-        raise SchemaError(f"{flag} wants REGION:LABEL_INDEX, got {text!r}")
-    region = scenario.region_named(region_name)
-    gamma = enumerate_labels(scenario.spec, region)
-    idx = int(index)
-    if not 0 <= idx < gamma.size:
-        raise SchemaError(
-            f"{flag}: label index {idx} out of range for {region_name} "
-            f"(size {gamma.size})"
-        )
-    return region, gamma.labels[idx]
+        raise SchemaError(f"wants REGION:LABEL_INDEX, got {text!r}", flag)
+    names = dict(zip(scenario.region_names, scenario.regions))
+    return label_ref(scenario.spec, names, region_name, int(index), flag)
 
 
 def _cmd_herald(args) -> int:
     scenario = _load(args)
-    overrides = _overrides(args)
-    tol_rank = overrides.get("rank", scenario.tol_rank)
-    tol_herald = overrides.get("herald", scenario.tol_herald)
-
     target = _parse_ref(scenario, args.target, "--target")
     given = tuple(
         _parse_ref(scenario, part, "--given")
         for part in args.given.split(",")
         if part
     )
-    query = HeraldQuery.from_labels(target, given)
+    try:
+        query = HeraldQuery.from_labels(target, given)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "--given") from exc
 
-    table, _, causaloid = checked_causaloid(
-        scenario, tol_rank, scenario.tol_residual
-    )
-    result = herald(causaloid, query, tol=tol_herald, table=table)
+    table, _, causaloid = checked_causaloid(scenario)
+    result = herald(causaloid, query, tol=scenario.tol_herald, table=table)
 
     payload = {
         "scenario": scenario.name,
@@ -240,15 +225,7 @@ def _cmd_diagram(args) -> int:
         raise SchemaError(
             f"--expr wants born:R, expand:R, or product:R1,R2, got {args.expr!r}"
         )
-    overrides = _overrides(args)
-    tol_rank = overrides.get("rank", scenario.tol_rank)
-    table = build_prob_table(scenario.spec, scenario.regions)
-    causaloid = build_causaloid(
-        table,
-        composites=scenario.composites,
-        tol_rank=tol_rank,
-        tol_residual=scenario.tol_residual,
-    )
+    _, _, causaloid = checked_causaloid(scenario)
     if kind == "born":
         scene = born_scene(causaloid, scenario.region_named(rest))
     elif kind == "expand":
@@ -270,10 +247,8 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = _load(args)
-    overrides = _overrides(args)
-    tol_rank = overrides.get("rank", scenario.tol_rank)
     table = build_prob_table(scenario.spec, scenario.regions)
-    spans = validate_table_spans(scenario.spec, table, tol_rank=tol_rank)
+    spans = validate_table_spans(scenario.spec, table, tol_rank=scenario.tol_rank)
     payload = {"scenario": scenario.name, "span_validation": span_rows(scenario, spans)}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK

@@ -38,7 +38,6 @@ __all__ = [
     "product_rows_matrix",
     "find_composite_omega",
     "compute_compositional_lambda",
-    "is_causally_adjacent",
     "PairCompression",
     "AdjacencyGraph",
     "adjacency_graph",
@@ -247,20 +246,6 @@ def compute_compositional_lambda(
         omega=omega,
         matrix=lam,
     )
-
-
-def is_causally_adjacent(
-    composite_omega: OmegaSet, factor_omegas: Sequence[OmegaSet]
-) -> bool:
-    """Strict shrinkage of the composite fiducial set flags adjacency."""
-    if composite_omega.row_kind != "omega-product":
-        raise ValueError("expected a product-kind composite fiducial set")
-    product = 1
-    for o in factor_omegas:
-        product *= o.size
-    if product != composite_omega.parent_size:
-        raise ContextMismatch("factor sizes do not multiply to the row count")
-    return composite_omega.size < product
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,12 @@ def expansion_scene(causaloid: Causaloid, region: Region) -> DiagramScene:
 def product_scene(
     causaloid: Causaloid, first: Region, second: Region
 ) -> DiagramScene:
-    """Registry-mediated product of two measurement vectors."""
+    """Registry-mediated product of two measurement vectors.
+
+    The regions are drawn in canonical order (least location first), as
+    the registry stores the grouping, so either argument order works.
+    """
+    first, second = sorted((first, second), key=lambda r: r.locations)
     e1 = _entry_or_unknown(causaloid, first)
     e2 = _entry_or_unknown(causaloid, second)
     try:

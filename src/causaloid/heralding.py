@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causaloid import Causaloid
+from .causaloid import Causaloid, hybrid_product
 from .errors import (
     UnknownExterior,
     UnknownProcedure,
@@ -123,18 +123,23 @@ class HeraldResult:
             raise ValueError("a failing test carries no single probability")
 
 
+def _consistent_rows(
+    causaloid: Causaloid, region: Region, actions: tuple[int, ...]
+) -> tuple[int, ...]:
+    try:
+        return causaloid.tomographic(region).gamma.labels_for_action(actions)
+    except UnknownLabel:
+        raise UnknownProcedure(
+            f"no label of {region} has action part {actions}"
+        ) from None
+
+
 def consistent_labels(
     causaloid: Causaloid, region: Region, actions: tuple[int, ...]
 ) -> tuple[Label, ...]:
     """All labels of a region that share one action assignment."""
     gamma = causaloid.tomographic(region).gamma
-    try:
-        hits = gamma.labels_for_action(actions)
-    except UnknownLabel:
-        raise UnknownProcedure(
-            f"no label of {region} has action part {actions}"
-        ) from None
-    return tuple(gamma.labels[i] for i in hits)
+    return tuple(gamma.labels[i] for i in _consistent_rows(causaloid, region, actions))
 
 
 def herald(
@@ -150,33 +155,26 @@ def herald(
     The conditional is declared well-defined iff u lies within tol of the
     ray through v, in units of |v|.
     """
-    named = query.named_regions
     target_region, target_label = query.target
     fixed = dict(query.conditions)
 
-    summed = consistent_labels(causaloid, target_region, target_label[0])
+    summed = _consistent_rows(causaloid, target_region, target_label[0])
     u_parts = []
     v_parts = []
-    for region in named:
+    for region in query.named_regions:
         lam = causaloid.tomographic(region)
         if region == target_region:
-            u_parts.append(r_vector(target_label, lam).components)
+            u_parts.append((lam.omega, r_vector(target_label, lam).components))
             acc = np.zeros(lam.omega.size)
-            for lab in summed:
-                acc = acc + r_vector(lab, lam).components
-            v_parts.append(acc)
+            for row in summed:
+                acc = acc + lam.matrix[row]
+            v_parts.append((lam.omega, acc))
         else:
             comps = r_vector(fixed[region], lam).components
-            u_parts.append(comps)
-            v_parts.append(comps)
-
-    if len(named) == 1:
-        u, v = u_parts[0], v_parts[0]
-    else:
-        contexts = tuple(causaloid.tomographic(r).omega for r in named)
-        entry = causaloid.product_entry(contexts)
-        u = _chain_outer(u_parts) @ entry.matrix
-        v = _chain_outer(v_parts) @ entry.matrix
+            u_parts.append((lam.omega, comps))
+            v_parts.append((lam.omega, comps))
+    u = hybrid_product(causaloid, u_parts).components
+    v = hybrid_product(causaloid, v_parts).components
 
     v_norm = float(np.linalg.norm(v))
     if v_norm <= tol:
@@ -196,13 +194,6 @@ def herald(
     return HeraldResult(
         well_defined=False, p=None, residual=residual, witness=witness
     )
-
-
-def _chain_outer(parts: Sequence[np.ndarray]) -> np.ndarray:
-    w = parts[0]
-    for p in parts[1:]:
-        w = np.multiply.outer(w, p)
-    return w.reshape(-1)
 
 
 def _conditional_parts(

@@ -21,7 +21,6 @@ __all__ = [
     "Card",
     "Region",
     "ProcedureSpec",
-    "FullPack",
     "Stack",
     "EstimateResult",
     "estimate_prob",
@@ -60,19 +59,6 @@ class Region:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise ValueError(f"region locations must be non-negative ints, got {x!r}")
         object.__setattr__(self, "locations", locs)
-
-    @property
-    def is_elementary(self) -> bool:
-        return len(self.locations) == 1
-
-    def union(self, other: "Region") -> "Region":
-        return Region(self.locations + other.locations)
-
-    def overlaps(self, other: "Region") -> bool:
-        return bool(set(self.locations) & set(other.locations))
-
-    def issubset(self, other: "Region") -> bool:
-        return set(self.locations) <= set(other.locations)
 
     def __contains__(self, location: int) -> bool:
         return location in self.locations
@@ -120,75 +106,6 @@ class ProcedureSpec:
         if len(pairs) != len(region):
             raise UnknownRegion(f"procedure does not cover region {region}")
         return ProcedureSpec(pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
-
-
-@dataclass(frozen=True)
-class FullPack:
-    """Enumeration bounds for every card of an experiment.
-
-    ``outcome_counts[x]`` lists, per action at location ``x``, how many
-    outcomes that action can produce; action counts follow from its length.
-    """
-
-    locations: tuple[int, ...]
-    outcome_counts: tuple[tuple[int, ...], ...]  # aligned with locations
-
-    def __post_init__(self):
-        if len(set(self.locations)) != len(self.locations):
-            raise ValueError("full pack locations must be unique")
-        if len(self.outcome_counts) != len(self.locations):
-            raise ValueError("outcome_counts must align with locations")
-        for counts in self.outcome_counts:
-            if not counts or any(c < 1 for c in counts):
-                raise ValueError("every action needs at least one outcome")
-
-    def n_actions(self, location: int) -> int:
-        return len(self.outcome_counts[self._pos(location)])
-
-    def n_outcomes(self, location: int, action: int) -> int:
-        counts = self.outcome_counts[self._pos(location)]
-        if not 0 <= action < len(counts):
-            raise ValueError(f"location {location} has no action {action}")
-        return counts[action]
-
-    def _pos(self, location: int) -> int:
-        try:
-            return self.locations.index(location)
-        except ValueError:
-            raise UnknownRegion(f"location {location} is not in the full pack") from None
-
-    def card_valid(self, card: Card) -> bool:
-        if card.location not in self.locations:
-            return False
-        counts = self.outcome_counts[self._pos(card.location)]
-        return card.action < len(counts) and card.outcome < counts[card.action]
-
-    def cards(self) -> Iterable[Card]:
-        """Enumerate every possible card, sorted."""
-        for x, counts in zip(self.locations, self.outcome_counts):
-            for a, n in enumerate(counts):
-                for s in range(n):
-                    yield Card(x, a, s)
-
-    def validate_procedure(self, procedure: ProcedureSpec) -> None:
-        if procedure.locations != tuple(sorted(self.locations)):
-            raise ValueError("procedure must assign an action at every pack location")
-        for x, a in procedure.assignment:
-            if a >= self.n_actions(x):
-                raise ValueError(f"location {x} has no action {a}")
-
-    def validate_stack(self, stack: "Stack") -> None:
-        locs = sorted(c.location for c in stack.cards)
-        if locs != sorted(self.locations):
-            raise ValueError("a stack must hold exactly one card per pack location")
-        for card in stack.cards:
-            if not self.card_valid(card):
-                raise ValueError(f"card {card} is outside the full pack")
-            if card.action != stack.tag.action_at(card.location):
-                raise ValueError(f"card {card} disagrees with the stack's procedure tag")
 
 
 @dataclass(frozen=True)

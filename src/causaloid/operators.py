@@ -17,7 +17,6 @@ from .errors import BackendError, DimensionMismatch
 __all__ = [
     "hermitian_basis",
     "operator_coords",
-    "coords_to_operator",
     "trace_covector",
     "kraus_to_transfer",
     "density_from_ket",
@@ -67,13 +66,6 @@ def operator_coords(op: np.ndarray, d: int) -> np.ndarray:
         raise DimensionMismatch(f"expected a {d}x{d} operator, got {op.shape}")
     basis = hermitian_basis(d)
     return np.array([np.trace(b @ op).real for b in basis])
-
-
-def coords_to_operator(vec: np.ndarray, d: int) -> np.ndarray:
-    basis = hermitian_basis(d)
-    if len(vec) != len(basis):
-        raise DimensionMismatch("coordinate vector does not match the basis size")
-    return sum(float(v) * b for v, b in zip(vec, basis))
 
 
 def trace_covector(d: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import __version__
 from .backends import (
@@ -92,17 +91,17 @@ def span_rows(
 
 
 def checked_causaloid(
-    scenario: ScenarioFile, tol_rank: float, tol_residual: float
+    scenario: ScenarioFile,
 ) -> tuple[ProbTable, tuple[SpanValidation, ...], Causaloid]:
     """Build the scenario's table once, check its spans, then compress it."""
     table = build_prob_table(scenario.spec, scenario.regions)
-    spans = validate_table_spans(scenario.spec, table, tol_rank=tol_rank)
+    spans = validate_table_spans(scenario.spec, table, tol_rank=scenario.tol_rank)
     table.validate()
     causaloid = build_causaloid(
         table,
         composites=scenario.composites,
-        tol_rank=tol_rank,
-        tol_residual=tol_residual,
+        tol_rank=scenario.tol_rank,
+        tol_residual=scenario.tol_residual,
     )
     return table, spans, causaloid
 
@@ -174,11 +173,11 @@ def _mediators(
 
 
 def _adjacency_section(
-    scenario: ScenarioFile, causaloid: Causaloid, table: ProbTable, tol_rank: float
+    scenario: ScenarioFile, causaloid: Causaloid, table: ProbTable
 ) -> dict | None:
     if len(scenario.regions) < 2:
         return None
-    graph = adjacency_graph(causaloid, table, tol=tol_rank)
+    graph = adjacency_graph(causaloid, table, tol=scenario.tol_rank)
     pairs = []
     for pair in graph.pairs:
         locs = pair.first.locations + pair.second.locations
@@ -235,28 +234,17 @@ def _herald_section(
 
 
 def run_pipeline(
-    scenario: ScenarioFile,
-    *,
-    full_matrices: bool = False,
-    overrides: Mapping[str, float] | None = None,
+    scenario: ScenarioFile, *, full_matrices: bool = False
 ) -> CompressionReport:
     """Run span checks, both compression levels, adjacency, and heralds.
 
-    ``overrides`` may replace the scenario tolerances under the keys
-    ``rank``, ``residual``, and ``herald``. Errors from any stage
+    The tolerances are the scenario's own; to change one, pass a
+    ``dataclasses.replace`` copy of the scenario. Errors from any stage
     propagate unchanged; nothing in the report is emitted on failure.
     """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - {"rank", "residual", "herald"}
-    if unknown:
-        raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
-    tol_rank = float(overrides.get("rank", scenario.tol_rank))
-    tol_residual = float(overrides.get("residual", scenario.tol_residual))
-    tol_herald = float(overrides.get("herald", scenario.tol_herald))
-
-    table, spans, causaloid = checked_causaloid(scenario, tol_rank, tol_residual)
+    table, spans, causaloid = checked_causaloid(scenario)
     herald_results = tuple(
-        (spec.name, herald(causaloid, spec.query, tol=tol_herald, table=table))
+        (spec.name, herald(causaloid, spec.query, tol=scenario.tol_herald, table=table))
         for spec in scenario.heralds
     )
 
@@ -278,14 +266,14 @@ def run_pipeline(
             ],
         },
         "tolerances": {
-            "rank": _float_pair(tol_rank),
-            "residual": _float_pair(tol_residual),
-            "herald": _float_pair(tol_herald),
+            "rank": _float_pair(scenario.tol_rank),
+            "residual": _float_pair(scenario.tol_residual),
+            "herald": _float_pair(scenario.tol_herald),
         },
         "span_validation": span_rows(scenario, spans),
         "regions": _elementary_section(scenario, causaloid, full_matrices),
         "composites": _composite_section(scenario, causaloid, full_matrices),
-        "adjacency": _adjacency_section(scenario, causaloid, table, tol_rank),
+        "adjacency": _adjacency_section(scenario, causaloid, table),
         "heralds": _herald_section(scenario, herald_results),
     }
     return CompressionReport(

@@ -7,7 +7,6 @@ out-of-range indices are schema errors that name the offending path.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ __all__ = [
     "SCENARIO_FORMAT_VERSION",
     "HeraldSpec",
     "ScenarioFile",
+    "label_ref",
     "parse_scenario",
     "parse_scenario_dict",
 ]
@@ -92,9 +92,6 @@ class ScenarioFile:
                 return n
         return str(region)
 
-    def with_seed(self, seed: int) -> ScenarioFile:
-        return dataclasses.replace(self, seed=int(seed))
-
 
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
@@ -127,8 +124,8 @@ def _locations(node) -> list[int]:
 
 def _build_family(item: dict, location: int, size: int, path: str):
     family = _require(item, "family", path)
-    if family not in _FAMILY_PARAMS:
-        raise SchemaError(f"unknown instrument family {family!r}", path)
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+        raise SchemaError(f"unknown instrument family {family!r}", f"{path}.family")
     _check_keys(item, {"location", "family"} | _FAMILY_PARAMS[family], path)
     if family == "polariser":
         angles = _require(item, "angles_deg", path)
@@ -173,6 +170,10 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
         if not isinstance(size, int) or isinstance(size, bool) or size < 2:
             raise SchemaError("chain size must be an integer >= 2", f"{cp}.size")
         for x in locations:
+            if locations.count(x) > 1:
+                raise SchemaError(
+                    f"location {x} is repeated in the chain", f"{cp}.locations"
+                )
             if x in loc_to_size:
                 raise SchemaError(f"location {x} appears on two chains", f"{cp}.locations")
             loc_to_size[x] = size
@@ -256,6 +257,25 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
     return tuple(out)
 
 
+def label_ref(
+    spec: TheorySpec, names: dict[str, Region], name: str, index: int, path: str
+):
+    """The region called ``name`` and its label number ``index``.
+
+    Scenario heralds and the CLI's ``--target``/``--given`` resolve their
+    references here; ``path`` is the JSON path or flag an error names.
+    """
+    if name not in names:
+        raise SchemaError(f"region {name!r} is not declared", path)
+    region = names[name]
+    gamma = enumerate_labels(spec, region)
+    if not 0 <= index < gamma.size:
+        raise SchemaError(
+            f"label index {index} out of range for {name!r} (size {gamma.size})", path
+        )
+    return region, gamma.labels[index]
+
+
 def _parse_label_ref(node, names: dict[str, Region], spec: TheorySpec, path: str):
     if (
         not isinstance(node, list)
@@ -265,16 +285,7 @@ def _parse_label_ref(node, names: dict[str, Region], spec: TheorySpec, path: str
         or isinstance(node[1], bool)
     ):
         raise SchemaError("expected [region_name, label_index]", path)
-    name, idx = node
-    if name not in names:
-        raise SchemaError(f"region {name!r} is not declared", path)
-    region = names[name]
-    gamma = enumerate_labels(spec, region)
-    if not 0 <= idx < gamma.size:
-        raise SchemaError(
-            f"label index {idx} out of range for {name!r} (size {gamma.size})", path
-        )
-    return region, gamma.labels[idx]
+    return label_ref(spec, names, node[0], node[1], path)
 
 
 def _parse_heralds(raw, names, spec, path: str) -> tuple[HeraldSpec, ...]:

@@ -21,7 +21,6 @@ from causaloid import (
     enumerate_exteriors,
     enumerate_labels,
     fold_to_exterior,
-    full_pack,
     ic_effects,
     ic_preparations,
     joint_prob,
@@ -376,11 +375,3 @@ def test_conditioning_span_flags():
     quantum = _polariser_spec([[0, 30, 60, 90]])
     dim, full = conditioning_span(quantum, 1)
     assert full == 16 and dim < full
-
-
-def test_full_pack_from_spec():
-    spec = _polariser_spec([[0, 30], [0, 45, 90]])
-    pack = full_pack(spec)
-    assert pack.locations == (1, 2)
-    assert pack.n_actions(1) == 2 and pack.n_actions(2) == 3
-    assert pack.n_outcomes(2, 1) == 2

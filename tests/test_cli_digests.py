@@ -1,11 +1,12 @@
-"""Byte-level pins of the ``compress``, ``validate`` and ``herald`` outputs.
+"""Byte-level pins of the stdout of every ``causaloid`` subcommand.
 
 The digests are sha256 sums of the stdout bytes of ``causaloid compress``
-and ``causaloid validate`` on each bundled scenario, and of two
-``causaloid herald`` queries. They pin the report format, every span rank
-and exterior count, every fiducial choice, every ``lambda_sha256`` and the
-witness exteriors of an ill-defined herald; a change that is meant to
-keep behaviour must keep them.
+and ``causaloid validate`` on each bundled scenario, with and without the
+tolerance and seed flags, of ``causaloid herald`` queries and of the
+README's ``causaloid diagram`` commands. They pin the report format, every
+span rank and exterior count, every fiducial choice, every
+``lambda_sha256``, the witness exteriors of an ill-defined herald and the
+rendered scenes; a change that is meant to keep behaviour must keep them.
 """
 from __future__ import annotations
 
@@ -53,6 +54,11 @@ DIGESTS = {
 }
 
 
+def _digest(capsys, argv) -> str:
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 def test_every_bundled_scenario_is_pinned():
     assert sorted(DIGESTS) == sorted(SCENARIO_NAMES)
 
@@ -60,9 +66,8 @@ def test_every_bundled_scenario_is_pinned():
 @pytest.mark.parametrize("command", ["compress", "validate"])
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_bytes_are_pinned(capsys, name, command):
-    assert main([command, "--scenario", scenario_path(name)]) == 0
-    out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == DIGESTS[name][command]
+    argv = [command, "--scenario", scenario_path(name)]
+    assert _digest(capsys, argv) == DIGESTS[name][command]
 
 
 # (--target, --given) on polariser_chain: the README example (well defined)
@@ -77,6 +82,72 @@ HERALD_DIGESTS = {
 def test_herald_output_bytes_are_pinned(capsys, target, given):
     argv = ["herald", "--scenario", scenario_path("polariser_chain"),
             "--target", target, "--given", given]
-    assert main(argv) == 0
-    out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == HERALD_DIGESTS[(target, given)]
+    assert _digest(capsys, argv) == HERALD_DIGESTS[(target, given)]
+
+
+# stdout of ``compress`` with every tolerance and seed flag set, per scenario
+FLAGGED_COMPRESS_DIGESTS = {
+    "adjacent_gates": "c78e8068658563bb68a932f4e084d41f579485a164f8868dfa94533843c206a6",
+    "classical_bit": "c7373fa1b0b224a425eca101d982f498bbe94d8b4eb8fe1309b2184b6a3b3868",
+    "classical_chain3": "641f39553d92c17f9882a03fd2504892a6a2fffe8e2218bd46065430e682d2db",
+    "classical_trit": "a8b48a89a4daeb99cbcc31352c7d864a5dafc57dc711135046100340afaf873f",
+    "polariser_chain": "d93c55735477e895c6de04b5175fbcbd28d34b87e369d7bfbce89137218db631",
+    "qubit_channel": "879069d17365817c8ffa91e83bce710d453b62517df5ad567c3d750b95dbad8a",
+    "qutrit_channel": "37ad4655325b73006f13a61a13a586b9c8165e1a530c27bdc22b4378f8262d45",
+    "spacelike_bits": "3c832301d2cdc143b74ad7c2d6a49f4d3551521b6c28f83d5b35c2d6840c453a",
+}
+
+FLAGGED_COMPRESS = ("--tol-rank", "1e-8", "--tol-herald", "1e-6", "--seed", "99")
+
+
+@pytest.mark.parametrize("name", sorted(FLAGGED_COMPRESS_DIGESTS))
+def test_flagged_output_bytes_are_pinned(capsys, name):
+    path = scenario_path(name)
+    argv = ("compress", "--scenario", path) + FLAGGED_COMPRESS
+    assert _digest(capsys, argv) == FLAGGED_COMPRESS_DIGESTS[name]
+    # 1e-7 moves no span rank, so the flag leaves validate's bytes alone
+    argv = ("validate", "--scenario", path, "--tol-rank", "1e-7")
+    assert _digest(capsys, argv) == DIGESTS[name]["validate"]
+
+
+# (scenario, flags after --scenario) -> sha256 of stdout; the last herald
+# query turns well defined once --tol-herald exceeds its 0.5 residual, and
+# the product scene reads the same in either region order
+FLAGGED_DIGESTS = {
+    ("polariser_chain", "herald", "--target", "R2:2", "--given", "R1:0,R3:4",
+     "--tol-herald", "1e-3"): HERALD_DIGESTS[("R2:2", "R1:0,R3:4")],
+    ("polariser_chain", "herald", "--target", "R3:6", "--given", "R1:0",
+     "--tol-herald", "1e-3"): HERALD_DIGESTS[("R3:6", "R1:0")],
+    ("polariser_chain", "herald", "--target", "R3:6", "--given", "R1:0",
+     "--tol-herald", "0.6"):
+        "0acb8f83b3dded8f67f3b8e3609afc3ab9ea7277b35fbb1b23b4b115decbdff0",
+    ("polariser_chain", "diagram", "--expr", "product:R1,R2", "--format", "dot"):
+        "9a87d45c7a19bfe48f19ab539a4f5a076848beb8035e4092b868207b22310195",
+    ("polariser_chain", "diagram", "--expr", "product:R2,R1", "--format", "dot"):
+        "9a87d45c7a19bfe48f19ab539a4f5a076848beb8035e4092b868207b22310195",
+    ("classical_bit", "diagram", "--expr", "born:R1", "--format", "svg"):
+        "fbb943a9b486bf51235d56278b2dc1e0f5896dd466d6b26ca3a328c28c308979",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(FLAGGED_DIGESTS), ids=lambda case: " ".join(case[1:])
+)
+def test_herald_and_diagram_bytes_are_pinned(capsys, case):
+    name, command, *flags = case
+    argv = [command, "--scenario", scenario_path(name), *flags]
+    assert _digest(capsys, argv) == FLAGGED_DIGESTS[case]
+
+
+def test_diagram_runs_the_span_checks(monkeypatch, capsys):
+    import causaloid.report as report
+    from causaloid.errors import SpanDeficient
+
+    def deficient(spec, table, tol_rank):
+        raise SpanDeficient("forced deficiency")
+
+    monkeypatch.setattr(report, "validate_table_spans", deficient)
+    argv = ["diagram", "--scenario", scenario_path("classical_bit"),
+            "--expr", "born:R1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: forced deficiency\n"

@@ -16,10 +16,9 @@ from causaloid import (
     compute_compositional_lambda,
     find_composite_omega,
     find_fiducial_set,
-    is_causally_adjacent,
     joint_fiducial_matrix,
 )
-from causaloid.errors import ContextMismatch, DegenerateExterior
+from causaloid.errors import DegenerateExterior
 from causaloid.tables import ExteriorAxis, GammaSet, ProbTable
 
 
@@ -100,9 +99,6 @@ def test_adjacency_strictness(scenarios):
     joint = joint_fiducial_matrix(table, [o1, o2])
     comp = find_composite_omega(joint)
     assert comp.size == comp.parent_size  # equality, not shrinkage
-    assert not is_causally_adjacent(comp, [o1, o2])
-    with pytest.raises(ContextMismatch):
-        is_causally_adjacent(comp, [o1, o1, o2])
 
 
 def test_adjacency_graph_chain(scenarios):

@@ -10,7 +10,6 @@ from causaloid import (
     Card,
     Chain,
     ClassicalSpec,
-    FullPack,
     ProcedureSpec,
     QuantumSpec,
     Region,
@@ -58,20 +57,6 @@ def test_procedure_sorts_and_restricts():
         p.restricted(Region((1, 2)))
     with pytest.raises(UnknownRegion):
         p.action_at(7)
-
-
-def test_full_pack_enumerates_and_validates():
-    pack = FullPack(locations=(1, 2), outcome_counts=((2, 2), (3,)))
-    cards = list(pack.cards())
-    assert len(cards) == 2 + 2 + 3
-    assert all(pack.card_valid(c) for c in cards)
-    assert not pack.card_valid(Card(1, 2, 0))
-    assert not pack.card_valid(Card(9, 0, 0))
-    pack.validate_procedure(ProcedureSpec({1: 1, 2: 0}))
-    with pytest.raises(ValueError):
-        pack.validate_procedure(ProcedureSpec({1: 1}))
-    with pytest.raises(ValueError):
-        pack.validate_procedure(ProcedureSpec({1: 5, 2: 0}))
 
 
 def test_stack_consistency():

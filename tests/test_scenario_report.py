@@ -1,6 +1,7 @@
 """Scenario documents, report pipeline, diagrams, and the command line."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -99,14 +100,6 @@ def test_herald_label_out_of_range():
     assert "out of range" in str(err.value)
 
 
-def test_with_seed_is_a_copy(scenarios):
-    s = scenarios("classical_bit")
-    t = s.with_seed(777)
-    assert t.seed == 777
-    assert s.seed == 11
-    assert t.regions == s.regions
-
-
 # -- the report pipeline ---------------------------------------------------
 
 def test_report_is_byte_deterministic(scenarios):
@@ -134,10 +127,8 @@ def test_full_matrices_round_trip_digest(scenarios):
 
 def test_tolerance_overrides(scenarios):
     s = scenarios("classical_bit")
-    payload = run_pipeline(s, overrides={"herald": 0.5}).payload
+    payload = run_pipeline(dataclasses.replace(s, tol_herald=0.5)).payload
     assert payload["tolerances"]["herald"]["decimal"] == 0.5
-    with pytest.raises(ValueError):
-        run_pipeline(s, overrides={"speed": 1.0})
 
 
 def test_report_heralds_section(pipelines):
@@ -277,6 +268,14 @@ def test_cli_missing_scenario(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _with_edit(tmp_path, name, edit) -> str:
+    doc = _doc(name)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
 def _negative_chain(doc):
     doc["theory"]["chains"][0]["locations"] = [-1]
     doc["theory"]["instruments"][0]["location"] = -1
@@ -289,35 +288,58 @@ def _reset_map(doc):
     }
 
 
-# (scenario, edit, JSON path the error must name)
+def _family(value):
+    return lambda d: d["theory"]["instruments"][0].update(family=value)
+
+
+# (scenario, document edit or None, command and flags, start of stderr): a
+# malformed document or query names its JSON path or flag
 MALFORMED = {
     "empty-region": ("spacelike_bits", lambda d: d["regions"].update(R2=[]),
-                     "$.regions.R2"),
-    "negative-chain-location": ("classical_bit", _negative_chain,
-                                "$.theory.chains[0].locations"),
+                     ["compress"], "error: $.regions.R2: "),
+    "negative-chain-location": ("classical_bit", _negative_chain, ["compress"],
+                                "error: $.theory.chains[0].locations: "),
     "negative-region-location": ("classical_chain3",
                                  lambda d: d["regions"].update(R1=[-1]),
-                                 "$.regions.R1"),
+                                 ["compress"], "error: $.regions.R1: "),
     "list-instrument-location": ("classical_bit",
                                  lambda d: d["theory"]["instruments"][0].update(location=[1]),
-                                 "$.theory.instruments[0].location"),
+                                 ["compress"], "error: $.theory.instruments[0].location: "),
     "repeated-composite-factor": ("spacelike_bits",
                                   lambda d: d.update(composites=[["R1", "R1"]]),
-                                  "$.composites[0]"),
-    "non-integer-reset": ("classical_bit", _reset_map, "$.theory.instruments[0]"),
+                                  ["compress"], "error: $.composites[0]: "),
+    "non-integer-reset": ("classical_bit", _reset_map, ["compress"],
+                          "error: $.theory.instruments[0]: "),
+    "list-family": ("classical_bit", _family([]), ["compress"],
+                    "error: $.theory.instruments[0].family: "),
+    "object-family": ("classical_bit", _family({}), ["compress"],
+                      "error: $.theory.instruments[0].family: "),
+    "location-repeated-in-a-chain": (
+        "classical_chain3",
+        lambda d: d["theory"]["chains"][0].update(locations=[1, 1, 2, 3]),
+        ["compress"],
+        "error: $.theory.chains[0].locations: location 1 is repeated in the chain"),
+    "given-names-the-target-region": (
+        "polariser_chain", None,
+        ["herald", "--target", "R2:2", "--given", "R2:0"], "error: --given: "),
+    "given-names-a-region-twice": (
+        "polariser_chain", None,
+        ["herald", "--target", "R2:2", "--given", "R1:0,R1:1"], "error: --given: "),
+    "zero-rank-tolerance-flag": ("classical_bit", None, ["compress", "--tol-rank", "0"],
+                                 "error: --tol-rank: "),
+    "negative-herald-tolerance-flag": (
+        "polariser_chain", None,
+        ["herald", "--target", "R2:2", "--tol-herald=-1"], "error: --tol-herald: "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_cli_rejects_malformed_scenarios(tmp_path, capsys, case):
-    name, edit, path = MALFORMED[case]
-    doc = _doc(name)
-    edit(doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["compress", "--scenario", str(bad)]) == 2
+    name, edit, argv, err = MALFORMED[case]
+    path = _scn(name) if edit is None else _with_edit(tmp_path, name, edit)
+    assert main([argv[0], "--scenario", path, *argv[1:]]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.startswith(err)
     assert captured.out == ""
 
 
