@@ -732,15 +732,10 @@ def _extended_spec(spec: TheorySpec) -> TheorySpec:
     )
 
 
-def _axis_rank(values: np.ndarray, axis: int, tol_rank: float) -> tuple[int, int]:
-    """(rank, column count) of a table with one region axis first."""
-    m = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
-    return len(greedy_independent_rows(m, tol_rank)), m.shape[1]
-
-
 def validate_table_spans(
     spec: TheorySpec,
     table: ProbTable,
+    ranks: Sequence[int],
     tol_rank: float = 1e-9,
     cap: int = DEFAULT_TABLE_CAP,
 ) -> tuple[SpanValidation, ...]:
@@ -748,23 +743,27 @@ def validate_table_spans(
 
     For each region of ``table`` (built from ``spec``), its measurement
     matrix puts the region's labels on the rows and everything else, the
-    other regions' labels included, on the columns. The same matrix is
-    read off one table of a spec with a second, independent family of
-    preparations and effects added; if a region's rank grows there, the
-    declared exteriors were not informationally complete for it and the
-    compression ranks could not be trusted.
+    other regions' labels included, on the columns; ``ranks`` holds each
+    region's rank there (in ``table.regions`` order), which is the size
+    of the fiducial set ``build_causaloid`` finds on the table. Only the
+    same matrix read off one table of a spec with a second, independent
+    family of preparations and effects added is scanned here; if a
+    region's rank grows there, the declared exteriors were not
+    informationally complete for it and the compression ranks could not
+    be trusted.
     """
     wide = build_prob_table(_extended_spec(spec), table.regions, cap)
     out = []
-    for axis, region in enumerate(table.regions):
-        rank0, n0 = _axis_rank(table.values, axis, tol_rank)
-        rank1, n1 = _axis_rank(wide.values, axis, tol_rank)
-        if rank1 > rank0:
+    for axis, (region, rank) in enumerate(zip(table.regions, ranks, strict=True)):
+        rows = np.moveaxis(wide.values, axis, 0).reshape(wide.values.shape[axis], -1)
+        extended = len(greedy_independent_rows(rows, tol_rank))
+        if extended > rank:
             raise SpanDeficient(
-                f"region {region}: rank grows from {rank0} to {rank1} when the "
+                f"region {region}: rank grows from {rank} to {extended} when the "
                 f"exterior set is extended; declare more preparations/effects"
             )
-        out.append(SpanValidation(region, rank0, rank1, n0, n1))
+        n_exteriors = table.values.size // table.values.shape[axis]
+        out.append(SpanValidation(region, rank, extended, n_exteriors, rows.shape[1]))
     return tuple(out)
 
 
@@ -776,7 +775,8 @@ def validate_exterior_span(
 ) -> SpanValidation:
     """Span check of one region on its own table (see validate_table_spans)."""
     table = build_prob_table(spec, [region], cap)
-    return validate_table_spans(spec, table, tol_rank, cap)[0]
+    rank = len(greedy_independent_rows(table.values, tol_rank))
+    return validate_table_spans(spec, table, [rank], tol_rank, cap)[0]
 
 
 def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:

@@ -5,7 +5,10 @@ Subcommands:
 * ``compress``: run the full pipeline and print (or write) the JSON report.
 * ``herald``: build the causaloid for a scenario and answer one query.
 * ``diagram``: emit a DOT or SVG composition scene.
-* ``validate``: exterior span diagnostics only.
+* ``validate``: print only the exterior span diagnostics.
+
+All four build their causaloid through ``report.checked_causaloid``, so a
+table, compression or span failure exits the same way from each.
 
 Exit codes: 0 success, 2 scenario or schema problems, 3 numerical
 failures (rank, residual, singular transform, degenerate exterior,
@@ -19,7 +22,6 @@ import dataclasses
 import json
 import sys
 
-from .backends import build_prob_table, validate_table_spans
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
     BackendError,
@@ -247,8 +249,7 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = _load(args)
-    table = build_prob_table(scenario.spec, scenario.regions)
-    spans = validate_table_spans(scenario.spec, table, tol_rank=scenario.tol_rank)
+    _, spans, _ = checked_causaloid(scenario)
     payload = {"scenario": scenario.name, "span_validation": span_rows(scenario, spans)}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK

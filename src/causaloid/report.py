@@ -1,10 +1,10 @@
 """End to end compression pipeline and its deterministic JSON report.
 
 ``run_pipeline`` executes the full chain for one scenario: one probability
-table over the probed regions, exterior span validation of each region
-against it, per-region and grouped compression, adjacency classification
-read from the registry with mediator diagnostics, and the requested
-heralds. The report payload is a plain dict that serializes
+table over the probed regions, per-region and grouped compression of it,
+exterior span checks that take each region's rank from its fiducial set,
+adjacency read from the registry with mediator diagnostics, and the
+requested heralds. The report payload is a plain dict that serializes
 byte-identically across runs: keys are sorted, floats carry an exact hex
 companion, and matrices are summarized by sha256 digest (full hex rows
 only on request).
@@ -93,9 +93,8 @@ def span_rows(
 def checked_causaloid(
     scenario: ScenarioFile,
 ) -> tuple[ProbTable, tuple[SpanValidation, ...], Causaloid]:
-    """Build the scenario's table once, check its spans, then compress it."""
+    """Build the scenario's table once, compress it, then check its spans."""
     table = build_prob_table(scenario.spec, scenario.regions)
-    spans = validate_table_spans(scenario.spec, table, tol_rank=scenario.tol_rank)
     table.validate()
     causaloid = build_causaloid(
         table,
@@ -103,6 +102,8 @@ def checked_causaloid(
         tol_rank=scenario.tol_rank,
         tol_residual=scenario.tol_residual,
     )
+    ranks = [causaloid.omega_of(r).size for r in table.regions]
+    spans = validate_table_spans(scenario.spec, table, ranks, tol_rank=scenario.tol_rank)
     return table, spans, causaloid
 
 
@@ -153,14 +154,16 @@ def _composite_section(
 
 
 def _mediators(
-    scenario: ScenarioFile, pair_locations: tuple[int, ...]
+    scenario: ScenarioFile, pair_locations: tuple[int, ...], cache: dict
 ) -> list[dict]:
     """Span diagnostics for every instrumented location outside the pair."""
     out = []
     for location in scenario.spec.locations():
         if location in pair_locations:
             continue
-        span, full = conditioning_span(scenario.spec, location)
+        if location not in cache:
+            cache[location] = conditioning_span(scenario.spec, location)
+        span, full = cache[location]
         out.append(
             {
                 "location": location,
@@ -178,6 +181,7 @@ def _adjacency_section(
     if len(scenario.regions) < 2:
         return None
     graph = adjacency_graph(causaloid, table, tol=scenario.tol_rank)
+    mediator_spans: dict = {}  # conditioning_span per location, shared by the pairs
     pairs = []
     for pair in graph.pairs:
         locs = pair.first.locations + pair.second.locations
@@ -188,7 +192,7 @@ def _adjacency_section(
                 "composite_size": pair.composite_size,
                 "product_size": pair.product_size,
                 "adjacent": pair.adjacent,
-                "mediators": _mediators(scenario, locs),
+                "mediators": _mediators(scenario, locs, mediator_spans),
             }
         )
     return {
@@ -236,7 +240,7 @@ def _herald_section(
 def run_pipeline(
     scenario: ScenarioFile, *, full_matrices: bool = False
 ) -> CompressionReport:
-    """Run span checks, both compression levels, adjacency, and heralds.
+    """Run both compression levels, span checks, adjacency, and heralds.
 
     The tolerances are the scenario's own; to change one, pass a
     ``dataclasses.replace`` copy of the scenario. Errors from any stage

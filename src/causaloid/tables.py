@@ -9,7 +9,6 @@ consume.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -68,12 +67,6 @@ class GammaSet:
             cache = {lab: i for i, lab in enumerate(self.labels)}
             object.__setattr__(self, "_cached_lookup", cache)
         return cache
-
-    def action_tuples(self) -> tuple[tuple[int, ...], ...]:
-        seen: dict[tuple[int, ...], None] = {}
-        for actions, _ in self.labels:
-            seen.setdefault(actions, None)
-        return tuple(seen)
 
     def labels_for_action(self, actions: tuple[int, ...]) -> tuple[int, ...]:
         """Indices of the labels sharing one action assignment."""
@@ -232,20 +225,18 @@ class ProbTable:
             raise ValueError("table entries must lie in [0, 1]")
         # For each exterior and each joint action choice the outcome sum is a
         # sub-probability; with complete terminal effects and no conditioning
-        # outcomes in the exterior it must be exactly 1.
-        groups = [
-            [g.labels_for_action(a) for a in g.action_tuples()] for g in self.gammas
-        ]
-        unit = self.exteriors.unit_sum_mask()
-        for combo in itertools.product(*groups):
-            block = v[np.ix_(*combo)] if combo else v
-            sums = block.sum(axis=tuple(range(len(self.regions))))
-            if sums.max() > 1 + tol:
-                raise ValueError("outcome sums exceed 1 for a fixed procedure")
-            if (np.abs(sums[unit] - 1) > tol).any():
-                raise ValueError(
-                    "complete terminal effects must give unit outcome sums"
-                )
+        # outcomes in the exterior it must be exactly 1. Labels sort by action
+        # first, so each region's action groups are contiguous runs of its axis
+        # and one reduceat per axis sums every group at once.
+        sums = v
+        for axis, g in enumerate(self.gammas):
+            actions = [a for a, _ in g.labels]
+            starts = [i for i, a in enumerate(actions) if i == 0 or a != actions[i - 1]]
+            sums = np.add.reduceat(sums, starts, axis=axis)
+        if sums.max() > 1 + tol:
+            raise ValueError("outcome sums exceed 1 for a fixed procedure")
+        if (np.abs(sums[..., self.exteriors.unit_sum_mask()] - 1) > tol).any():
+            raise ValueError("complete terminal effects must give unit outcome sums")
 
 
 @dataclass(frozen=True, eq=False)

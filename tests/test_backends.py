@@ -14,6 +14,7 @@ from causaloid import (
     ProcedureSpec,
     QuantumSpec,
     Region,
+    build_causaloid,
     build_prob_table,
     complete_effect,
     conditioning_span,
@@ -34,7 +35,7 @@ from causaloid import (
 )
 from causaloid import operators as ops
 from causaloid.errors import SpanDeficient, UnknownProcedure
-from causaloid.tables import ExteriorConfiguration
+from causaloid.tables import ExteriorConfiguration, ProbTable
 
 from conftest import SCENARIO_NAMES
 
@@ -301,6 +302,91 @@ def test_kraus_chain_tables_match_the_oracle():
     _check_exterior_axes(spec, [r1, r2])
 
 
+def _action_blocks(table):
+    """Per joint action choice, the label indices of every region."""
+    return itertools.product(*(
+        [g.labels_for_action(a) for a in dict.fromkeys(a for a, _ in g.labels)]
+        for g in table.gammas
+    ))
+
+
+def _loop_validate(table, tol=1e-10):
+    """ProbTable.validate as one np.ix_ block per joint action choice."""
+    v = table.values
+    if v.min() < -1e-12 or v.max() > 1 + 1e-12:
+        raise ValueError("table entries must lie in [0, 1]")
+    unit = table.exteriors.unit_sum_mask()
+    for combo in _action_blocks(table):
+        block = v[np.ix_(*combo)] if combo else v
+        sums = block.sum(axis=tuple(range(len(table.regions))))
+        if sums.max() > 1 + tol:
+            raise ValueError("outcome sums exceed 1 for a fixed procedure")
+        if (np.abs(sums[unit] - 1) > tol).any():
+            raise ValueError("complete terminal effects must give unit outcome sums")
+
+
+def _verdict(check, table):
+    try:
+        check(table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _with_values(table, values):
+    return ProbTable(table.regions, table.gammas, table.exteriors, values)
+
+
+def _raise_past_the_sum(table, values):
+    """Raise the smallest entry of the largest outcome sum until it passes 1."""
+    best = None
+    for combo in _action_blocks(table):
+        block = values[np.ix_(*combo)]
+        sums = block.sum(axis=tuple(range(len(combo))))
+        j = int(np.argmax(sums))
+        if best is None or sums[j] > best[0]:
+            best = (sums[j], combo, block[..., j], j)
+    total, combo, column, j = best
+    low = np.unravel_index(np.argmin(column), column.shape)
+    values[tuple(c[i] for c, i in zip(combo, low)) + (j,)] += 1 - total + 1e-6
+
+
+def _lower_a_unit_column(table, values):
+    j = int(np.argmax(table.exteriors.unit_sum_mask()))
+    column = values[..., j]
+    values[np.unravel_index(np.argmax(column), column.shape) + (j,)] -= 1e-6
+
+
+def _validate_cases(scenarios):
+    for name in SCENARIO_NAMES:
+        s = scenarios(name)
+        yield build_prob_table(s.spec, s.regions)
+    # a complete effect gives unit-sum columns, which no bundled table has
+    spec = _polariser_spec([[0, 30, 60, 90], [0, 45]])
+    yield build_prob_table(spec, [Region((1,)), Region((2,))])
+
+
+def test_table_validate_matches_the_block_loop(scenarios):
+    exceed = "outcome sums exceed 1 for a fixed procedure"
+    unit = "complete terminal effects must give unit outcome sums"
+    n_unit = 0
+    for table in _validate_cases(scenarios):
+        cases = [((), None), ((_raise_past_the_sum,), exceed)]
+        if table.exteriors.unit_sum_mask().any():
+            n_unit += 1
+            cases += [((_lower_a_unit_column,), unit),
+                      ((_lower_a_unit_column, _raise_past_the_sum), exceed)]
+        for faults, want in cases:
+            values = table.values.copy()
+            for fault in faults:
+                fault(table, values)
+            faulty = _with_values(table, values)
+            assert _verdict(ProbTable.validate, faulty) == want
+            if len(faults) < 2:  # with both, the block loop may meet either first
+                assert _verdict(_loop_validate, faulty) == want
+    assert n_unit == 1
+
+
 def test_span_validation_ranks(scenarios):
     s = scenarios("qubit_channel")
     v = validate_exterior_span(s.spec, s.regions[0])
@@ -323,7 +409,9 @@ def test_span_deficiency_is_loud():
 def test_table_spans_match_per_region_checks(scenarios, name):
     s = scenarios(name)
     table = build_prob_table(s.spec, s.regions)
-    joint = validate_table_spans(s.spec, table, tol_rank=s.tol_rank)
+    c = build_causaloid(table, (), tol_rank=s.tol_rank, tol_residual=s.tol_residual)
+    ranks = [c.omega_of(r).size for r in table.regions]
+    joint = validate_table_spans(s.spec, table, ranks, tol_rank=s.tol_rank)
     per_region = tuple(
         validate_exterior_span(s.spec, r, tol_rank=s.tol_rank) for r in s.regions
     )
@@ -346,8 +434,11 @@ def test_table_spans_stop_at_the_first_deficient_region():
     assert validate_exterior_span(spec, r1).stable
     with pytest.raises(SpanDeficient) as single:
         validate_exterior_span(spec, r2)
+    table = build_prob_table(spec, [r1, r2])
+    c = build_causaloid(table, ())
+    ranks = [c.omega_of(r).size for r in table.regions]
     with pytest.raises(SpanDeficient) as joint:
-        validate_table_spans(spec, build_prob_table(spec, [r1, r2]))
+        validate_table_spans(spec, table, ranks)
     assert str(joint.value) == str(single.value)
     assert str(joint.value).startswith("region {2}:")
 

@@ -143,7 +143,7 @@ def test_diagram_runs_the_span_checks(monkeypatch, capsys):
     import causaloid.report as report
     from causaloid.errors import SpanDeficient
 
-    def deficient(spec, table, tol_rank):
+    def deficient(*args, **kwargs):
         raise SpanDeficient("forced deficiency")
 
     monkeypatch.setattr(report, "validate_table_spans", deficient)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from causaloid.cli import main
 from causaloid.errors import IoError, SchemaError, UnknownEntry
 from causaloid.scenario import parse_scenario, parse_scenario_dict
 
-from conftest import scenario_path
+from conftest import SCENARIO_NAMES, scenario_path
 
 
 def _doc(name):
@@ -401,6 +402,73 @@ def test_pipeline_builds_two_tables(scenarios, monkeypatch):
     s = scenarios("polariser_chain")
     run_pipeline(s)
     assert calls == [s.regions, s.regions]
+
+
+def _polariser_chain(n):
+    """An n-location polariser chain with every region pair declared."""
+    names = [f"R{x}" for x in range(1, n + 1)]
+    return parse_scenario_dict({
+        "format_version": 1,
+        "name": f"polariser-{n}",
+        "theory": {
+            "kind": "quantum",
+            "chains": [{"name": "photon", "size": 2,
+                        "locations": list(range(1, n + 1))}],
+            "instruments": [
+                {"location": x, "family": "polariser",
+                 "angles_deg": [0, 30, 60, 90]}
+                for x in range(1, n + 1)
+            ],
+        },
+        "regions": {name: [x] for x, name in enumerate(names, 1)},
+        "composites": [list(pair) for pair in itertools.combinations(names, 2)],
+    })
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda scenarios: scenarios("polariser_chain"), id="polariser_chain"),
+    pytest.param(lambda scenarios: _polariser_chain(4), id="chain4"),
+])
+def test_pipeline_scans_each_rank_once(scenarios, monkeypatch, make):
+    # one fiducial scan per region and composite, one extended-exterior
+    # scan per region, one conditioning span per mediating location; the
+    # declared-exterior ranks are read from the registry
+    import sys
+
+    from causaloid.tables import greedy_independent_rows
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return greedy_independent_rows(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "causaloid" or name.startswith("causaloid."):
+            for attr, value in list(vars(module).items()):
+                if value is greedy_independent_rows:
+                    monkeypatch.setattr(module, attr, counted)
+    s = make(scenarios)
+    pairs = list(itertools.combinations(s.regions, 2))
+    # every pair is declared, so adjacency compresses nothing itself
+    assert set(pairs) <= set(s.composites)
+    mediators = {
+        x for a, b in pairs for x in s.spec.locations()
+        if x not in a.locations + b.locations
+    }
+    run_pipeline(s)
+    assert len(calls) == 2 * len(s.regions) + len(s.composites) + len(mediators)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_validate_exits_as_compress_does(capsys, name):
+    for tol in ("1e-7", "1e-3", "0.5", "2.0", "1e308"):
+        validate, compress = (
+            main([command, "--scenario", _scn(name), "--tol-rank", tol])
+            for command in ("validate", "compress")
+        )
+        assert validate == compress, f"--tol-rank {tol}"
+    capsys.readouterr()
 
 
 def test_pipeline_decodes_only_witness_exteriors(scenarios, monkeypatch):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import pathlib
+import re
+import shlex
 
 from causaloid import (
     Chain,
@@ -15,8 +17,10 @@ from causaloid import (
     sample_stacks,
 )
 from causaloid.backends import TheorySpec
+from causaloid.cli import main
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -57,3 +61,30 @@ def test_sample_stacks_draws_in_one_sample_cards_call(monkeypatch):
     stacks = sample_stacks(spec, ProcedureSpec({1: 1, 2: 0}), 200, seed=9)
     assert len(stacks) == 200
     assert len(calls) == 1
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``causaloid ...`` line in the README's sh blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["causaloid"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # the documented commands, run from any directory with their output
+    # files kept out of the checkout, must all succeed
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for words in commands:
+        argv = list(words)
+        for flag, root in (("--scenario", ROOT), ("--out", tmp_path)):
+            if flag in argv:
+                i = argv.index(flag) + 1
+                argv[i] = str(root / argv[i])
+        assert main(argv) == 0, " ".join(words)
+    capsys.readouterr()
