@@ -10,6 +10,7 @@ over whole label sets are assembled with vectorized contractions.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -225,22 +226,30 @@ class TheorySpec:
         return tuple(f.location for f in self.instruments)
 
     def _check_total_probability(self, fam: InstrumentFamily) -> None:
-        chain = self.chain_of(fam.location)
-        t = self.total_covector(chain)
-        for a, group in enumerate(fam.actions):
-            total = np.zeros_like(group[0])
-            for T in group:
-                if self.kind == "classical" and T.min() < -1e-12:
-                    raise BackendError(
-                        f"classical kernel has negative entries "
-                        f"(location {fam.location}, action {a})"
-                    )
-                total = total + T
-            if not np.allclose(t @ total, t, atol=1e-10):
+        t = self.total_covector(self.chain_of(fam.location))
+        stack = fam.stacked()
+        # labels run action by action, so one reduceat sums every action's
+        # outcome maps (in outcome order) at once
+        starts = np.cumsum([0] + [len(group) for group in fam.actions[:-1]])
+        totals = np.add.reduceat(stack, starts, axis=0)
+        leaks = ~np.isclose(t @ totals, t, atol=1e-10).all(axis=1)
+        if self.kind == "classical":
+            negative = np.minimum.reduceat(stack.min(axis=(1, 2)), starts) < -1e-12
+        else:
+            negative = np.zeros_like(leaks)
+        # the first faulty action is reported; within it, negativity first
+        faulty = np.flatnonzero(negative | leaks)
+        if faulty.size:
+            a = int(faulty[0])
+            if negative[a]:
                 raise BackendError(
-                    f"action {a} at location {fam.location} does not preserve "
-                    f"total probability"
+                    f"classical kernel has negative entries "
+                    f"(location {fam.location}, action {a})"
                 )
+            raise BackendError(
+                f"action {a} at location {fam.location} does not preserve "
+                f"total probability"
+            )
 
     # -- sampling -----------------------------------------------------------
 
@@ -559,6 +568,12 @@ def _row_major_labels(spec: TheorySpec, region: Region) -> list[Label]:
     ]
 
 
+def _sorted_gather(spec: TheorySpec, region: Region) -> list[int]:
+    """Row-major label positions in GammaSet (sorted) order."""
+    labels = _row_major_labels(spec, region)
+    return sorted(range(len(labels)), key=labels.__getitem__)
+
+
 def enumerate_labels(spec: TheorySpec, region: Region) -> GammaSet:
     """All measurement labels of a region, sorted by (action tuple, outcome tuple)."""
     return GammaSet(region, tuple(sorted(_row_major_labels(spec, region))))
@@ -690,8 +705,7 @@ def build_prob_table(
     values = values.reshape(tuple(g.size for g in gammas) + (len(exteriors),))
     # per region: row-major per-location order -> GammaSet (sorted) order
     for axis, r in enumerate(regions):
-        labels = _row_major_labels(spec, r)
-        gather = sorted(range(len(labels)), key=labels.__getitem__)
+        gather = _sorted_gather(spec, r)
         if gather != list(range(len(gather))):
             values = np.take(values, gather, axis=axis)
     return ProbTable(regions, gammas, exteriors, np.ascontiguousarray(values))
@@ -714,22 +728,109 @@ class SpanValidation:
         return self.extended_rank == self.rank
 
 
-def _extended_spec(spec: TheorySpec) -> TheorySpec:
-    preps = tuple(
-        tuple(base) + tuple(_extra_preparations(spec.kind, chain.size))
-        for base, chain in zip(spec.preparations, spec.chains)
-    )
-    effs = tuple(
-        tuple(base) + tuple(_extra_effects(spec.kind, chain.size))
-        for base, chain in zip(spec.effects, spec.chains)
-    )
-    cls = type(spec)
-    return cls(
-        chains=spec.chains,
-        instruments=spec.instruments,
-        preparations=preps,
-        effects=effs,
-    )
+def _span_factor(vectors: np.ndarray) -> np.ndarray:
+    """A short factor ``F`` with ``F.T @ F == vectors.T @ vectors``.
+
+    Its rows are the right singular vectors of ``vectors`` scaled by their
+    singular values, so any covector's norm over the rows of ``vectors`` is
+    its norm over the rows of ``F``. Singular values at or below numpy's
+    ``matrix_rank`` cut-off, ``s_max * max(shape) * eps``, count as zero.
+    """
+    _, s, vt = np.linalg.svd(vectors, full_matrices=False)
+    keep = s > s.max(initial=0.0) * max(vectors.shape) * np.finfo(float).eps
+    return s[keep, None] * vt[keep]
+
+
+def _cut_slots(
+    spec: TheorySpec, ci: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Input and output slots of chain ``ci`` at each of its cuts.
+
+    Cut ``c`` lies just before the chain's c-th location (cut ``n`` after
+    the last). ``inputs[c]`` factors the states that reach it: the
+    declared and extra preparations pushed through every label at each
+    earlier location. ``outputs[c]`` factors the covectors that read it
+    out: the declared and extra effects pulled back through every later
+    location. Each is a ``_span_factor`` of the whole set, rows in the
+    chain's vector space.
+    """
+    chain = spec.chains[ci]
+    d = spec.vec_dim(chain)
+    preps = spec.preparations[ci] + _extra_preparations(spec.kind, chain.size)
+    effs = spec.effects[ci] + _extra_effects(spec.kind, chain.size)
+    stacks = [spec.family(x).stacked() for x in chain.locations]
+    inputs = [_span_factor(np.stack([p.vector for p in preps]))]
+    for stack in stacks:
+        pushed = inputs[-1] @ stack.transpose(0, 2, 1)  # rows (T v)
+        inputs.append(_span_factor(pushed.reshape(-1, d)))
+    outputs = [_span_factor(np.stack([e.vector for e in effs]))]
+    for stack in reversed(stacks):
+        outputs.append(_span_factor((outputs[-1] @ stack).reshape(-1, d)))
+    return inputs, outputs[::-1]
+
+
+def _gap_slot(stacks: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """``_span_factor`` of every product of one label map per gap
+    location, as ``(n, d, d)``; an empty gap is the identity alone."""
+    factor = np.eye(d)[None]
+    for stack in stacks:
+        products = (stack[:, None] @ factor[None]).reshape(-1, d * d)
+        factor = _span_factor(products).reshape(-1, d, d)
+    return factor
+
+
+def _cut_rows(
+    spec: TheorySpec,
+    ci: int,
+    positions: Sequence[int],
+    slots: tuple[list[np.ndarray], list[np.ndarray]],
+) -> np.ndarray:
+    """One chain's factor of a region's rows at its cuts.
+
+    ``positions`` are the region's locations on the chain, as indices
+    into its wire order. Each label (one card per location, row-major in
+    wire order) gives one row: its transfer maps contracted with the input
+    slot, each gap slot and the output slot.
+    """
+    chain = spec.chains[ci]
+    d = spec.vec_dim(chain)
+    stacks = [spec.family(x).stacked() for x in chain.locations]
+    inputs, outputs = slots
+    x = inputs[positions[0]][None]  # (rows, columns, d) states
+    for j, p in enumerate(positions):
+        if j:
+            gap = _gap_slot(stacks[positions[j - 1] + 1:p], d)
+            x = np.einsum("bij,rcj->rcbi", gap, x).reshape(len(x), -1, d)
+        x = np.einsum("lij,rcj->rlci", stacks[p], x).reshape(-1, x.shape[1], d)
+    return np.einsum("gi,rci->rcg", outputs[positions[-1] + 1], x).reshape(len(x), -1)
+
+
+def _extended_rows(spec: TheorySpec, region: Region, slots: dict) -> np.ndarray:
+    """A region's rows of the extended-exterior table, up to an isometry
+    of its columns: the same Gram matrix, in label-set order.
+
+    The table's entries multiply over chains. Each chain the region
+    touches contributes its ``_cut_rows``, and the rows are their
+    Kronecker product; every other chain is one column vector shared by
+    all rows and contributes only its norm.
+    """
+    rows = np.ones((1, 1))
+    wire: list[int] = []
+    for ci, chain in enumerate(spec.chains):
+        if ci not in slots:
+            slots[ci] = _cut_slots(spec, ci)
+        positions = [p for p, x in enumerate(chain.locations) if x in region]
+        if positions:
+            rows = np.kron(rows, _cut_rows(spec, ci, positions, slots[ci]))
+            wire += [chain.locations[p] for p in positions]
+        else:
+            inputs, outputs = slots[ci]
+            rows = rows * np.linalg.norm(inputs[-1] @ outputs[-1].T)
+    # row-major in wire order -> row-major in sorted location order -> label set
+    order = sorted(range(len(wire)), key=wire.__getitem__)
+    sizes = [len(spec.family(x).labels()) for x in wire]
+    rows = rows.reshape(sizes + [-1]).transpose(order + [len(order)])
+    return rows.reshape(math.prod(sizes), -1)[_sorted_gather(spec, region)]
 
 
 def validate_table_spans(
@@ -737,7 +838,6 @@ def validate_table_spans(
     table: ProbTable,
     ranks: Sequence[int],
     tol_rank: float = 1e-9,
-    cap: int = DEFAULT_TABLE_CAP,
 ) -> tuple[SpanValidation, ...]:
     """Confirm the declared exterior set already exhausts the reachable span.
 
@@ -745,17 +845,32 @@ def validate_table_spans(
     matrix puts the region's labels on the rows and everything else, the
     other regions' labels included, on the columns; ``ranks`` holds each
     region's rank there (in ``table.regions`` order), which is the size
-    of the fiducial set ``build_causaloid`` finds on the table. Only the
-    same matrix read off one table of a spec with a second, independent
-    family of preparations and effects added is scanned here; if a
-    region's rank grows there, the declared exteriors were not
-    informationally complete for it and the compression ranks could not
-    be trusted.
+    of the fiducial set ``build_causaloid`` finds on the table. The
+    extended rank is the greedy rank of the same matrix when a second,
+    independent family of preparations and effects is added to every
+    chain. It is read at the region's cuts, without a second table: per
+    chain the region touches, an input slot (what can enter its first
+    location), a gap slot between each pair of its locations and an output
+    slot (what can read its last location out), each factored so that the
+    rows built from them have the extended table's Gram matrix (see
+    ``_extended_rows``). The extended column count is worked out
+    arithmetically. If a region's rank grows there, the declared exteriors
+    were not informationally complete for it and the compression ranks
+    could not be trusted.
     """
-    wide = build_prob_table(_extended_spec(spec), table.regions, cap)
+    # the extra preparations and effects widen every region's columns alike
+    widen = math.prod(
+        (len(preps) + len(_extra_preparations(spec.kind, chain.size)))
+        * (len(effs) + len(_extra_effects(spec.kind, chain.size)))
+        for chain, preps, effs in zip(spec.chains, spec.preparations, spec.effects)
+    )
+    declared = math.prod(
+        len(preps) * len(effs) for preps, effs in zip(spec.preparations, spec.effects)
+    )
+    slots: dict = {}
     out = []
     for axis, (region, rank) in enumerate(zip(table.regions, ranks, strict=True)):
-        rows = np.moveaxis(wide.values, axis, 0).reshape(wide.values.shape[axis], -1)
+        rows = _extended_rows(spec, region, slots)
         extended = len(greedy_independent_rows(rows, tol_rank))
         if extended > rank:
             raise SpanDeficient(
@@ -763,7 +878,8 @@ def validate_table_spans(
                 f"exterior set is extended; declare more preparations/effects"
             )
         n_exteriors = table.values.size // table.values.shape[axis]
-        out.append(SpanValidation(region, rank, extended, n_exteriors, rows.shape[1]))
+        n_extended = n_exteriors // declared * widen
+        out.append(SpanValidation(region, rank, extended, n_exteriors, n_extended))
     return tuple(out)
 
 
@@ -776,7 +892,7 @@ def validate_exterior_span(
     """Span check of one region on its own table (see validate_table_spans)."""
     table = build_prob_table(spec, [region], cap)
     rank = len(greedy_independent_rows(table.values, tol_rank))
-    return validate_table_spans(spec, table, [rank], tol_rank, cap)[0]
+    return validate_table_spans(spec, table, [rank], tol_rank)[0]
 
 
 def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:

@@ -245,54 +245,64 @@ def parse_stacks(text: str) -> list[Stack]:
 
     A stack is a ``# ... procedure x:a ...`` header line followed by its
     ``x,a,s`` card lines; a blank line or the next header ends it. A card
-    line outside a stack is a ``SchemaError``. Each distinct procedure tag,
-    card line and stack record is parsed and validated once, and equal
-    records share one ``Stack``.
+    line outside a stack is a ``SchemaError``. The text is cut at its empty
+    lines, and each distinct piece is parsed and validated once; equal
+    pieces share their ``Stack`` objects. A piece that opens with a header
+    is told apart only by its text from the header's procedure tag on, so
+    the run index does not count.
     """
     stacks: list[Stack] = []
-    tags: dict[str, ProcedureSpec] = {}
-    cards: dict[str, Card] = {}
-    built: dict[tuple[str, tuple[str, ...]], Stack] = {}
-    tag_text: str | None = None
-    lines: list[str] = []
+    parsed: dict[object, list[Stack]] = {}
+    offset = 0
+    for piece in text.split("\n\n"):
+        head, sep, rest = piece.partition("procedure")
+        if sep and head.isprintable() and head.lstrip().startswith("#"):
+            key: object = (rest,)  # a tuple never equals a whole-piece key
+        else:
+            key = piece
+        piece_stacks = parsed.get(key)
+        if piece_stacks is None:
+            piece_stacks = parsed[key] = _parse_piece(piece, text, offset)
+        stacks += piece_stacks
+        offset += len(piece) + 2
+    return stacks
 
-    def flush():
-        key = (tag_text, tuple(lines))
-        stack = built.get(key)
-        if stack is None:
-            stack = built[key] = Stack((cards[c] for c in lines), tags[tag_text])
-        stacks.append(stack)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def _parse_piece(piece: str, text: str, offset: int) -> list[Stack]:
+    """The stacks of ``piece``, which starts at ``text[offset]`` right
+    after an empty line (or at the start)."""
+
+    def where(i: int) -> str:
+        return f"line {len(text[:offset].splitlines()) + 1 + i}"
+
+    stacks: list[Stack] = []
+    tag: ProcedureSpec | None = None
+    cards: list[Card] = []
+    for i, raw in enumerate(piece.splitlines()):
         line = raw.strip()
-        if not line:
-            if tag_text is not None:
-                flush()
-                tag_text = None
-            continue
-        if line.startswith("#"):
-            if tag_text is not None:
-                flush()
+        if not line or line.startswith("#"):
+            if tag is not None:
+                stacks.append(Stack(cards, tag))
+                tag = None
+            if not line:
+                continue
             parts = line.split("procedure", 1)
             if len(parts) != 2:
-                raise SchemaError("stack header lacks a procedure tag", f"line {lineno}")
-            tag_text, lines = parts[1], []
-            if tag_text not in tags:
-                try:
-                    pairs = [tuple(int(t) for t in item.split(":")) for item in tag_text.split()]
-                    tags[tag_text] = ProcedureSpec(dict((x, a) for x, a in pairs))
-                except (ValueError, TypeError) as exc:
-                    raise SchemaError(f"bad procedure tag: {exc}", f"line {lineno}") from exc
-            continue
-        if tag_text is None:
-            raise SchemaError("cards appear before any stack header", f"line {lineno}")
-        if line not in cards:
+                raise SchemaError("stack header lacks a procedure tag", where(i))
             try:
-                x, a, s = (int(t) for t in line.split(","))
-            except ValueError as exc:
-                raise SchemaError(f"bad card record {line!r}", f"line {lineno}") from exc
-            cards[line] = Card(x, a, s)
-        lines.append(line)
-    if tag_text is not None:
-        flush()
+                pairs = [tuple(int(t) for t in item.split(":")) for item in parts[1].split()]
+                tag = ProcedureSpec(dict((x, a) for x, a in pairs))
+            except (ValueError, TypeError) as exc:
+                raise SchemaError(f"bad procedure tag: {exc}", where(i)) from exc
+            cards = []
+            continue
+        if tag is None:
+            raise SchemaError("cards appear before any stack header", where(i))
+        try:
+            x, a, s = (int(t) for t in line.split(","))
+        except ValueError as exc:
+            raise SchemaError(f"bad card record {line!r}", where(i)) from exc
+        cards.append(Card(x, a, s))
+    if tag is not None:
+        stacks.append(Stack(cards, tag))
     return stacks

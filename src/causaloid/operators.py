@@ -78,6 +78,7 @@ def trace_covector(d: int) -> np.ndarray:
 def kraus_to_transfer(kraus: list[np.ndarray], d: int) -> np.ndarray:
     """Real transfer matrix of the completely positive map rho -> sum K rho K+."""
     basis = hermitian_basis(d)
+    stacked = np.stack(basis)
     n = len(basis)
     ks = []
     for K in kraus:
@@ -91,8 +92,7 @@ def kraus_to_transfer(kraus: list[np.ndarray], d: int) -> np.ndarray:
         for K in ks:
             out += K @ basis[q] @ K.conj().T
         out = (out + out.conj().T) / 2  # Hermiticity guard against rounding
-        for m in range(n):
-            T[m, q] = np.trace(basis[m] @ out).real
+        T[:, q] = np.trace(stacked @ out, axis1=1, axis2=2).real
     return T
 
 

@@ -11,6 +11,7 @@ from causaloid import (
     BackendError,
     Chain,
     ClassicalSpec,
+    InstrumentFamily,
     ProcedureSpec,
     QuantumSpec,
     Region,
@@ -34,8 +35,9 @@ from causaloid import (
     validate_table_spans,
 )
 from causaloid import operators as ops
+from causaloid.backends import _extended_rows, _extra_effects, _extra_preparations
 from causaloid.errors import SpanDeficient, UnknownProcedure
-from causaloid.tables import ExteriorConfiguration, ProbTable
+from causaloid.tables import ExteriorConfiguration, ProbTable, greedy_independent_rows
 
 from conftest import SCENARIO_NAMES
 
@@ -54,6 +56,87 @@ def _polariser_spec(angle_lists):
         preparations=(ic_preparations("quantum", 2),),
         effects=(ic_effects("quantum", 2) + (complete_effect("quantum", 2),),),
     )
+
+
+def _loop_total_probability(kind, t, fam):
+    """Reference: TheorySpec's total-probability check as one np.allclose
+    per action; returns the error message, or None."""
+    for a, group in enumerate(fam.actions):
+        total = np.zeros_like(group[0])
+        for T in group:
+            if kind == "classical" and T.min() < -1e-12:
+                return (f"classical kernel has negative entries "
+                        f"(location {fam.location}, action {a})")
+            total = total + T
+        if not np.allclose(t @ total, t, atol=1e-10):
+            return (f"action {a} at location {fam.location} does not preserve "
+                    f"total probability")
+    return None
+
+
+def _spec_verdict(kind, fam, size):
+    cls = ClassicalSpec if kind == "classical" else QuantumSpec
+    try:
+        cls(
+            chains=(Chain("wire", size, (fam.location,)),),
+            instruments=(fam,),
+            preparations=(ic_preparations(kind, size),),
+            effects=(ic_effects(kind, size),),
+        )
+    except BackendError as exc:
+        return str(exc)
+    return None
+
+
+def _faulty(fam, faults):
+    """``fam`` with ``faults[(action, outcome)]`` added to those maps."""
+    actions = tuple(
+        tuple(T + faults.get((a, s), 0) for s, T in enumerate(group))
+        for a, group in enumerate(fam.actions)
+    )
+    return InstrumentFamily(fam.location, fam.action_names, actions, fam.outcome_names)
+
+
+def test_total_probability_check_matches_the_loop(scenarios):
+    rng = np.random.default_rng(11)
+    kernels = []
+    for n in (2, 3, 2):
+        kernel = rng.random((3, 3))
+        kernel /= kernel.sum(axis=0)
+        split = rng.random((n, 3, 3))
+        split /= split.sum(axis=0)
+        kernels.append([kernel * part for part in split])
+    classical = kernel_family(4, 3, kernels)
+    quantum = polariser_family(4, [0, 45, 90])
+    shift = np.zeros((3, 3))
+    shift[1, 2] = 1.5  # above any kernel entry; moved within an action, sums stay whole
+    leak = 0.3 * np.eye(3)
+    negative = "classical kernel has negative entries (location 4, action {})"
+    lossy = "action {} at location 4 does not preserve total probability"
+    cases = [
+        ("classical", classical, {}, None),
+        ("classical", classical, {(0, 1): leak}, lossy.format(0)),
+        ("classical", classical, {(2, 0): leak}, lossy.format(2)),
+        ("classical", classical, {(1, 0): -shift, (1, 2): shift}, negative.format(1)),
+        ("classical", classical, {(1, 0): -shift}, negative.format(1)),
+        ("classical", classical, {(0, 0): leak, (2, 1): -shift}, lossy.format(0)),
+        ("classical", classical, {(0, 1): -shift, (2, 1): leak}, negative.format(0)),
+        ("quantum", quantum, {}, None),
+        ("quantum", quantum, {(0, 0): -0.1 * np.eye(4)}, lossy.format(0)),
+        ("quantum", quantum, {(2, 1): 0.1 * np.eye(4)}, lossy.format(2)),
+    ]
+    for kind, fam, faults, want in cases:
+        fam = _faulty(fam, faults)
+        size = 3 if kind == "classical" else 2
+        t = np.ones(3) if kind == "classical" else ops.trace_covector(2)
+        assert _loop_total_probability(kind, t, fam) == want
+        assert _spec_verdict(kind, fam, size) == want
+    # every bundled family passes both
+    for name in SCENARIO_NAMES:
+        spec = scenarios(name).spec
+        for fam in spec.instruments:
+            t = spec.total_covector(spec.chain_of(fam.location))
+            assert _loop_total_probability(spec.kind, t, fam) is None
 
 
 def test_polariser_family_shape():
@@ -280,6 +363,37 @@ def _random_instrument(rng, dim, n_outcomes, kraus_per_outcome=2):
             for o in range(n_outcomes)]
 
 
+def _loop_kraus_to_transfer(kraus, d):
+    """Reference: operators.kraus_to_transfer with one np.trace per entry."""
+    basis = ops.hermitian_basis(d)
+    n = len(basis)
+    T = np.zeros((n, n))
+    for q in range(n):
+        out = np.zeros((d, d), complex)
+        for K in kraus:
+            K = np.asarray(K, dtype=complex)
+            out += K @ basis[q] @ K.conj().T
+        out = (out + out.conj().T) / 2
+        for m in range(n):
+            T[m, q] = np.trace(basis[m] @ out).real
+    return T
+
+
+def test_kraus_to_transfer_matches_the_loop():
+    rng = np.random.default_rng(3)
+    cases = []
+    for angle in (0, 30, 45, 60, 90, 137.5):
+        P = ops.projector_at_angle(angle)
+        cases += [([P], 2), ([np.eye(2) - P], 2)]
+    for d in (2, 3, 4):
+        cases += [([ops.named_unitary(name, d)], d) for name in ("identity", "cycle", "fourier")]
+        for n_outcomes in (1, 2, 3):
+            cases += [(ks, d) for ks in _random_instrument(rng, d, n_outcomes)]
+    cases += [([ops.named_unitary(name, 2)], 2) for name in ("hadamard", "phase")]
+    for kraus, d in cases:
+        assert np.array_equal(ops.kraus_to_transfer(kraus, d), _loop_kraus_to_transfer(kraus, d))
+
+
 def test_kraus_chain_tables_match_the_oracle():
     rng = np.random.default_rng(2024)
     spec = QuantumSpec(
@@ -441,6 +555,85 @@ def test_table_spans_stop_at_the_first_deficient_region():
         validate_table_spans(spec, table, ranks)
     assert str(joint.value) == str(single.value)
     assert str(joint.value).startswith("region {2}:")
+
+
+# the rank tolerances of the CLI digest grid
+TOL_GRID = (1e-9, 1e-7, 1e-3, 0.5, 2.0, 1e308)
+
+
+def _extended_table(spec, regions):
+    """The table the span check once built: the spec with the extra
+    preparations and effects added to every chain."""
+    wide_spec = type(spec)(
+        chains=spec.chains,
+        instruments=spec.instruments,
+        preparations=tuple(
+            base + _extra_preparations(spec.kind, chain.size)
+            for base, chain in zip(spec.preparations, spec.chains)
+        ),
+        effects=tuple(
+            base + _extra_effects(spec.kind, chain.size)
+            for base, chain in zip(spec.effects, spec.chains)
+        ),
+    )
+    return build_prob_table(wide_spec, regions)
+
+
+def _table_rows(wide, axis):
+    return np.moveaxis(wide.values, axis, 0).reshape(wide.values.shape[axis], -1)
+
+
+def _table_extended_spans(wide, tol):
+    """Reference: each region's (extended rank, extended column count) as
+    the span check once read them off the extended table."""
+    spans = []
+    for axis in range(len(wide.regions)):
+        rows = _table_rows(wide, axis)
+        spans.append((len(greedy_independent_rows(rows, tol)), rows.shape[1]))
+    return spans
+
+
+def assert_cut_spans_match_the_table(spec, regions, tols):
+    table = build_prob_table(spec, regions)
+    wide = _extended_table(spec, regions)
+    slots = {}
+    for axis, region in enumerate(regions):
+        # the cut rows are the table's rows up to an isometry of the columns
+        gram = _table_rows(wide, axis) @ _table_rows(wide, axis).T
+        cut = _extended_rows(spec, region, slots)
+        bound = 1e-10 * max(1.0, float(np.abs(gram).max()))
+        np.testing.assert_allclose(cut @ cut.T, gram, rtol=0, atol=bound)
+    for tol in tols:
+        # label counts bound every rank, so no region is reported deficient
+        spans = validate_table_spans(
+            spec, table, [g.size for g in table.gammas], tol_rank=tol
+        )
+        got = [(v.extended_rank, v.n_extended_exteriors) for v in spans]
+        assert got == _table_extended_spans(wide, tol), f"tol_rank {tol}"
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_cut_spans_match_the_extended_table(scenarios, name):
+    s = scenarios(name)
+    assert_cut_spans_match_the_table(s.spec, s.regions, TOL_GRID)
+
+
+def test_cut_spans_follow_the_wire_order():
+    # a chain wired 3 -> 1 -> 2: the cut slots follow the wire, the rows
+    # the label set's order, and a region with a gap straddles location 1
+    rng = np.random.default_rng(7)
+    spec = QuantumSpec(
+        chains=(Chain("qubit", 2, (3, 1, 2)),),
+        instruments=tuple(
+            kraus_family(x, 2, [_random_instrument(rng, 2, 2),
+                                _random_instrument(rng, 2, 1)])
+            for x in (1, 2, 3)
+        ),
+        preparations=(ic_preparations("quantum", 2),),
+        effects=(ic_effects("quantum", 2),),
+    )
+    for regions in ([Region((2, 3))], [Region((1,)), Region((2, 3))], [Region((3,))]):
+        assert_cut_spans_match_the_table(spec, regions, TOL_GRID)
 
 
 def test_conditioning_restrictions_are_rejected():

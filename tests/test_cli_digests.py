@@ -2,7 +2,8 @@
 
 The digests are sha256 sums of the stdout bytes of ``causaloid compress``
 and ``causaloid validate`` on each bundled scenario, with and without the
-tolerance and seed flags, of ``causaloid herald`` queries and of the
+tolerance and seed flags and, with the exit code, over a grid of
+``--tol-rank`` values; of ``causaloid herald`` queries and of the
 README's ``causaloid diagram`` commands. They pin the report format, every
 span rank and exterior count, every fiducial choice, every
 ``lambda_sha256``, the witness exteriors of an ill-defined herald and the
@@ -68,6 +69,129 @@ def test_every_bundled_scenario_is_pinned():
 def test_output_bytes_are_pinned(capsys, name, command):
     argv = [command, "--scenario", scenario_path(name)]
     assert _digest(capsys, argv) == DIGESTS[name][command]
+
+
+# (scenario, command, --tol-rank) -> (exit code, sha256 of stdout) over the
+# rank-tolerance grid; above 1e-3 most scenarios fail their reconstruction
+# check (exit 3, empty stdout), and the classical ones still pass at 0.5
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GRID_DIGESTS = {
+    # adjacent_gates
+    ("adjacent_gates", "compress", "1e-9"): (0, "fad75ea74e10b4291a7e5e3a6e553bfc28d054be9b1044d25f151c32ad3d147c"),
+    ("adjacent_gates", "compress", "1e-7"): (0, "87fe5dba295dc94da09f7fba04391689b1c447fbcc1a47f66c788bfda6857ef3"),
+    ("adjacent_gates", "compress", "1e-3"): (0, "56451e72d3847959b7bf8e4d5abe0d24331f7bdc57b7369c748ec6a74068b0ec"),
+    ("adjacent_gates", "compress", "0.5"): (3, EMPTY),
+    ("adjacent_gates", "compress", "2.0"): (3, EMPTY),
+    ("adjacent_gates", "compress", "1e308"): (3, EMPTY),
+    ("adjacent_gates", "validate", "1e-9"): (0, "26b12ce4aa25067509f20a4b768dbe64a98e1d95b515cc14eaec9358cc2f970b"),
+    ("adjacent_gates", "validate", "1e-7"): (0, "26b12ce4aa25067509f20a4b768dbe64a98e1d95b515cc14eaec9358cc2f970b"),
+    ("adjacent_gates", "validate", "1e-3"): (0, "26b12ce4aa25067509f20a4b768dbe64a98e1d95b515cc14eaec9358cc2f970b"),
+    ("adjacent_gates", "validate", "0.5"): (3, EMPTY),
+    ("adjacent_gates", "validate", "2.0"): (3, EMPTY),
+    ("adjacent_gates", "validate", "1e308"): (3, EMPTY),
+    # classical_bit
+    ("classical_bit", "compress", "1e-9"): (0, "98c95a61c0977584e3a723c3e96eb41a9a82b229e1c8ca5ca9adb39d59cf3934"),
+    ("classical_bit", "compress", "1e-7"): (0, "39b33d98fb925c4947247629c8c57ab04e704e6801f4b73c0a98be5d692af333"),
+    ("classical_bit", "compress", "1e-3"): (0, "391d4e86adc595d2fcb908183500254a00ca8bdde03d0909f3558cbf679f6b84"),
+    ("classical_bit", "compress", "0.5"): (0, "c9e11bd6c006b719a3c6701ec37e18637284ed04fb83ab50104ca93da4030d07"),
+    ("classical_bit", "compress", "2.0"): (3, EMPTY),
+    ("classical_bit", "compress", "1e308"): (3, EMPTY),
+    ("classical_bit", "validate", "1e-9"): (0, "4ca33387f95799e4360c8fe7cb6de9a757c5423d8bab777588d7802eb74203da"),
+    ("classical_bit", "validate", "1e-7"): (0, "4ca33387f95799e4360c8fe7cb6de9a757c5423d8bab777588d7802eb74203da"),
+    ("classical_bit", "validate", "1e-3"): (0, "4ca33387f95799e4360c8fe7cb6de9a757c5423d8bab777588d7802eb74203da"),
+    ("classical_bit", "validate", "0.5"): (0, "4ca33387f95799e4360c8fe7cb6de9a757c5423d8bab777588d7802eb74203da"),
+    ("classical_bit", "validate", "2.0"): (3, EMPTY),
+    ("classical_bit", "validate", "1e308"): (3, EMPTY),
+    # classical_chain3
+    ("classical_chain3", "compress", "1e-9"): (0, "83c14fa965462941cabdbf5a4874f86f115c53ac44abfa54531780f3627eb3aa"),
+    ("classical_chain3", "compress", "1e-7"): (0, "8641b430ae5e92273a15648b0d89724b99338e0f07d831b2ba140a7c800f4b79"),
+    ("classical_chain3", "compress", "1e-3"): (0, "857b1a2c1e6c2b2512b12dbb80fe8938254f7ccd21c1c0bd1b2859b1d833c400"),
+    ("classical_chain3", "compress", "0.5"): (0, "cbe7c38ea7bd6c0476541387d3697186f59b5dd5d357fdb2e76b0d342d7fb241"),
+    ("classical_chain3", "compress", "2.0"): (3, EMPTY),
+    ("classical_chain3", "compress", "1e308"): (3, EMPTY),
+    ("classical_chain3", "validate", "1e-9"): (0, "eee2b3c84c86a26cc50e9c55af605666f8192ab297ed3d7b9470fcc6d28d7930"),
+    ("classical_chain3", "validate", "1e-7"): (0, "eee2b3c84c86a26cc50e9c55af605666f8192ab297ed3d7b9470fcc6d28d7930"),
+    ("classical_chain3", "validate", "1e-3"): (0, "eee2b3c84c86a26cc50e9c55af605666f8192ab297ed3d7b9470fcc6d28d7930"),
+    ("classical_chain3", "validate", "0.5"): (0, "eee2b3c84c86a26cc50e9c55af605666f8192ab297ed3d7b9470fcc6d28d7930"),
+    ("classical_chain3", "validate", "2.0"): (3, EMPTY),
+    ("classical_chain3", "validate", "1e308"): (3, EMPTY),
+    # classical_trit
+    ("classical_trit", "compress", "1e-9"): (0, "55987fde6bc3f7db239c6200599746ba515893cfc41848639be4b1c0fc71866a"),
+    ("classical_trit", "compress", "1e-7"): (0, "81a3956c9281112c28dcc5cd2de0d93d695c672e76b5df9809dee5d4c84c5348"),
+    ("classical_trit", "compress", "1e-3"): (0, "668434cf3cee1d7269742c2b47566b89b2b338439fd56b600809d83802cd2f2f"),
+    ("classical_trit", "compress", "0.5"): (0, "8f1c4cac2bb1bccbb4f49d0c70507eaef7d677e9df6b967aec99f334bba75234"),
+    ("classical_trit", "compress", "2.0"): (3, EMPTY),
+    ("classical_trit", "compress", "1e308"): (3, EMPTY),
+    ("classical_trit", "validate", "1e-9"): (0, "4846e6334dbb0b1ea31e29b61293449f6984922e9c33916865dd66a1d8ae0462"),
+    ("classical_trit", "validate", "1e-7"): (0, "4846e6334dbb0b1ea31e29b61293449f6984922e9c33916865dd66a1d8ae0462"),
+    ("classical_trit", "validate", "1e-3"): (0, "4846e6334dbb0b1ea31e29b61293449f6984922e9c33916865dd66a1d8ae0462"),
+    ("classical_trit", "validate", "0.5"): (0, "4846e6334dbb0b1ea31e29b61293449f6984922e9c33916865dd66a1d8ae0462"),
+    ("classical_trit", "validate", "2.0"): (3, EMPTY),
+    ("classical_trit", "validate", "1e308"): (3, EMPTY),
+    # polariser_chain
+    ("polariser_chain", "compress", "1e-9"): (0, "1646e48c93db2b1691dda50c394d8fe0d196967ed18a5f38d260c25421609d72"),
+    ("polariser_chain", "compress", "1e-7"): (0, "93e40bb0c67950b39b7dad4d7bec8694e8b81e2ce3f5f7aab5ac1ac3c173012b"),
+    ("polariser_chain", "compress", "1e-3"): (0, "d081ca29e9e937896dd82fd2154ddae57495dea7d7351d2c1d9759a54f838c00"),
+    ("polariser_chain", "compress", "0.5"): (3, EMPTY),
+    ("polariser_chain", "compress", "2.0"): (3, EMPTY),
+    ("polariser_chain", "compress", "1e308"): (3, EMPTY),
+    ("polariser_chain", "validate", "1e-9"): (0, "6a413eed620830451b484b17d4a42f1197f5cba6823030dc3860c3acde4ceb72"),
+    ("polariser_chain", "validate", "1e-7"): (0, "6a413eed620830451b484b17d4a42f1197f5cba6823030dc3860c3acde4ceb72"),
+    ("polariser_chain", "validate", "1e-3"): (0, "6a413eed620830451b484b17d4a42f1197f5cba6823030dc3860c3acde4ceb72"),
+    ("polariser_chain", "validate", "0.5"): (3, EMPTY),
+    ("polariser_chain", "validate", "2.0"): (3, EMPTY),
+    ("polariser_chain", "validate", "1e308"): (3, EMPTY),
+    # qubit_channel
+    ("qubit_channel", "compress", "1e-9"): (0, "b2a9591c96aad005da00390ee73605720a89b5b227258d43f8457b75e86f6573"),
+    ("qubit_channel", "compress", "1e-7"): (0, "01576899de22c760e05689a2829226bbe558d66836ac64ef7be6ba84ae1da0b9"),
+    ("qubit_channel", "compress", "1e-3"): (0, "272b2e1615e70b9fa27dd97d56da3818e15705672d9ff396826ec60aef70bddb"),
+    ("qubit_channel", "compress", "0.5"): (3, EMPTY),
+    ("qubit_channel", "compress", "2.0"): (3, EMPTY),
+    ("qubit_channel", "compress", "1e308"): (3, EMPTY),
+    ("qubit_channel", "validate", "1e-9"): (0, "3af3ee4d87efad106d85e299a76a32946b130bf663e7b5dd8870eae6a724a39e"),
+    ("qubit_channel", "validate", "1e-7"): (0, "3af3ee4d87efad106d85e299a76a32946b130bf663e7b5dd8870eae6a724a39e"),
+    ("qubit_channel", "validate", "1e-3"): (0, "3af3ee4d87efad106d85e299a76a32946b130bf663e7b5dd8870eae6a724a39e"),
+    ("qubit_channel", "validate", "0.5"): (3, EMPTY),
+    ("qubit_channel", "validate", "2.0"): (3, EMPTY),
+    ("qubit_channel", "validate", "1e308"): (3, EMPTY),
+    # qutrit_channel
+    ("qutrit_channel", "compress", "1e-9"): (0, "1ff6e4fc9a6a84c37515c8b3aba2b7bdff5c5930a417b87e3eec662bec45b412"),
+    ("qutrit_channel", "compress", "1e-7"): (0, "aac52dab0bd26d9b1ab5e33e33900215856307ba73860e00072510477437a48d"),
+    ("qutrit_channel", "compress", "1e-3"): (0, "116f9470bd73b02efbad99bcf5a83e0828055b029006d0adf76be581b699f672"),
+    ("qutrit_channel", "compress", "0.5"): (3, EMPTY),
+    ("qutrit_channel", "compress", "2.0"): (3, EMPTY),
+    ("qutrit_channel", "compress", "1e308"): (3, EMPTY),
+    ("qutrit_channel", "validate", "1e-9"): (0, "c1c542c3833d455aa73b4bb5a3bf65a6022709b7a05e1977d4ed462fc1c3a742"),
+    ("qutrit_channel", "validate", "1e-7"): (0, "c1c542c3833d455aa73b4bb5a3bf65a6022709b7a05e1977d4ed462fc1c3a742"),
+    ("qutrit_channel", "validate", "1e-3"): (0, "c1c542c3833d455aa73b4bb5a3bf65a6022709b7a05e1977d4ed462fc1c3a742"),
+    ("qutrit_channel", "validate", "0.5"): (3, EMPTY),
+    ("qutrit_channel", "validate", "2.0"): (3, EMPTY),
+    ("qutrit_channel", "validate", "1e308"): (3, EMPTY),
+    # spacelike_bits
+    ("spacelike_bits", "compress", "1e-9"): (0, "8f22bb85cc692e2e3f20c5e68d5752dff00fb083ff788b27c6134842a6fd1592"),
+    ("spacelike_bits", "compress", "1e-7"): (0, "5d46a973f5b3b6e82b3fad9fc2b138125dde5c22bebc03f585792d822f1ce26d"),
+    ("spacelike_bits", "compress", "1e-3"): (0, "e8cf3d49ab03b2a8698d8b7276279991fac8f7f63811ca92b221f2117401f682"),
+    ("spacelike_bits", "compress", "0.5"): (0, "b2fd64a87cb2b2dff5081a35b0bd3c70ae6a2a564b14f68c437b1d79a2c41fa3"),
+    ("spacelike_bits", "compress", "2.0"): (3, EMPTY),
+    ("spacelike_bits", "compress", "1e308"): (3, EMPTY),
+    ("spacelike_bits", "validate", "1e-9"): (0, "370e248d3ab757122e1f27417a66809f3c1680d3ee376565c09878e9e782d426"),
+    ("spacelike_bits", "validate", "1e-7"): (0, "370e248d3ab757122e1f27417a66809f3c1680d3ee376565c09878e9e782d426"),
+    ("spacelike_bits", "validate", "1e-3"): (0, "370e248d3ab757122e1f27417a66809f3c1680d3ee376565c09878e9e782d426"),
+    ("spacelike_bits", "validate", "0.5"): (0, "370e248d3ab757122e1f27417a66809f3c1680d3ee376565c09878e9e782d426"),
+    ("spacelike_bits", "validate", "2.0"): (3, EMPTY),
+    ("spacelike_bits", "validate", "1e308"): (3, EMPTY),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GRID_DIGESTS), ids=lambda case: " ".join(case)
+)
+def test_tolerance_grid_is_pinned(capsys, case):
+    name, command, tol = case
+    code = main([command, "--scenario", scenario_path(name), "--tol-rank", tol])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == GRID_DIGESTS[case]
 
 
 # (--target, --given) on polariser_chain: the README example (well defined)

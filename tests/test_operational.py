@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from causaloid import (
     sample_stacks,
 )
 from causaloid.errors import SchemaError, UnknownProcedure, UnknownRegion
+from causaloid.operational import _write_stacks
 from causaloid.tables import ExteriorConfiguration
 
 
@@ -267,3 +270,115 @@ def test_dump_bytes_are_pinned(tmp_path):
 def test_cards_outside_a_stack_are_rejected(text, line):
     with pytest.raises(SchemaError, match=f"line {line}: cards appear before any stack header"):
         parse_stacks(text)
+
+
+def _line_parse_stacks(text):
+    """Reference: parse_stacks as one Python step per line."""
+    stacks = []
+    tags, cards, built = {}, {}, {}
+    tag_text, lines = None, []
+
+    def flush():
+        key = (tag_text, tuple(lines))
+        if key not in built:
+            built[key] = Stack((cards[c] for c in lines), tags[tag_text])
+        stacks.append(built[key])
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            if tag_text is not None:
+                flush()
+                tag_text = None
+            continue
+        if line.startswith("#"):
+            if tag_text is not None:
+                flush()
+            parts = line.split("procedure", 1)
+            if len(parts) != 2:
+                raise SchemaError("stack header lacks a procedure tag", f"line {lineno}")
+            tag_text, lines = parts[1], []
+            if tag_text not in tags:
+                try:
+                    pairs = [tuple(int(t) for t in item.split(":")) for item in tag_text.split()]
+                    tags[tag_text] = ProcedureSpec(dict((x, a) for x, a in pairs))
+                except (ValueError, TypeError) as exc:
+                    raise SchemaError(f"bad procedure tag: {exc}", f"line {lineno}") from exc
+            continue
+        if tag_text is None:
+            raise SchemaError("cards appear before any stack header", f"line {lineno}")
+        if line not in cards:
+            try:
+                x, a, s = (int(t) for t in line.split(","))
+            except ValueError as exc:
+                raise SchemaError(f"bad card record {line!r}", f"line {lineno}") from exc
+            cards[line] = Card(x, a, s)
+        lines.append(line)
+    if tag_text is not None:
+        flush()
+    return stacks
+
+
+def _parse_verdict(parse, text):
+    try:
+        return parse(text)
+    except (SchemaError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+MALFORMED_STACKS = [
+    "", "\n\n\n", "#\n", "# stack 0\n1,0,0\n", "# stack 0 procedure 1:x\n1,0,0\n",
+    "# stack 0 procedure -1:0\n", "# stack 0 procedure 1:0\n1,0\n",
+    "# stack 0 procedure 1:0\n1,1,0\n", "# stack 0 procedure 1:0 1:1\n1,1,0\n",
+    "# stack 0 procedure 1:0\n1,0,0\n1,0,1\n", "# stack 0 procedure 1:0\n1,-1,0\n",
+    "#procedure 1:0\n1,0,0\n# procedure 1:0\n1,0,0",
+    "# a procedure 1:0 procedure 2\n1,0,0\n",
+    "# stack 0 procedure 1:0\n\n1,0,0\n", "# stack 0 procedure 1:0\n   \n1,0,0\n",
+    "# stack 0 procedure 1:0\x0b1,0,0\x0c\n", "# s\x0bprocedure 1:0\n\n1,0,0\n",
+    "1,0,0\x0b# stack 0 procedure 1:0\n", "# stack 0 procedure 1:0\r\n1,0,0\r\n\r\n",
+    "# stack 0 procedure 1:0\n1,0,0\n# stack 1 procedure\n\n", "x\n#procedure 1:0\n",
+    # a valid piece, then a faulty one with the same text from "procedure" on
+    "# stack 0 procedure 1:0\n1,0,0\n\n# s\x0bprocedure 1:0\n1,0,0",
+    "# stack 0 procedure 1:0\n1,0,0\n\n1,0,0 procedure 1:0\n1,0,0",
+    "# s procedure 1:0\n1,0,0\n\n 1:0\n1,0,0",
+]
+
+
+def test_parse_stacks_matches_the_line_parser():
+    spec = QuantumSpec(
+        chains=(Chain("photon", 2, (1, 2, 3)),),
+        instruments=tuple(polariser_family(x, [0, 30, 60, 90]) for x in (1, 2, 3)),
+        preparations=(ic_preparations("quantum", 2),),
+        effects=(ic_effects("quantum", 2),),
+    )
+    buf = io.StringIO()
+    _write_stacks(sample_stacks(spec, ProcedureSpec({1: 0, 2: 1, 3: 2}), 200, 7), buf)
+    dump = buf.getvalue()
+    texts = [dump, dump.replace("\n", "\r\n"), " " + dump.replace("\n", " \n\t")]
+    texts += MALFORMED_STACKS
+    # line-level edits of the dump: dropped, doubled, blanked and spliced lines
+    rng = random.Random(1)
+    lines = dump.split("\n")[:40]
+    scraps = ["", " ", "#", "# stack 9 procedure 1:0 2:1 3:2", "1,0,0", "2,1,1", "x",
+              "procedure", ",", ":", "\r", "\t"]
+    for _ in range(400):
+        edited = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(edited))
+            j = rng.randrange(len(edited[i]) + 1)
+            edit = rng.choice(("replace", "delete", "insert", "splice"))
+            if edit == "replace":
+                edited[i] = rng.choice(scraps)
+            elif edit == "delete":
+                del edited[i]
+            elif edit == "insert":
+                edited.insert(i, rng.choice(scraps))
+            else:
+                edited[i] = edited[i][:j] + rng.choice(scraps) + edited[i][j:]
+        texts.append("\n".join(edited))
+    failures = 0
+    for text in texts:
+        want = _parse_verdict(_line_parse_stacks, text)
+        assert _parse_verdict(parse_stacks, text) == want, repr(text)
+        failures += isinstance(want, tuple)
+    assert 100 < failures < len(texts) - 100  # both outcomes are well covered

@@ -3,7 +3,9 @@
 The chains carry random stochastic kernels (``kernel_family``) on one or two
 chains of one to three locations, split into random regions; each generated
 arrangement is compressed and checked against the exact oracle
-``joint_prob``. The documents are the bundled scenarios with random edits;
+``joint_prob``. The span check's cut ranks are checked against the
+extended-exterior table on those chains and on two-location qubit chains of
+random Kraus instruments (``kraus_family``). The documents are the bundled scenarios with random edits;
 parsing one either succeeds or raises a ``CausaloidError``. Examples are
 derandomized, so every run checks the same cases.
 """
@@ -21,22 +23,26 @@ from hypothesis import strategies as st
 from causaloid import (
     Chain,
     ClassicalSpec,
+    QuantumSpec,
     Region,
     adjacency_graph,
     build_causaloid,
     build_measurement_matrix,
     build_prob_table,
     causaloid_product,
+    complete_effect,
     ic_effects,
     ic_preparations,
     joint_prob,
     kernel_family,
+    kraus_family,
     r_vector,
 )
 from causaloid.errors import CausaloidError
 from causaloid.scenario import parse_scenario_dict
 
 from conftest import SCENARIO_NAMES, scenario_path
+from test_backends import _random_instrument, assert_cut_spans_match_the_table
 
 
 def _settings(examples: int):
@@ -160,6 +166,48 @@ def test_full_composite_product_is_the_outer_product(arrangement):
             outer = np.multiply.outer(a.components, b.components).reshape(-1)
             for product in (causaloid_product(a, b, c), causaloid_product(b, a, c)):
                 assert np.abs(product.components - outer).max() <= 1e-12
+
+
+@st.composite
+def kraus_chains(draw):
+    """A two-location qubit chain of random Kraus instruments, probed on
+    one location, on both as two regions, or as one region."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instruments = tuple(
+        kraus_family(x, 2, [
+            _random_instrument(rng, 2, n)
+            for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        ])
+        for x in (1, 2)
+    )
+    complete = (complete_effect("quantum", 2),) if draw(st.booleans()) else ()
+    spec = QuantumSpec(
+        chains=(Chain("qubit", 2, (1, 2)),),
+        instruments=instruments,
+        preparations=(ic_preparations("quantum", 2),),
+        effects=(ic_effects("quantum", 2) + complete,),
+    )
+    regions = draw(st.sampled_from([
+        [Region((1,))], [Region((2,))], [Region((1,)), Region((2,))], [Region((1, 2))],
+    ]))
+    return spec, regions
+
+
+@_settings(40)
+@given(arrangements(), st.data())
+def test_cut_spans_match_the_extended_table(arrangement, data):
+    # regions may straddle chains and skip locations; a subset of them
+    # leaves the other locations unprobed
+    spec, regions, _ = arrangement
+    probed = data.draw(st.lists(st.sampled_from(regions), min_size=1, unique=True))
+    assert_cut_spans_match_the_table(spec, probed, (1e-9, 0.5))
+
+
+@_settings(20)
+@given(kraus_chains())
+def test_cut_spans_match_the_extended_table_on_kraus_chains(chain):
+    spec, regions = chain
+    assert_cut_spans_match_the_table(spec, regions, (1e-9, 0.5))
 
 
 # -- mutated scenario documents ----------------------------------------------

@@ -381,8 +381,39 @@ def test_cli_seed_lands_in_report(tmp_path):
     assert json.loads(out.read_text())["seed"] == 424242
 
 
-def test_pipeline_builds_two_tables(scenarios, monkeypatch):
-    # the scenario's table plus one extended-exterior table for span checks
+def _polariser_chain(n, neighbours=False):
+    """An n-location polariser chain with every region pair declared, or
+    only neighbouring pairs (the benchmark's scaling ladder)."""
+    names = [f"R{x}" for x in range(1, n + 1)]
+    return parse_scenario_dict({
+        "format_version": 1,
+        "name": f"polariser-{n}",
+        "theory": {
+            "kind": "quantum",
+            "chains": [{"name": "photon", "size": 2,
+                        "locations": list(range(1, n + 1))}],
+            "instruments": [
+                {"location": x, "family": "polariser",
+                 "angles_deg": [0, 30, 60, 90]}
+                for x in range(1, n + 1)
+            ],
+        },
+        "regions": {name: [x] for x, name in enumerate(names, 1)},
+        "composites": [
+            list(pair)
+            for pair in (zip(names, names[1:]) if neighbours
+                         else itertools.combinations(names, 2))
+        ],
+    })
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda scenarios: scenarios("polariser_chain"), id="polariser_chain"),
+    pytest.param(lambda scenarios: _polariser_chain(4, neighbours=True), id="ladder4"),
+    pytest.param(lambda scenarios: _polariser_chain(5, neighbours=True), id="ladder5"),
+])
+def test_pipeline_builds_one_table(scenarios, monkeypatch, make):
+    # the span checks read their extended ranks at the regions' cuts
     import sys
 
     import causaloid.backends as backends
@@ -399,30 +430,9 @@ def test_pipeline_builds_two_tables(scenarios, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    s = scenarios("polariser_chain")
+    s = make(scenarios)
     run_pipeline(s)
-    assert calls == [s.regions, s.regions]
-
-
-def _polariser_chain(n):
-    """An n-location polariser chain with every region pair declared."""
-    names = [f"R{x}" for x in range(1, n + 1)]
-    return parse_scenario_dict({
-        "format_version": 1,
-        "name": f"polariser-{n}",
-        "theory": {
-            "kind": "quantum",
-            "chains": [{"name": "photon", "size": 2,
-                        "locations": list(range(1, n + 1))}],
-            "instruments": [
-                {"location": x, "family": "polariser",
-                 "angles_deg": [0, 30, 60, 90]}
-                for x in range(1, n + 1)
-            ],
-        },
-        "regions": {name: [x] for x, name in enumerate(names, 1)},
-        "composites": [list(pair) for pair in itertools.combinations(names, 2)],
-    })
+    assert calls == [s.regions]
 
 
 @pytest.mark.parametrize("make", [
@@ -430,9 +440,9 @@ def _polariser_chain(n):
     pytest.param(lambda scenarios: _polariser_chain(4), id="chain4"),
 ])
 def test_pipeline_scans_each_rank_once(scenarios, monkeypatch, make):
-    # one fiducial scan per region and composite, one extended-exterior
-    # scan per region, one conditioning span per mediating location; the
-    # declared-exterior ranks are read from the registry
+    # one fiducial scan per region and composite, one extended-rank scan
+    # of the cut rows per region, one conditioning span per mediating
+    # location; the declared-exterior ranks are read from the registry
     import sys
 
     from causaloid.tables import greedy_independent_rows
