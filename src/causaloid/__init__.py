@@ -106,7 +106,6 @@ from .heralding import (
     HeraldResult,
     conditional_from_table,
     conditional_sweep,
-    consistent_labels,
     herald,
 )
 from .operational import (

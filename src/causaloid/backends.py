@@ -45,7 +45,7 @@ __all__ = [
     "ClassicalSpec",
     "QuantumSpec",
     "SpanValidation",
-    "DEFAULT_TABLE_CAP",
+    "TABLE_CAP",
     "polariser_family",
     "probe_reprepare_family",
     "unitary_family",
@@ -64,7 +64,7 @@ __all__ = [
     "conditioning_span",
 ]
 
-DEFAULT_TABLE_CAP = 10_000_000
+TABLE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class Chain:
 
 @dataclass(frozen=True, eq=False)
 class Preparation:
-    name: str
     vector: np.ndarray
 
     def __post_init__(self):
@@ -93,7 +92,6 @@ class Preparation:
 
 @dataclass(frozen=True, eq=False)
 class TerminalEffect:
-    name: str
     vector: np.ndarray
     complete: bool
 
@@ -111,18 +109,12 @@ class InstrumentFamily:
     """
 
     location: int
-    action_names: tuple[str, ...]
     actions: tuple[tuple[np.ndarray, ...], ...]
-    outcome_names: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if len(self.actions) != len(self.action_names):
-            raise BackendError("action names must align with actions")
-        if len(self.outcome_names) != len(self.actions):
-            raise BackendError("outcome names must align with actions")
-        for fam, names in zip(self.actions, self.outcome_names):
-            if not fam or len(fam) != len(names):
-                raise BackendError("every action needs named outcomes")
+        for fam in self.actions:
+            if not fam:
+                raise BackendError("every action needs an outcome")
             for T in fam:
                 T.setflags(write=False)
 
@@ -175,17 +167,17 @@ class TheorySpec:
             raise BackendError("preparations and effects are per-chain")
         for chain, preps, effs in zip(self.chains, self.preparations, self.effects):
             d = self.vec_dim(chain)
-            for p in preps:
+            for i, p in enumerate(preps):
                 if p.vector.shape != (d,):
                     raise DimensionMismatch(
-                        f"preparation {p.name!r} does not fit chain {chain.name!r}"
+                        f"preparation {i} does not fit chain {chain.name!r}"
                     )
             if not preps or not effs:
                 raise BackendError(f"chain {chain.name!r} needs preparations and effects")
-            for e in effs:
+            for i, e in enumerate(effs):
                 if e.vector.shape != (d,):
                     raise DimensionMismatch(
-                        f"effect {e.name!r} does not fit chain {chain.name!r}"
+                        f"effect {i} does not fit chain {chain.name!r}"
                     )
         for fam in self.instruments:
             d = self.vec_dim(self.chain_of(fam.location))
@@ -320,20 +312,13 @@ def polariser_family(location: int, angles_deg: Sequence[float]) -> InstrumentFa
     if not angles_deg:
         raise BackendError("a polariser needs at least one angle")
     actions = []
-    names = []
     for angle in angles_deg:
         P = ops.projector_at_angle(float(angle))
         Q = np.eye(2) - P
         actions.append(
             (ops.kraus_to_transfer([P], 2), ops.kraus_to_transfer([Q], 2))
         )
-        names.append(f"polariser@{_fmt_angle(angle)}")
-    outcome_names = tuple(("pass", "absorb") for _ in actions)
-    return InstrumentFamily(location, tuple(names), tuple(actions), outcome_names)
-
-
-def _fmt_angle(angle: float) -> str:
-    return f"{float(angle):g}deg"
+    return InstrumentFamily(location, tuple(actions))
 
 
 def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
@@ -345,20 +330,17 @@ def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
     rho -> Tr[(I - P_m) rho] sigma_j, whose transfer matrices are rank-1.
     """
     coords = [
-        (name, ops.operator_coords(ops.density_from_ket(ket), dim))
-        for name, ket in ops.ic_pure_kets(dim)
+        ops.operator_coords(ops.density_from_ket(ket), dim)
+        for ket in ops.ic_pure_kets(dim)
     ]
     t = ops.trace_covector(dim)
     actions = []
-    names = []
-    for mname, w in coords:
-        for jname, v in coords:
+    for w in coords:
+        for v in coords:
             T_hit = np.outer(v, w)
             T_miss = np.outer(v, t - w)
             actions.append((T_miss, T_hit))
-            names.append(f"probe[{mname}]>reset[{jname}]")
-    outcome_names = tuple(("miss", "hit") for _ in actions)
-    return InstrumentFamily(location, tuple(names), tuple(actions), outcome_names)
+    return InstrumentFamily(location, tuple(actions))
 
 
 def unitary_family(location: int, dim: int, names: Sequence[str]) -> InstrumentFamily:
@@ -368,15 +350,13 @@ def unitary_family(location: int, dim: int, names: Sequence[str]) -> InstrumentF
     for name in names:
         U = ops.named_unitary(name, dim)
         actions.append((ops.kraus_to_transfer([U], dim),))
-    outcome_names = tuple(("done",) for _ in actions)
-    return InstrumentFamily(location, tuple(names), tuple(actions), outcome_names)
+    return InstrumentFamily(location, tuple(actions))
 
 
 def kraus_family(
     location: int,
     dim: int,
     actions: Sequence[Sequence[Sequence[np.ndarray]]],
-    action_names: Sequence[str] | None = None,
 ) -> InstrumentFamily:
     """Explicit instruments: per action, per outcome, a list of Kraus operators."""
     if not actions:
@@ -388,19 +368,12 @@ def kraus_family(
         mats.append(
             tuple(ops.kraus_to_transfer(list(ks), dim) for ks in outcome_kraus)
         )
-    names = tuple(action_names) if action_names else tuple(
-        f"kraus{idx}" for idx in range(len(actions))
-    )
-    outcome_names = tuple(
-        tuple(f"s{s}" for s in range(len(group))) for group in mats
-    )
-    return InstrumentFamily(location, names, tuple(mats), outcome_names)
+    return InstrumentFamily(location, tuple(mats))
 
 
 def probe_reset_family(location: int, alphabet: int) -> InstrumentFamily:
     """Classical read-and-reset family: observe the symbol, emit a fixed one."""
     actions = []
-    names = []
     for j in range(alphabet):
         group = []
         for s in range(alphabet):
@@ -408,11 +381,7 @@ def probe_reset_family(location: int, alphabet: int) -> InstrumentFamily:
             T[j, s] = 1.0
             group.append(T)
         actions.append(tuple(group))
-        names.append(f"read>reset[{j}]")
-    outcome_names = tuple(
-        tuple(f"saw{s}" for s in range(alphabet)) for _ in actions
-    )
-    return InstrumentFamily(location, tuple(names), tuple(actions), outcome_names)
+    return InstrumentFamily(location, tuple(actions))
 
 
 def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> InstrumentFamily:
@@ -436,15 +405,11 @@ def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> I
         else:
             raise BackendError(f"unknown classical map {name!r}")
         actions.append((T,))
-    outcome_names = tuple(("done",) for _ in actions)
-    return InstrumentFamily(location, tuple(maps), tuple(actions), outcome_names)
+    return InstrumentFamily(location, tuple(actions))
 
 
 def kernel_family(
-    location: int,
-    alphabet: int,
-    actions: Sequence[Sequence[np.ndarray]],
-    action_names: Sequence[str] | None = None,
+    location: int, alphabet: int, actions: Sequence[Sequence[np.ndarray]]
 ) -> InstrumentFamily:
     """Explicit classical instruments: per action, per outcome, a kernel."""
     mats = []
@@ -458,13 +423,7 @@ def kernel_family(
                 )
             prepared.append(T)
         mats.append(tuple(prepared))
-    names = tuple(action_names) if action_names else tuple(
-        f"kernel{idx}" for idx in range(len(mats))
-    )
-    outcome_names = tuple(
-        tuple(f"s{s}" for s in range(len(group))) for group in mats
-    )
-    return InstrumentFamily(location, names, tuple(mats), outcome_names)
+    return InstrumentFamily(location, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -473,81 +432,67 @@ def kernel_family(
 
 def ic_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
     if kind == "classical":
-        return tuple(
-            Preparation(f"point{j}", np.eye(size)[j].copy()) for j in range(size)
-        )
+        return tuple(Preparation(np.eye(size)[j].copy()) for j in range(size))
     return tuple(
-        Preparation(name, ops.operator_coords(ops.density_from_ket(ket), size))
-        for name, ket in ops.ic_pure_kets(size)
+        Preparation(ops.operator_coords(ops.density_from_ket(ket), size))
+        for ket in ops.ic_pure_kets(size)
     )
 
 
 def ic_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
     if kind == "classical":
         return tuple(
-            TerminalEffect(f"read{j}", np.eye(size)[j].copy(), False)
-            for j in range(size)
+            TerminalEffect(np.eye(size)[j].copy(), False) for j in range(size)
         )
     return tuple(
-        TerminalEffect(
-            name, ops.operator_coords(ops.density_from_ket(ket), size), False
-        )
-        for name, ket in ops.ic_pure_kets(size)
+        TerminalEffect(ops.operator_coords(ops.density_from_ket(ket), size), False)
+        for ket in ops.ic_pure_kets(size)
     )
 
 
 def complete_effect(kind: str, size: int) -> TerminalEffect:
     if kind == "classical":
-        return TerminalEffect("discard", np.ones(size), True)
+        return TerminalEffect(np.ones(size), True)
     return TerminalEffect(
-        "discard", ops.operator_coords(np.eye(size, dtype=complex), size), True
+        ops.operator_coords(np.eye(size, dtype=complex), size), True
     )
 
 
 def _extra_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
     if kind == "classical":
-        out = [Preparation("uniform", np.full(size, 1.0 / size))]
+        out = [Preparation(np.full(size, 1.0 / size))]
         for j in range(size):
             for k in range(j + 1, size):
                 v = np.zeros(size)
                 v[j] = v[k] = 0.5
-                out.append(Preparation(f"mix{j}{k}", v))
+                out.append(Preparation(v))
         return tuple(out)
     out = [
-        Preparation(
-            name, ops.operator_coords(ops.density_from_ket(ket), size)
-        )
-        for name, ket in ops.extra_pure_kets(size)
+        Preparation(ops.operator_coords(ops.density_from_ket(ket), size))
+        for ket in ops.extra_pure_kets(size)
     ]
     out.append(
-        Preparation(
-            "maximally-mixed",
-            ops.operator_coords(np.eye(size, dtype=complex) / size, size),
-        )
+        Preparation(ops.operator_coords(np.eye(size, dtype=complex) / size, size))
     )
     return tuple(out)
 
 
 def _extra_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
     if kind == "classical":
-        out = [TerminalEffect("half", np.full(size, 0.5), False)]
+        out = [TerminalEffect(np.full(size, 0.5), False)]
         for j in range(size):
             for k in range(j + 1, size):
                 v = np.zeros(size)
                 v[j] = v[k] = 1.0
-                out.append(TerminalEffect(f"read{j}or{k}", v, False))
+                out.append(TerminalEffect(v, False))
         return tuple(out)
     out = [
-        TerminalEffect(
-            name, ops.operator_coords(ops.density_from_ket(ket), size), False
-        )
-        for name, ket in ops.extra_pure_kets(size)
+        TerminalEffect(ops.operator_coords(ops.density_from_ket(ket), size), False)
+        for ket in ops.extra_pure_kets(size)
     ]
     out.append(
         TerminalEffect(
-            "half",
-            ops.operator_coords(np.eye(size, dtype=complex) / 2, size),
-            False,
+            ops.operator_coords(np.eye(size, dtype=complex) / 2, size), False
         )
     )
     return tuple(out)
@@ -646,11 +591,7 @@ def joint_prob(
     return p
 
 
-def build_prob_table(
-    spec: TheorySpec,
-    regions: Sequence[Region],
-    cap: int = DEFAULT_TABLE_CAP,
-) -> ProbTable:
+def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     """Exact joint table over the given disjoint regions.
 
     Everything not probed is swept as exterior: preparations and terminal
@@ -672,10 +613,8 @@ def build_prob_table(
     n_entries = len(exteriors)
     for g in gammas:
         n_entries *= g.size
-    if n_entries > cap:
-        raise TableTooLarge(
-            f"table would hold {n_entries} entries, above the cap of {cap}"
-        )
+    if n_entries > TABLE_CAP:
+        raise TableTooLarge(f"table would hold {n_entries} entries, above the cap of {TABLE_CAP}")
     if not exteriors:
         raise UnknownExterior("the scenario declares no exterior configurations")
 
@@ -884,13 +823,10 @@ def validate_table_spans(
 
 
 def validate_exterior_span(
-    spec: TheorySpec,
-    region: Region,
-    tol_rank: float = 1e-9,
-    cap: int = DEFAULT_TABLE_CAP,
+    spec: TheorySpec, region: Region, tol_rank: float = 1e-9
 ) -> SpanValidation:
     """Span check of one region on its own table (see validate_table_spans)."""
-    table = build_prob_table(spec, [region], cap)
+    table = build_prob_table(spec, [region])
     rank = len(greedy_independent_rows(table.values, tol_rank))
     return validate_table_spans(spec, table, [rank], tol_rank)[0]
 

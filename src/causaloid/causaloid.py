@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compositional import (
-    CompositeRegion,
     CompositionalLambda,
     compute_compositional_lambda,
     find_composite_omega,
@@ -167,7 +166,6 @@ def _tensor_deduce(stub: DeducedEntry) -> CompositionalLambda:
         dims=dims,
     )
     return CompositionalLambda(
-        composite=CompositeRegion(regions),
         factor_omegas=stub.factor_omegas,
         omega=omega,
         matrix=np.eye(n),
@@ -392,7 +390,6 @@ def change_omega_basis(entry, new_omega: OmegaSet):
     if isinstance(entry, TomographicLambda):
         return TomographicLambda(gamma=entry.gamma, omega=new_omega, matrix=lam)
     return CompositionalLambda(
-        composite=entry.composite,
         factor_omegas=entry.factor_omegas,
         omega=new_omega,
         matrix=lam,
@@ -619,7 +616,6 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
                 _omega_from_dict(o) for o in item["factor_omegas"]
             )
             entry = CompositionalLambda(
-                composite=CompositeRegion(tuple(o.region for o in factor_omegas)),
                 factor_omegas=factor_omegas,
                 omega=_omega_from_dict(item["omega"]),
                 matrix=_matrix_from_hex(item["matrix_hex"]),

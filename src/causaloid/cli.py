@@ -24,23 +24,13 @@ import sys
 
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
-    BackendError,
     CausaloidError,
     DegenerateExterior,
-    DimensionMismatch,
-    IncompleteTable,
     IoError,
     ResidualTooLarge,
     SchemaError,
     SingularTransform,
     SpanDeficient,
-    TableTooLarge,
-    UnknownEntry,
-    UnknownExterior,
-    UnknownLabel,
-    UnknownProcedure,
-    UnknownRegion,
-    ZeroConditionCount,
     ZeroDenominator,
     ZeroDenominatorVector,
 )
@@ -52,24 +42,10 @@ from .report import (
     span_rows,
     write_report,
 )
-from .scenario import ScenarioFile, label_ref, parse_scenario
+from .scenario import ScenarioFile, check_tolerance, label_ref, parse_scenario
 
 __all__ = ["main"]
 
-_SCHEMA_ERRORS = (
-    SchemaError,
-    IoError,
-    DimensionMismatch,
-    UnknownRegion,
-    UnknownLabel,
-    UnknownExterior,
-    UnknownProcedure,
-    UnknownEntry,
-    IncompleteTable,
-    TableTooLarge,
-    BackendError,
-    ZeroConditionCount,
-)
 _NUMERICAL_ERRORS = (
     ResidualTooLarge,
     SingularTransform,
@@ -139,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ScenarioFile:
     """The parsed scenario with the flags that were given written into it."""
     for flag, value in (("--tol-rank", args.tol_rank), ("--tol-herald", args.tol_herald)):
-        if value is not None and not value > 0:
-            raise SchemaError("tolerance must be a positive number", flag)
+        if value is not None:
+            check_tolerance(value, flag)
     flags = {"seed": args.seed, "tol_rank": args.tol_rank,
              "tol_herald": args.tol_herald}
     return dataclasses.replace(
@@ -270,9 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
-    except _SCHEMA_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCHEMA
     except CausaloidError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA

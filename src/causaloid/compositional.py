@@ -82,7 +82,6 @@ class CompositionalLambda:
     basis vectors.
     """
 
-    composite: CompositeRegion
     factor_omegas: tuple[OmegaSet, ...]
     omega: OmegaSet
     matrix: np.ndarray
@@ -90,10 +89,7 @@ class CompositionalLambda:
     def __post_init__(self):
         if self.omega.row_kind != "omega-product":
             raise ValueError("composite entries compress a product row set")
-        regions = tuple(o.region for o in self.factor_omegas)
-        if regions != self.composite.constituents:
-            raise ValueError("factor fiducial sets must match the constituents")
-        if self.omega.factors != regions:
+        if self.omega.factors != self.composite.constituents:
             raise ValueError("composite set factors must match the constituents")
         dims = tuple(o.size for o in self.factor_omegas)
         if self.omega.dims != dims:
@@ -107,6 +103,10 @@ class CompositionalLambda:
         if not np.allclose(self.matrix[list(self.omega.indices)], eye, atol=1e-9):
             raise ValueError("composite fiducial rows must form the identity")
         self.matrix.setflags(write=False)
+
+    @property
+    def composite(self) -> CompositeRegion:
+        return CompositeRegion(tuple(o.region for o in self.factor_omegas))
 
     @property
     def region(self) -> Region:
@@ -239,9 +239,7 @@ def compute_compositional_lambda(
     if tuple(o.size for o in factor_omegas) != matrix.dims:
         raise ContextMismatch("factor fiducial sizes disagree with the matrix")
     lam = solve_expansion(matrix.values, omega.indices, tol)
-    composite = CompositeRegion(tuple(o.region for o in factor_omegas))
     return CompositionalLambda(
-        composite=composite,
         factor_omegas=factor_omegas,
         omega=omega,
         matrix=lam,

@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_HERALD_TOL",
     "HeraldQuery",
     "HeraldResult",
-    "consistent_labels",
     "herald",
     "conditional_from_table",
     "conditional_sweep",
@@ -46,13 +45,12 @@ class HeraldQuery:
     """One conditional-probability request.
 
     The target fixes the asked label of one region; conditions fix labels
-    of further regions; procedures pin the action assignment of every
-    named region and must agree with the labels' action parts.
+    of further regions. Each label's action part is the procedure at its
+    region.
     """
 
     target: tuple[Region, Label]
     conditions: tuple[tuple[Region, Label], ...]
-    procedures: tuple[tuple[Region, tuple[int, ...]], ...]
 
     def __post_init__(self):
         named = [self.target[0]] + [r for r, _ in self.conditions]
@@ -61,16 +59,6 @@ class HeraldQuery:
             if seen & set(r.locations):
                 raise ValueError("query regions must be pairwise disjoint")
             seen |= set(r.locations)
-        procs = dict(self.procedures)
-        if len(procs) != len(self.procedures):
-            raise ValueError("one procedure per region is required")
-        if set(procs) != set(named):
-            raise ValueError("procedures must cover exactly the named regions")
-        for region, (actions, _) in (self.target,) + self.conditions:
-            if procs[region] != actions:
-                raise ValueError(
-                    f"label of {region} disagrees with its declared procedure"
-                )
 
     @classmethod
     def from_labels(
@@ -78,11 +66,7 @@ class HeraldQuery:
         target: tuple[Region, Label],
         conditions: Sequence[tuple[Region, Label]] = (),
     ) -> "HeraldQuery":
-        conditions = tuple(conditions)
-        procedures = tuple(
-            (r, lab[0]) for r, lab in (target,) + conditions
-        )
-        return cls(target=target, conditions=conditions, procedures=procedures)
+        return cls(target=target, conditions=tuple(conditions))
 
     @property
     def named_regions(self) -> tuple[Region, ...]:
@@ -132,14 +116,6 @@ def _consistent_rows(
         raise UnknownProcedure(
             f"no label of {region} has action part {actions}"
         ) from None
-
-
-def consistent_labels(
-    causaloid: Causaloid, region: Region, actions: tuple[int, ...]
-) -> tuple[Label, ...]:
-    """All labels of a region that share one action assignment."""
-    gamma = causaloid.tomographic(region).gamma
-    return tuple(gamma.labels[i] for i in _consistent_rows(causaloid, region, actions))
 
 
 def herald(

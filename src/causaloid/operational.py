@@ -101,12 +101,6 @@ class ProcedureSpec:
                 return a
         raise UnknownRegion(f"procedure assigns no action at location {location}")
 
-    def restricted(self, region: Region) -> "ProcedureSpec":
-        pairs = [(x, a) for x, a in self.assignment if x in region]
-        if len(pairs) != len(region):
-            raise UnknownRegion(f"procedure does not cover region {region}")
-        return ProcedureSpec(pairs)
-
 
 @dataclass(frozen=True)
 class Stack:
@@ -245,11 +239,13 @@ def parse_stacks(text: str) -> list[Stack]:
 
     A stack is a ``# ... procedure x:a ...`` header line followed by its
     ``x,a,s`` card lines; a blank line or the next header ends it. A card
-    line outside a stack is a ``SchemaError``. The text is cut at its empty
-    lines, and each distinct piece is parsed and validated once; equal
-    pieces share their ``Stack`` objects. A piece that opens with a header
-    is told apart only by its text from the header's procedure tag on, so
-    the run index does not count.
+    line outside a stack is a ``SchemaError`` naming its line, and so is
+    one with a negative field, a location or action its tag does not give,
+    or another card's location in its stack (a repeated card counts once).
+    The text is cut at its empty lines, and each distinct piece is parsed
+    and validated once; equal pieces share their ``Stack`` objects. A piece
+    that opens with a header is told apart only by its text from the
+    header's procedure tag on, so the run index does not count.
     """
     stacks: list[Stack] = []
     parsed: dict[object, list[Stack]] = {}
@@ -277,12 +273,13 @@ def _parse_piece(piece: str, text: str, offset: int) -> list[Stack]:
 
     stacks: list[Stack] = []
     tag: ProcedureSpec | None = None
-    cards: list[Card] = []
+    cards: dict[int, Card] = {}
+    actions: dict[int, int] = {}
     for i, raw in enumerate(piece.splitlines()):
         line = raw.strip()
         if not line or line.startswith("#"):
             if tag is not None:
-                stacks.append(Stack(cards, tag))
+                stacks.append(Stack(cards.values(), tag))
                 tag = None
             if not line:
                 continue
@@ -294,15 +291,21 @@ def _parse_piece(piece: str, text: str, offset: int) -> list[Stack]:
                 tag = ProcedureSpec(dict((x, a) for x, a in pairs))
             except (ValueError, TypeError) as exc:
                 raise SchemaError(f"bad procedure tag: {exc}", where(i)) from exc
-            cards = []
+            cards = {}
+            actions = dict(tag.assignment)
             continue
         if tag is None:
             raise SchemaError("cards appear before any stack header", where(i))
         try:
-            x, a, s = (int(t) for t in line.split(","))
-        except ValueError as exc:
+            card = Card(*(int(t) for t in line.split(",")))
+        except (ValueError, TypeError) as exc:
             raise SchemaError(f"bad card record {line!r}", where(i)) from exc
-        cards.append(Card(x, a, s))
+        if card.location not in actions:
+            raise SchemaError(f"card {line!r} has no action in the procedure tag", where(i))
+        if card.action != actions[card.location]:
+            raise SchemaError(f"card {line!r} disagrees with the procedure tag", where(i))
+        if cards.setdefault(card.location, card) != card:
+            raise SchemaError(f"card {line!r} is a second card at its location", where(i))
     if tag is not None:
-        stacks.append(Stack(cards, tag))
+        stacks.append(Stack(cards.values(), tag))
     return stacks

@@ -105,7 +105,7 @@ def density_from_ket(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def ic_pure_kets(d: int) -> list[tuple[str, np.ndarray]]:
+def ic_pure_kets(d: int) -> list[np.ndarray]:
     """d^2 pure states whose projectors span the Hermitian operators.
 
     Basis kets |j>, balanced superpositions (|j>+|k>)/sqrt2, and phased ones
@@ -115,21 +115,21 @@ def ic_pure_kets(d: int) -> list[tuple[str, np.ndarray]]:
     for j in range(d):
         v = np.zeros(d, complex)
         v[j] = 1
-        out.append((f"e{j}", v))
+        out.append(v)
     for j in range(d):
         for k in range(j + 1, d):
             v = np.zeros(d, complex)
             v[j] = 1
             v[k] = 1
-            out.append((f"e{j}+e{k}", v / np.sqrt(2)))
+            out.append(v / np.sqrt(2))
             v = np.zeros(d, complex)
             v[j] = 1
             v[k] = 1j
-            out.append((f"e{j}+ie{k}", v / np.sqrt(2)))
+            out.append(v / np.sqrt(2))
     return out
 
 
-def extra_pure_kets(d: int) -> list[tuple[str, np.ndarray]]:
+def extra_pure_kets(d: int) -> list[np.ndarray]:
     """A second spanning family, disjoint from ic_pure_kets, for span audits."""
     out = []
     for j in range(d):
@@ -137,11 +137,11 @@ def extra_pure_kets(d: int) -> list[tuple[str, np.ndarray]]:
             v = np.zeros(d, complex)
             v[j] = 1
             v[k] = -1
-            out.append((f"e{j}-e{k}", v / np.sqrt(2)))
+            out.append(v / np.sqrt(2))
             v = np.zeros(d, complex)
             v[j] = 1
             v[k] = -1j
-            out.append((f"e{j}-ie{k}", v / np.sqrt(2)))
+            out.append(v / np.sqrt(2))
     return out
 
 

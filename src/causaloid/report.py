@@ -62,13 +62,9 @@ def _float_pair(value: float) -> dict:
     return {"decimal": float(value), "hex": float(value).hex()}
 
 
-def _region_name(scenario: ScenarioFile, region: Region) -> str:
-    return scenario.name_of(region)
-
-
 def _key_names(scenario: ScenarioFile, key) -> list:
     if isinstance(key, Region):
-        return _region_name(scenario, key)  # type: ignore[return-value]
+        return scenario.name_of(key)  # type: ignore[return-value]
     return [_key_names(scenario, part) for part in key]
 
 
@@ -78,7 +74,7 @@ def span_rows(
     """The report's ``span_validation`` rows, one per region."""
     return [
         {
-            "region": _region_name(scenario, check.region),
+            "region": scenario.name_of(check.region),
             "locations": list(check.region.locations),
             "rank": check.rank,
             "extended_rank": check.extended_rank,
@@ -114,7 +110,7 @@ def _elementary_section(
     for region in causaloid.regions:
         entry = causaloid.tomographic(region)
         item = {
-            "region": _region_name(scenario, region),
+            "region": scenario.name_of(region),
             "locations": list(region.locations),
             "gamma_size": entry.gamma.size,
             "omega_size": entry.omega.size,
@@ -138,7 +134,7 @@ def _composite_section(
         item = {
             "key": _key_names(scenario, key),
             "factors": [
-                _region_name(scenario, r) for r in entry.composite.constituents
+                scenario.name_of(r) for r in entry.composite.constituents
             ],
             "product_size": entry.product_size,
             "omega_size": entry.omega.size,
@@ -187,8 +183,8 @@ def _adjacency_section(
         locs = pair.first.locations + pair.second.locations
         pairs.append(
             {
-                "first": _region_name(scenario, pair.first),
-                "second": _region_name(scenario, pair.second),
+                "first": scenario.name_of(pair.first),
+                "second": scenario.name_of(pair.second),
                 "composite_size": pair.composite_size,
                 "product_size": pair.product_size,
                 "adjacent": pair.adjacent,
@@ -196,11 +192,11 @@ def _adjacency_section(
             }
         )
     return {
-        "regions": [_region_name(scenario, r) for r in graph.regions],
+        "regions": [scenario.name_of(r) for r in graph.regions],
         "edges": [
             [
-                _region_name(scenario, graph.regions[i]),
-                _region_name(scenario, graph.regions[j]),
+                scenario.name_of(graph.regions[i]),
+                scenario.name_of(graph.regions[j]),
             ]
             for i, j in graph.edges
         ],

@@ -8,6 +8,7 @@ out-of-range indices are schema errors that name the offending path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from . import backends
@@ -15,11 +16,13 @@ from .backends import ClassicalSpec, QuantumSpec, TheorySpec, enumerate_labels
 from .errors import BackendError, IoError, SchemaError
 from .heralding import HeraldQuery
 from .operational import Region
+from .operators import MAX_QUANTUM_DIM
 
 __all__ = [
     "SCENARIO_FORMAT_VERSION",
     "HeraldSpec",
     "ScenarioFile",
+    "check_tolerance",
     "label_ref",
     "parse_scenario",
     "parse_scenario_dict",
@@ -40,7 +43,7 @@ _TOP_KEYS = {
 _THEORY_KEYS = {"kind", "chains", "instruments"}
 _CHAIN_KEYS = {"name", "size", "locations"}
 _TOL_KEYS = {"rank", "residual", "herald"}
-_HERALD_KEYS = {"name", "target", "given", "procedures"}
+_HERALD_KEYS = {"name", "target", "given"}
 _FAMILY_PARAMS = {
     "polariser": {"angles_deg"},
     "probe_reprepare": set(),
@@ -91,6 +94,12 @@ class ScenarioFile:
             if r == region:
                 return n
         return str(region)
+
+
+def check_tolerance(value, path: str) -> None:
+    """Raise a ``SchemaError`` at ``path`` unless ``value`` is a finite positive number."""
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise SchemaError("tolerance must be a finite positive number", path)
 
 
 def _require(obj: dict, key: str, path: str):
@@ -169,6 +178,10 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
             raise SchemaError("chain name must be a string", f"{cp}.name")
         if not isinstance(size, int) or isinstance(size, bool) or size < 2:
             raise SchemaError("chain size must be an integer >= 2", f"{cp}.size")
+        if kind == "quantum" and size > MAX_QUANTUM_DIM:
+            raise SchemaError(
+                f"a quantum chain size must be at most {MAX_QUANTUM_DIM}", f"{cp}.size"
+            )
         for x in locations:
             if locations.count(x) > 1:
                 raise SchemaError(
@@ -308,24 +321,8 @@ def _parse_heralds(raw, names, spec, path: str) -> tuple[HeraldSpec, ...]:
             _parse_label_ref(node, names, spec, f"{hp}.given[{j}]")
             for j, node in enumerate(raw_given)
         )
-        raw_procs = item.get("procedures")
         try:
-            if raw_procs is None:
-                query = HeraldQuery.from_labels(target, given)
-            else:
-                if not isinstance(raw_procs, dict):
-                    raise SchemaError("expected an object", f"{hp}.procedures")
-                procedures = []
-                for rname, action in raw_procs.items():
-                    if rname not in names:
-                        raise SchemaError(
-                            f"region {rname!r} is not declared", f"{hp}.procedures"
-                        )
-                    actions = _int_list(action, f"{hp}.procedures.{rname}")
-                    procedures.append((names[rname], tuple(actions)))
-                query = HeraldQuery(
-                    target=target, conditions=given, procedures=tuple(procedures)
-                )
+            query = HeraldQuery.from_labels(target, given)
         except ValueError as exc:
             raise SchemaError(str(exc), hp) from exc
         out.append(HeraldSpec(name, query))
@@ -367,8 +364,7 @@ def parse_scenario_dict(doc: dict, source: str = "<dict>") -> ScenarioFile:
     tols = doc.get("tolerances", {})
     _check_keys(tols, _TOL_KEYS, "$.tolerances")
     for key, value in tols.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise SchemaError("tolerance must be a positive number", f"$.tolerances.{key}")
+        check_tolerance(value, f"$.tolerances.{key}")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError("seed must be an integer", "$.seed")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UnknownExterior, UnknownLabel, UnknownRegion
+from .errors import UnknownLabel, UnknownRegion
 from .operational import Region
 
 __all__ = [
@@ -209,14 +209,6 @@ class ProbTable:
             return self.regions.index(region)
         except ValueError:
             raise UnknownRegion(f"table has no region {region}") from None
-
-    def value(self, labels: Sequence[Label], exterior_index: int) -> float:
-        if len(labels) != len(self.regions):
-            raise UnknownLabel("one label per table region is required")
-        if not 0 <= exterior_index < len(self.exteriors):
-            raise UnknownExterior(f"exterior index {exterior_index} out of range")
-        idx = tuple(g.index_of(lab) for g, lab in zip(self.gammas, labels))
-        return float(self.values[idx + (exterior_index,)])
 
     def validate(self, tol: float = 1e-10) -> None:
         """Check probability bounds and per-procedure outcome sums."""

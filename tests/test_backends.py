@@ -94,7 +94,7 @@ def _faulty(fam, faults):
         tuple(T + faults.get((a, s), 0) for s, T in enumerate(group))
         for a, group in enumerate(fam.actions)
     )
-    return InstrumentFamily(fam.location, fam.action_names, actions, fam.outcome_names)
+    return InstrumentFamily(fam.location, actions)
 
 
 def test_total_probability_check_matches_the_loop(scenarios):
@@ -153,8 +153,8 @@ def test_probe_reprepare_matrices_match_the_per_pair_construction(dim):
     kets = ops.ic_pure_kets(dim)
     t = ops.trace_covector(dim)
     expected = []
-    for _, mket in kets:
-        for _, jket in kets:
+    for mket in kets:
+        for jket in kets:
             w = ops.operator_coords(ops.density_from_ket(mket), dim)
             v = ops.operator_coords(ops.density_from_ket(jket), dim)
             expected.append((np.outer(v, t - w), np.outer(v, w)))
@@ -226,7 +226,7 @@ def _coin_family(location):
     # fair coin: both outcomes equally likely, post-state equals the outcome
     t0 = np.array([[0.5, 0.5], [0.0, 0.0]])
     t1 = np.array([[0.0, 0.0], [0.5, 0.5]])
-    return kernel_family(location, 2, [(t0, t1)], ["coin"])
+    return kernel_family(location, 2, [(t0, t1)])
 
 
 def _one_chain_spec(name, location):

@@ -8,6 +8,7 @@ import pytest
 
 from causaloid import (
     CompositeRegion,
+    CompositionalLambda,
     Region,
     adjacency_graph,
     build_causaloid,
@@ -90,6 +91,10 @@ def test_composite_expansion_reconstructs(scenarios):
     assert np.array_equal(
         entry.matrix[list(comp.indices)], np.eye(comp.size)
     )
+    # the composite is derived from the factors, and its checks still run
+    assert entry.composite == CompositeRegion((o1.region, o2.region))
+    with pytest.raises(ValueError, match="ordered by least location"):
+        CompositionalLambda(factor_omegas=(o2, o1), omega=comp, matrix=entry.matrix)
 
 
 def test_adjacency_strictness(scenarios):

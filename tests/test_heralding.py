@@ -13,7 +13,6 @@ from causaloid import (
     build_prob_table,
     conditional_from_table,
     conditional_sweep,
-    consistent_labels,
     herald,
 )
 from causaloid.errors import (
@@ -49,28 +48,19 @@ def test_query_validation(polariser):
     r2, labs2 = _labels(s, table, "R2")
     with pytest.raises(ValueError):
         HeraldQuery.from_labels((r1, labs1[0]), [(r1, labs1[1])])
-    with pytest.raises(ValueError):  # procedure table misses a region
-        HeraldQuery((r2, labs2[2]), ((r1, labs1[0]),), ((r2, (1,)),))
-    with pytest.raises(ValueError):  # duplicate procedure rows
-        HeraldQuery(
-            (r2, labs2[2]),
-            ((r1, labs1[0]),),
-            ((r2, (1,)), (r2, (1,)), (r1, (0,))),
-        )
-    with pytest.raises(ValueError):  # action part contradicts the label
-        HeraldQuery((r2, labs2[2]), ((r1, labs1[0]),), ((r2, (0,)), (r1, (0,))))
+    with pytest.raises(ValueError):  # overlapping, not equal, regions
+        HeraldQuery.from_labels((Region((1, 2)), ((0, 0), (0, 0))), [(r2, labs2[0])])
     q = HeraldQuery.from_labels((r2, labs2[2]), [(r1, labs1[0])])
-    assert dict(q.procedures) == {r2: (1,), r1: (0,)}
+    assert q == HeraldQuery((r2, labs2[2]), ((r1, labs1[0]),))
     assert q.named_regions == (r1, r2)
 
 
-def test_consistent_labels(polariser):
-    _, _, c = polariser
-    r1 = c.regions[0]
-    labs = consistent_labels(c, r1, (1,))
-    assert labs == (((1,), (0,)), ((1,), (1,)))
-    with pytest.raises(UnknownProcedure):
-        consistent_labels(c, r1, (9,))
+def test_herald_rejects_a_target_action_no_label_has(polariser):
+    s, table, c = polariser
+    r1, labs1 = _labels(s, table, "R1")
+    q = HeraldQuery.from_labels((s.region_named("R2"), ((9,), (0,))), [(r1, labs1[0])])
+    with pytest.raises(UnknownProcedure, match=r"no label of \{2\} has action part \(9,\)"):
+        herald(c, q, table=table)
 
 
 def test_well_defined_herald_matches_closed_form(polariser):

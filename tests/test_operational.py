@@ -54,10 +54,6 @@ def test_procedure_sorts_and_restricts():
     p = ProcedureSpec({3: 0, 1: 2})
     assert p.assignment == ((1, 2), (3, 0))
     assert p.action_at(3) == 0
-    q = p.restricted(Region((1,)))
-    assert q.assignment == ((1, 2),)
-    with pytest.raises(UnknownRegion):
-        p.restricted(Region((1, 2)))
     with pytest.raises(UnknownRegion):
         p.action_at(7)
 
@@ -272,6 +268,30 @@ def test_cards_outside_a_stack_are_rejected(text, line):
         parse_stacks(text)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# stack 0 procedure 1:0\n1,-1,0\n", 2, "bad card record '1,-1,0'"),
+        ("# stack 0 procedure 1:0 2:1\n1,0,0\n2,0,1\n", 3,
+         "card '2,0,1' disagrees with the procedure tag"),
+        ("# stack 0 procedure 1:0\n1,0,0\n\n# stack 1 procedure 1:0\n1,0,1\n1,0,0\n", 6,
+         "card '1,0,0' is a second card at its location"),
+        ("# stack 0 procedure 1:0\n1,0,0\n2,0,0\n", 3,
+         "card '2,0,0' has no action in the procedure tag"),
+    ],
+    ids=["negative-field", "other-action", "second-card", "unnamed-location"],
+)
+def test_malformed_cards_name_their_line(text, line, message):
+    with pytest.raises(SchemaError) as info:
+        parse_stacks(text)
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_a_repeated_card_counts_once():
+    stacks = parse_stacks("# stack 0 procedure 1:0 2:1\n1,0,1\n2,1,0\n1,0,1\n")
+    assert stacks == [Stack([Card(1, 0, 1), Card(2, 1, 0)], ProcedureSpec({1: 0, 2: 1}))]
+
+
 def _line_parse_stacks(text):
     """Reference: parse_stacks as one Python step per line."""
     stacks = []
@@ -310,9 +330,20 @@ def _line_parse_stacks(text):
         if line not in cards:
             try:
                 x, a, s = (int(t) for t in line.split(","))
+                cards[line] = Card(x, a, s)
             except ValueError as exc:
                 raise SchemaError(f"bad card record {line!r}", f"line {lineno}") from exc
-            cards[line] = Card(x, a, s)
+        card, actions = cards[line], dict(tags[tag_text].assignment)
+        if card.location not in actions:
+            raise SchemaError(f"card {line!r} has no action in the procedure tag",
+                              f"line {lineno}")
+        if card.action != actions[card.location]:
+            raise SchemaError(f"card {line!r} disagrees with the procedure tag",
+                              f"line {lineno}")
+        if any(cards[seen].location == card.location and cards[seen] != card
+               for seen in lines):
+            raise SchemaError(f"card {line!r} is a second card at its location",
+                              f"line {lineno}")
         lines.append(line)
     if tag_text is not None:
         flush()
@@ -322,7 +353,7 @@ def _line_parse_stacks(text):
 def _parse_verdict(parse, text):
     try:
         return parse(text)
-    except (SchemaError, ValueError) as exc:
+    except SchemaError as exc:
         return type(exc), str(exc)
 
 
@@ -331,6 +362,7 @@ MALFORMED_STACKS = [
     "# stack 0 procedure -1:0\n", "# stack 0 procedure 1:0\n1,0\n",
     "# stack 0 procedure 1:0\n1,1,0\n", "# stack 0 procedure 1:0 1:1\n1,1,0\n",
     "# stack 0 procedure 1:0\n1,0,0\n1,0,1\n", "# stack 0 procedure 1:0\n1,-1,0\n",
+    "# stack 0 procedure 1:0\n2,0,0\n",
     "#procedure 1:0\n1,0,0\n# procedure 1:0\n1,0,0",
     "# a procedure 1:0 procedure 2\n1,0,0\n",
     "# stack 0 procedure 1:0\n\n1,0,0\n", "# stack 0 procedure 1:0\n   \n1,0,0\n",

@@ -3,11 +3,13 @@
 The chains carry random stochastic kernels (``kernel_family``) on one or two
 chains of one to three locations, split into random regions; each generated
 arrangement is compressed and checked against the exact oracle
-``joint_prob``. The span check's cut ranks are checked against the
+``joint_prob``, and every well-defined herald on it against the table's
+direct conditionals. The span check's cut ranks are checked against the
 extended-exterior table on those chains and on two-location qubit chains of
-random Kraus instruments (``kraus_family``). The documents are the bundled scenarios with random edits;
-parsing one either succeeds or raises a ``CausaloidError``. Examples are
-derandomized, so every run checks the same cases.
+random Kraus instruments (``kraus_family``). The documents are the bundled
+scenarios with random edits; parsing one either succeeds or raises a
+``CausaloidError``. Examples are derandomized, so every run checks the same
+cases.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from causaloid import (
     Chain,
     ClassicalSpec,
+    HeraldQuery,
     QuantumSpec,
     Region,
     adjacency_graph,
@@ -31,6 +34,9 @@ from causaloid import (
     build_prob_table,
     causaloid_product,
     complete_effect,
+    conditional_from_table,
+    conditional_sweep,
+    herald,
     ic_effects,
     ic_preparations,
     joint_prob,
@@ -38,7 +44,7 @@ from causaloid import (
     kraus_family,
     r_vector,
 )
-from causaloid.errors import CausaloidError
+from causaloid.errors import CausaloidError, ZeroDenominatorVector
 from causaloid.scenario import parse_scenario_dict
 
 from conftest import SCENARIO_NAMES, scenario_path
@@ -57,10 +63,22 @@ def _settings(examples: int):
 
 # -- generated classical chains ----------------------------------------------
 
-def _family(rng, location: int, size: int, outcomes_per_action):
-    """Per action a random column-stochastic kernel split into outcomes."""
+def _family(rng, location: int, size: int, outcomes_per_action, resets=False):
+    """Per action a random column-stochastic kernel split into outcomes.
+
+    With ``resets``, about half the actions instead read the input with a
+    random outcome split and emit one random state whatever they read, so
+    the chain's past and future decouple there.
+    """
     actions = []
     for n in outcomes_per_action:
+        if resets and rng.random() < 0.5:
+            read = rng.random((n, size))
+            read /= read.sum(axis=0)
+            state = rng.random(size)
+            state /= state.sum()
+            actions.append([np.outer(state, row) for row in read])
+            continue
         kernel = rng.random((size, size))
         kernel /= kernel.sum(axis=0)
         split = rng.random((n, size, size))
@@ -70,10 +88,11 @@ def _family(rng, location: int, size: int, outcomes_per_action):
 
 
 @st.composite
-def arrangements(draw, n_chains=st.integers(1, 2), straddle=True):
+def arrangements(draw, n_chains=st.integers(1, 2), straddle=True, resets=False):
     """A classical spec with random kernels and a random region partition.
 
-    With ``straddle`` false every region stays on one chain.
+    With ``straddle`` false every region stays on one chain; ``resets`` is
+    passed to ``_family``.
     """
     lengths = [draw(st.integers(1, 3)) for _ in range(draw(n_chains))]
     owners = draw(st.permutations([c for c, n in enumerate(lengths) for _ in range(n)]))
@@ -89,6 +108,7 @@ def arrangements(draw, n_chains=st.integers(1, 2), straddle=True):
             x + 1,
             sizes[owner],
             draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)),
+            resets,
         )
         for x, owner in enumerate(owners)
     )
@@ -166,6 +186,35 @@ def test_full_composite_product_is_the_outer_product(arrangement):
             outer = np.multiply.outer(a.components, b.components).reshape(-1)
             for product in (causaloid_product(a, b, c), causaloid_product(b, a, c)):
                 assert np.abs(product.components - outer).max() <= 1e-12
+
+
+@_settings(40)
+@given(arrangements(resets=True))
+def test_well_defined_heralds_match_the_table_conditional(arrangement):
+    # a well-defined herald's p is the direct conditional at every exterior
+    # where the conditioning event has weight, and an ill-defined one has
+    # a witness pair of exteriors whose conditionals differ; queries name
+    # one region or an ordered pair, which the default registry covers
+    _, table, c, rng = _compressed(arrangement)
+    named = [(r,) for r in c.regions] + list(itertools.permutations(c.regions, 2))
+    for regions in named:
+        for _ in range(3):
+            picks = []
+            for r in regions:
+                labels = c.tomographic(r).gamma.labels
+                picks.append((r, labels[int(rng.integers(len(labels)))]))
+            query = HeraldQuery.from_labels(picks[0], picks[1:])
+            try:
+                result = herald(c, query, table=table)
+            except ZeroDenominatorVector:
+                continue
+            if not result.well_defined:
+                (_, high), (_, low) = result.witness
+                assert high - low > 1e-8
+                continue
+            for j, (_, p) in enumerate(conditional_sweep(table, query)):
+                if p is not None:
+                    assert abs(conditional_from_table(table, query, j) - result.p) <= 1e-8
 
 
 @st.composite

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,10 @@ def _family(value):
     return lambda d: d["theory"]["instruments"][0].update(family=value)
 
 
+def _tolerance(key, value):
+    return lambda d: d.setdefault("tolerances", {}).update({key: value})
+
+
 # (scenario, document edit or None, command and flags, start of stderr): a
 # malformed document or query names its JSON path or flag
 MALFORMED = {
@@ -331,6 +336,22 @@ MALFORMED = {
     "negative-herald-tolerance-flag": (
         "polariser_chain", None,
         ["herald", "--target", "R2:2", "--tol-herald=-1"], "error: --tol-herald: "),
+    "nan-residual-tolerance": ("polariser_chain", _tolerance("residual", math.nan),
+                               ["compress"], "error: $.tolerances.residual: "),
+    "nan-rank-tolerance": ("classical_bit", _tolerance("rank", math.nan),
+                           ["validate"], "error: $.tolerances.rank: "),
+    "infinite-herald-tolerance": ("polariser_chain", _tolerance("herald", math.inf),
+                                  ["compress"], "error: $.tolerances.herald: "),
+    "huge-integer-rank-tolerance": ("classical_bit", _tolerance("rank", 10**400),
+                                    ["compress"], "error: $.tolerances.rank: "),
+    "infinite-herald-tolerance-flag": (
+        "polariser_chain", None,
+        ["herald", "--target", "R2:2", "--tol-herald", "inf"], "error: --tol-herald: "),
+    "nan-rank-tolerance-flag": ("classical_bit", None, ["validate", "--tol-rank", "nan"],
+                                "error: --tol-rank: "),
+    "quantum-size-above-the-limit": (
+        "qubit_channel", lambda d: d["theory"]["chains"][0].update(size=9), ["compress"],
+        "error: $.theory.chains[0].size: a quantum chain size must be at most 8"),
 }
 
 
