@@ -60,12 +60,9 @@ from .causaloid import (
 )
 from .compositional import (
     AdjacencyGraph,
-    CompositeRegion,
     CompositionalLambda,
     PairCompression,
     adjacency_graph,
-    compute_compositional_lambda,
-    find_composite_omega,
     joint_fiducial_matrix,
 )
 from .diagram import (
@@ -142,7 +139,6 @@ from .tomographic import (
     born_rule,
     build_measurement_matrix,
     clamp_probability,
-    compute_tomographic_lambda,
     find_fiducial_set,
     fold_to_exterior,
     r_vector,

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compositional import (
-    CompositionalLambda,
-    compute_compositional_lambda,
-    find_composite_omega,
-    product_rows_matrix,
-)
+from .compositional import CompositionalLambda, fiducial_rows_matrix
 from .errors import (
     ContextMismatch,
     IoError,
@@ -40,9 +35,9 @@ from .tomographic import (
     TomographicLambda,
     born_rule,
     build_measurement_matrix,
-    compute_tomographic_lambda,
     find_fiducial_set,
     r_vector,
+    solve_expansion,
 )
 
 __all__ = [
@@ -315,45 +310,46 @@ def build_causaloid(
     ``composites`` lists groupings as sequences of regions, with nesting
     allowed: an inner sequence refers to a grouping listed earlier. When
     omitted, all region pairs are built. Entries are built in the order
-    given, so inner groupings must come first.
+    given, so inner groupings must come first. Both levels compress the
+    same way: pick the fiducial rows of the entry's measurement matrix,
+    then express every row over them.
     """
     regions = tuple(sorted(table.regions, key=lambda r: r.locations))
-    elementary = []
-    for r in regions:
-        m = build_measurement_matrix(table, r)
-        omega = find_fiducial_set(m, tol_rank)
-        elementary.append(compute_tomographic_lambda(m, omega, tol_residual))
-    entries: dict = {r: e for r, e in zip(regions, elementary)}
-
     if composites is None:
         composites = list(itertools.combinations(regions, 2))
-    built: list[tuple[tuple, CompositionalLambda]] = []
-    for spec in composites:
-        key = normalize_key(tuple(spec))
-        if not isinstance(key, tuple):
-            raise ValueError("a grouping needs at least two factors")
+    keys = list(regions) + [normalize_key(tuple(spec)) for spec in composites]
+    entries: dict = {}
+    for key in keys:
         if key in entries:
             continue
-        for child in key:
-            if child not in entries:
-                raise MissingEntry(
-                    f"factor {key_to_str(child)} of {key_to_str(key)} "
-                    "must be built first"
-                )
-        factor_omegas = tuple(entries[child].omega for child in key)
-        matrix = product_rows_matrix(
-            table,
-            [_leaf_rows(entries, child) for child in key],
-            tuple(key_union(child) for child in key),
-        )
-        omega = find_composite_omega(matrix, tol_rank)
-        entry = compute_compositional_lambda(matrix, omega, factor_omegas, tol_residual)
-        entries[key] = entry
-        built.append((key, entry))
+        if isinstance(key, Region):
+            matrix = build_measurement_matrix(table, key)
+        else:
+            for child in key:
+                if child not in entries:
+                    raise MissingEntry(
+                        f"factor {key_to_str(child)} of {key_to_str(key)} "
+                        "must be built first"
+                    )
+            matrix = fiducial_rows_matrix(
+                table,
+                [_leaf_rows(entries, child) for child in key],
+                tuple(key_union(child) for child in key),
+            )
+        omega = find_fiducial_set(matrix, tol_rank)
+        lam = solve_expansion(matrix.values, omega.indices, tol_residual)
+        if isinstance(key, Region):
+            gamma = table.gammas[table.region_axis(key)]
+            entries[key] = TomographicLambda(gamma=gamma, omega=omega, matrix=lam)
+        else:
+            factor_omegas = tuple(entries[child].omega for child in key)
+            entries[key] = CompositionalLambda(
+                factor_omegas=factor_omegas, omega=omega, matrix=lam
+            )
     return Causaloid(
         regions=regions,
-        elementary=tuple(elementary),
-        composites=tuple(built),
+        elementary=tuple(entries[r] for r in regions),
+        composites=tuple((k, e) for k, e in entries.items() if isinstance(k, tuple)),
     )
 
 
@@ -589,6 +585,8 @@ def causaloid_to_dict(causaloid: Causaloid) -> dict:
 
 
 def causaloid_from_dict(doc: dict) -> Causaloid:
+    if not isinstance(doc, dict):
+        raise SchemaError("a causaloid document must be a JSON object")
     try:
         if doc.get("kind") != "causaloid":
             raise SchemaError("document kind is not 'causaloid'")

@@ -196,29 +196,27 @@ def _cmd_herald(args) -> int:
     return EXIT_OK
 
 
+_SCENES = {"born": born_scene, "expand": expansion_scene, "product": product_scene}
+
+
 def _cmd_diagram(args) -> int:
     scenario = _load(args)
     kind, sep, rest = args.expr.partition(":")
     if not sep:
         raise SchemaError(
-            f"--expr wants born:R, expand:R, or product:R1,R2, got {args.expr!r}"
+            f"wants born:R, expand:R, or product:R1,R2, got {args.expr!r}", "--expr"
         )
+    if kind not in _SCENES:
+        raise SchemaError(f"unknown diagram expression kind {kind!r}", "--expr")
+    names = [part for part in rest.split(",") if part] if kind == "product" else [rest]
+    if kind == "product" and len(names) != 2:
+        raise SchemaError("product wants exactly two region names", "--expr")
+    declared = dict(zip(scenario.region_names, scenario.regions))
+    for name in names:
+        if name not in declared:
+            raise SchemaError(f"region {name!r} is not declared", "--expr")
     _, _, causaloid = checked_causaloid(scenario)
-    if kind == "born":
-        scene = born_scene(causaloid, scenario.region_named(rest))
-    elif kind == "expand":
-        scene = expansion_scene(causaloid, scenario.region_named(rest))
-    elif kind == "product":
-        names = [part for part in rest.split(",") if part]
-        if len(names) != 2:
-            raise SchemaError("product wants exactly two region names")
-        scene = product_scene(
-            causaloid,
-            scenario.region_named(names[0]),
-            scenario.region_named(names[1]),
-        )
-    else:
-        raise SchemaError(f"unknown diagram expression kind {kind!r}")
+    scene = _SCENES[kind](causaloid, *(declared[name] for name in names))
     _emit(emit_diagram(scene, args.format), args.out)
     return EXIT_OK
 

@@ -20,66 +20,32 @@ from .operational import Region
 from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
-    DEFAULT_RESIDUAL_TOL,
     OmegaSet,
     find_fiducial_set,
     fold_to_exterior,
-    solve_expansion,
 )
 
 if TYPE_CHECKING:
     from .causaloid import Causaloid
 
 __all__ = [
-    "CompositeRegion",
     "CompositionalLambda",
     "joint_fiducial_matrix",
     "fiducial_rows_matrix",
-    "product_rows_matrix",
-    "find_composite_omega",
-    "compute_compositional_lambda",
     "PairCompression",
     "AdjacencyGraph",
     "adjacency_graph",
 ]
 
 
-@dataclass(frozen=True)
-class CompositeRegion:
-    """Two or more pairwise-disjoint regions, ordered by least location."""
-
-    constituents: tuple[Region, ...]
-
-    def __post_init__(self):
-        if len(self.constituents) < 2:
-            raise ValueError("a composite needs at least two constituents")
-        seen: set[int] = set()
-        for r in self.constituents:
-            if seen & set(r.locations):
-                raise ValueError("constituents must be pairwise disjoint")
-            seen |= set(r.locations)
-        keys = [r.locations for r in self.constituents]
-        if keys != sorted(keys):
-            raise ValueError("constituents must be ordered by least location")
-
-    @property
-    def union(self) -> Region:
-        locs: list[int] = []
-        for r in self.constituents:
-            locs.extend(r.locations)
-        return Region(tuple(sorted(locs)))
-
-    def __str__(self) -> str:
-        return "+".join(str(r) for r in self.constituents)
-
-
 @dataclass(frozen=True, eq=False)
 class CompositionalLambda:
     """Expansion of product fiducial rows over the composite fiducial set.
 
-    Rows enumerate the product of the factor fiducial sets, last factor
-    fastest; rows whose multi-index lies in the composite set are standard
-    basis vectors.
+    The factors are two or more pairwise-disjoint regions, ordered by least
+    location. Rows enumerate the product of the factor fiducial sets, last
+    factor fastest; rows whose multi-index lies in the composite set are
+    standard basis vectors.
     """
 
     factor_omegas: tuple[OmegaSet, ...]
@@ -87,10 +53,22 @@ class CompositionalLambda:
     matrix: np.ndarray
 
     def __post_init__(self):
+        factors = tuple(o.region for o in self.factor_omegas)
+        if len(factors) < 2:
+            raise ValueError("a composite needs at least two constituents")
+        seen: set[int] = set()
+        for r in factors:
+            if seen & set(r.locations):
+                raise ValueError("constituents must be pairwise disjoint")
+            seen |= set(r.locations)
+        if [r.locations for r in factors] != sorted(r.locations for r in factors):
+            raise ValueError("constituents must be ordered by least location")
         if self.omega.row_kind != "omega-product":
             raise ValueError("composite entries compress a product row set")
-        if self.omega.factors != self.composite.constituents:
+        if self.omega.factors != factors:
             raise ValueError("composite set factors must match the constituents")
+        if self.omega.region != Region(seen):
+            raise ValueError("composite set region must be the union of the factors")
         dims = tuple(o.size for o in self.factor_omegas)
         if self.omega.dims != dims:
             raise ValueError("composite set dims must match the factor sizes")
@@ -105,12 +83,8 @@ class CompositionalLambda:
         self.matrix.setflags(write=False)
 
     @property
-    def composite(self) -> CompositeRegion:
-        return CompositeRegion(tuple(o.region for o in self.factor_omegas))
-
-    @property
     def region(self) -> Region:
-        return self.composite.union
+        return self.omega.region
 
     @property
     def product_size(self) -> int:
@@ -119,45 +93,6 @@ class CompositionalLambda:
 
 def fiducial_rows_matrix(
     table: ProbTable,
-    leaves: Sequence[Region],
-    assignments: np.ndarray,
-    *,
-    row_keys: tuple,
-    factors: tuple[Region, ...],
-    dims: tuple[int, ...],
-) -> MeasurementMatrix:
-    """Gather arbitrary per-leaf label rows of a table into a matrix.
-
-    ``assignments`` holds one gamma row index per (row, leaf). Leaves not
-    covering the whole table are fine; the remaining regions fold into the
-    exterior axis.
-    """
-    leaves = tuple(leaves)
-    vals, exteriors = fold_to_exterior(table, leaves)
-    if len(exteriors) < 2:
-        raise DegenerateExterior(
-            "the joint table varies over a single exterior configuration; "
-            "embed the regions in a larger predictively well-defined region"
-        )
-    assignments = np.asarray(assignments, dtype=int)
-    if assignments.ndim != 2 or assignments.shape[1] != len(leaves):
-        raise ValueError("expected one gamma index per row and leaf")
-    picked = vals[tuple(assignments[:, i] for i in range(len(leaves)))]
-    return MeasurementMatrix(
-        row_kind="omega-product",
-        row_keys=row_keys,
-        exteriors=exteriors,
-        values=np.ascontiguousarray(picked),
-        region=CompositeRegion(tuple(sorted(factors, key=lambda r: r.locations))).union
-        if len(factors) > 1
-        else factors[0],
-        factors=factors,
-        dims=dims,
-    )
-
-
-def product_rows_matrix(
-    table: ProbTable,
     parts: Sequence[tuple[tuple[Region, ...], Sequence[tuple[int, ...]]]],
     factors: tuple[Region, ...],
 ) -> MeasurementMatrix:
@@ -165,8 +100,17 @@ def product_rows_matrix(
 
     ``parts`` holds, per factor, its leaf regions and, per fiducial
     element, one gamma row index per leaf. The row multi-index runs
-    lexicographically with the last factor fastest.
+    lexicographically with the last factor fastest. Leaves need not cover
+    the whole table; the remaining regions fold into the exterior axis.
     """
+    vals, exteriors = fold_to_exterior(
+        table, tuple(itertools.chain(*(leaves for leaves, _ in parts)))
+    )
+    if len(exteriors) < 2:
+        raise DegenerateExterior(
+            "the joint table varies over a single exterior configuration; "
+            "embed the regions in a larger predictively well-defined region"
+        )
     dims = tuple(len(rows) for _, rows in parts)
     grid = np.indices(dims).reshape(len(dims), -1)
     assignments = np.concatenate(
@@ -176,11 +120,11 @@ def product_rows_matrix(
         ],
         axis=1,
     )
-    return fiducial_rows_matrix(
-        table,
-        tuple(itertools.chain(*(leaves for leaves, _ in parts))),
-        assignments,
-        row_keys=tuple(itertools.product(*(range(d) for d in dims))),
+    return MeasurementMatrix(
+        row_kind="omega-product",
+        exteriors=exteriors,
+        values=np.ascontiguousarray(vals[tuple(assignments.T)]),
+        region=Region(itertools.chain(*factors)),
         factors=factors,
         dims=dims,
     )
@@ -208,42 +152,7 @@ def joint_fiducial_matrix(
                 f"fiducial set of {o.region} does not index this table"
             )
     parts = [((o.region,), [(i,) for i in o.indices]) for o in omegas]
-    return product_rows_matrix(table, parts, tuple(o.region for o in omegas))
-
-
-def find_composite_omega(
-    matrix: MeasurementMatrix, tol: float = DEFAULT_RANK_TOL
-) -> OmegaSet:
-    """Greedy fiducial choice on the product row set.
-
-    Same deterministic scan as the first level, so the result is a subset
-    of the product set by construction.
-    """
-    if matrix.row_kind != "omega-product":
-        raise ValueError("expected a product-row measurement matrix")
-    return find_fiducial_set(matrix, tol)
-
-
-def compute_compositional_lambda(
-    matrix: MeasurementMatrix,
-    omega: OmegaSet,
-    factor_omegas: Sequence[OmegaSet],
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> CompositionalLambda:
-    """Solve for the composite expansion matrix."""
-    if omega.row_kind != "omega-product" or matrix.row_kind != "omega-product":
-        raise ValueError("expected product-row inputs")
-    if omega.parent_size != matrix.n_rows or omega.factors != matrix.factors:
-        raise ContextMismatch("fiducial set does not describe this matrix")
-    factor_omegas = tuple(factor_omegas)
-    if tuple(o.size for o in factor_omegas) != matrix.dims:
-        raise ContextMismatch("factor fiducial sizes disagree with the matrix")
-    lam = solve_expansion(matrix.values, omega.indices, tol)
-    return CompositionalLambda(
-        factor_omegas=factor_omegas,
-        omega=omega,
-        matrix=lam,
-    )
+    return fiducial_rows_matrix(table, parts, tuple(o.region for o in omegas))
 
 
 @dataclass(frozen=True)
@@ -301,7 +210,7 @@ def adjacency_graph(
             joint = joint_fiducial_matrix(
                 table, [causaloid.omega_of(a), causaloid.omega_of(b)]
             )
-            omega = find_composite_omega(joint, tol)
+            omega = find_fiducial_set(joint, tol)
         pairs.append(
             PairCompression(
                 first=a,

@@ -133,9 +133,7 @@ def _composite_section(
     for key, entry in causaloid.composites:
         item = {
             "key": _key_names(scenario, key),
-            "factors": [
-                scenario.name_of(r) for r in entry.composite.constituents
-            ],
+            "factors": [scenario.name_of(o.region) for o in entry.factor_omegas],
             "product_size": entry.product_size,
             "omega_size": entry.omega.size,
             "omega_indices": list(entry.omega.indices),

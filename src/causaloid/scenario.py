@@ -83,12 +83,6 @@ class ScenarioFile:
     tol_herald: float
     seed: int
 
-    def region_named(self, name: str) -> Region:
-        try:
-            return self.regions[self.region_names.index(name)]
-        except ValueError:
-            raise SchemaError(f"region {name!r} is not declared") from None
-
     def name_of(self, region: Region) -> str:
         for n, r in zip(self.region_names, self.regions):
             if r == region:

@@ -233,39 +233,36 @@ class ProbTable:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """Rows of joint probabilities, one per row key, over the exterior axis.
+    """Rows of joint probabilities over the exterior axis.
 
-    ``row_kind`` is "gamma" when rows are the labels of one region and
-    "omega-product" when rows are multi-indices over per-factor fiducial
-    sets (the last factor's index varying fastest).
+    ``row_kind`` is "gamma" when rows are the labels of ``region`` in label
+    order, and "omega-product" when rows are multi-indices over per-factor
+    fiducial sets (the last factor's index varying fastest); ``region`` is
+    then the union of the factors.
     """
 
     row_kind: str
-    row_keys: tuple
     exteriors: ExteriorAxis
     values: np.ndarray
-    region: Region | None = None
+    region: Region
     factors: tuple[Region, ...] | None = None
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.row_kind not in ("gamma", "omega-product"):
             raise ValueError(f"unknown row kind {self.row_kind!r}")
-        if self.values.shape != (len(self.row_keys), len(self.exteriors)):
-            raise ValueError("matrix shape must match row keys x exteriors")
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.exteriors):
+            raise ValueError("matrix columns must match the exterior axis")
         if self.row_kind == "omega-product":
             if self.dims is None or self.factors is None:
                 raise ValueError("omega-product matrices need dims and factors")
-            expected = 1
-            for d in self.dims:
-                expected *= d
-            if expected != len(self.row_keys):
+            if math.prod(self.dims) != self.n_rows:
                 raise ValueError("dims do not multiply out to the row count")
         self.values.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_keys)
+        return self.values.shape[0]
 
 
 def greedy_independent_rows(values: np.ndarray, tol: float) -> tuple[int, ...]:

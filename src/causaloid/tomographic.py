@@ -39,7 +39,7 @@ __all__ = [
     "fold_to_exterior",
     "build_measurement_matrix",
     "find_fiducial_set",
-    "compute_tomographic_lambda",
+    "solve_expansion",
     "r_vector",
     "state_vector",
     "born_rule",
@@ -185,13 +185,8 @@ def build_measurement_matrix(table: ProbTable, region: Region) -> MeasurementMat
             f"but not {region}"
         )
     vals, exteriors = fold_to_exterior(table, [region])
-    gamma = table.gammas[table.region_axis(region)]
     return MeasurementMatrix(
-        row_kind="gamma",
-        row_keys=gamma.labels,
-        exteriors=exteriors,
-        values=vals,
-        region=region,
+        row_kind="gamma", exteriors=exteriors, values=vals, region=region
     )
 
 
@@ -203,13 +198,9 @@ def find_fiducial_set(matrix: MeasurementMatrix, tol: float = DEFAULT_RANK_TOL) 
     """
     if matrix.n_rows == 0:
         raise ValueError("cannot compress an empty matrix")
-    chosen = greedy_independent_rows(matrix.values, tol)
-    region = matrix.region
-    if region is None:
-        raise ValueError("measurement matrix carries no region")
     return OmegaSet(
-        region=region,
-        indices=chosen,
+        region=matrix.region,
+        indices=greedy_independent_rows(matrix.values, tol),
         parent_size=matrix.n_rows,
         row_kind=matrix.row_kind,
         factors=matrix.factors,
@@ -242,21 +233,6 @@ def solve_expansion(
             f"(bound {bounds[worst]:.3e}); the fiducial set does not span"
         )
     return lam
-
-
-def compute_tomographic_lambda(
-    matrix: MeasurementMatrix,
-    omega: OmegaSet,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> TomographicLambda:
-    """Solve for the expansion matrix of one region."""
-    if matrix.row_kind != "gamma":
-        raise ValueError("expected a gamma-row measurement matrix")
-    if omega.region != matrix.region or omega.parent_size != matrix.n_rows:
-        raise ContextMismatch("fiducial set does not describe this matrix")
-    lam = solve_expansion(matrix.values, omega.indices, tol)
-    gamma = GammaSet(matrix.region, matrix.row_keys)
-    return TomographicLambda(gamma=gamma, omega=omega, matrix=lam)
 
 
 def r_vector(label: Label, lam: TomographicLambda) -> RVector:

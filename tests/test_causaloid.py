@@ -297,7 +297,7 @@ def test_save_load_round_trip(tmp_path, chain3):
     assert [d.key for d in back.deduced] == [d.key for d in m.deduced]
 
 
-def test_document_validation(chain3):
+def test_document_validation(chain3, tmp_path):
     _, _, c = chain3
     doc = causaloid_to_dict(c)
     bad = dict(doc, kind="other")
@@ -310,3 +310,10 @@ def test_document_validation(chain3):
     bad["elementary"] = [dict(doc["elementary"][0], matrix_hex=[["0x1.0p+0"]])]
     with pytest.raises(SchemaError):
         causaloid_from_dict(bad)
+    for top in ([], "causaloid", 1, None):
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            causaloid_from_dict(top)
+    path = tmp_path / "list.json"
+    path.write_text("[]\n")
+    with pytest.raises(SchemaError, match="must be a JSON object"):
+        load_causaloid(path)

@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 
 from causaloid import (
-    CompositeRegion,
     CompositionalLambda,
+    OmegaSet,
     Region,
     adjacency_graph,
     build_causaloid,
     build_measurement_matrix,
     build_prob_table,
-    compute_compositional_lambda,
-    find_composite_omega,
+    causaloid_from_dict,
+    causaloid_to_dict,
     find_fiducial_set,
+    fold_to_exterior,
     joint_fiducial_matrix,
 )
-from causaloid.errors import DegenerateExterior
+from causaloid.errors import DegenerateExterior, SchemaError
 from causaloid.tables import ExteriorAxis, GammaSet, ProbTable
 
 
@@ -29,17 +30,55 @@ def _omegas(table, regions):
     ]
 
 
-def test_composite_region_validation():
-    a, b = Region((1,)), Region((3,))
-    comp = CompositeRegion((a, b))
-    assert comp.union == Region((1, 3))
-    assert str(comp) == "{1}+{3}"
-    with pytest.raises(ValueError):
-        CompositeRegion((b, a))  # out of order
-    with pytest.raises(ValueError):
-        CompositeRegion((a, Region((1, 2))))  # overlap
-    with pytest.raises(ValueError):
-        CompositeRegion((a,))
+def _full_product_entry(*factor_omegas):
+    """The identity entry over the full product of ``factor_omegas``."""
+    dims = tuple(o.size for o in factor_omegas)
+    n = int(np.prod(dims))
+    omega = OmegaSet(
+        region=Region(itertools.chain(*(o.region for o in factor_omegas))),
+        indices=tuple(range(n)),
+        parent_size=n,
+        row_kind="omega-product",
+        factors=tuple(o.region for o in factor_omegas),
+        dims=dims,
+    )
+    return CompositionalLambda(factor_omegas, omega, np.eye(n))
+
+
+# (edit of one entry's factor fiducial sets in a registry document, the
+# message of the ValueError it raises)
+FACTOR_FAULTS = (
+    (lambda fs: fs[::-1], "ordered by least location"),
+    (lambda fs: [fs[0], dict(fs[1], region=fs[0]["region"])], "pairwise disjoint"),
+    (lambda fs: fs[:1], "at least two constituents"),
+)
+
+
+def test_composite_region_validation(scenarios):
+    a = OmegaSet(Region((1,)), (0, 1), 2)
+    b = OmegaSet(Region((3,)), (0,), 1)
+    entry = _full_product_entry(a, b)
+    assert entry.region == Region((1, 3))
+    assert entry.product_size == 2
+    overlapping = OmegaSet(Region((1, 2)), (0,), 1)
+    for factors, message in (
+        ((b, a), "ordered by least location"),
+        ((a, overlapping), "pairwise disjoint"),
+        ((a,), "at least two constituents"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _full_product_entry(*factors)
+    # the same faults in a loaded registry file are schema errors
+    s = scenarios("spacelike_bits")
+    doc = causaloid_to_dict(build_causaloid(build_prob_table(s.spec, s.regions)))
+    for edit, message in FACTOR_FAULTS:
+        item = doc["composites"][0]
+        bad = dict(doc, composites=[dict(item, factor_omegas=edit(item["factor_omegas"]))])
+        with pytest.raises(SchemaError, match=message):
+            causaloid_from_dict(bad)
+    omega = dict(item["omega"], region=item["factor_omegas"][0]["region"])
+    with pytest.raises(SchemaError, match="union of the factors"):
+        causaloid_from_dict(dict(doc, composites=[dict(item, omega=omega)]))
 
 
 def test_joint_rows_last_factor_fastest(scenarios):
@@ -49,11 +88,13 @@ def test_joint_rows_last_factor_fastest(scenarios):
     joint = joint_fiducial_matrix(table, [o1, o2])
     assert joint.row_kind == "omega-product"
     assert joint.dims == (o1.size, o2.size)
-    rows = list(itertools.product(range(o1.size), range(o2.size)))
-    assert list(joint.row_keys) == rows
+    assert joint.values.shape[0] == o1.size * o2.size
     # row (i, j) sits at flat position i * |omega2| + j
+    folded, _ = fold_to_exterior(table, [o1.region, o2.region])
+    rows = itertools.product(range(o1.size), range(o2.size))
     for flat, (i, j) in enumerate(rows):
-        assert joint.row_keys[flat] == (i, j)
+        want = folded[o1.indices[i], o2.indices[j]]
+        assert np.array_equal(joint.values[flat], want)
 
 
 def test_joint_rows_match_folded_table(scenarios):
@@ -61,7 +102,8 @@ def test_joint_rows_match_folded_table(scenarios):
     table = build_prob_table(s.spec, s.regions)
     o1, o2 = _omegas(table, s.regions)
     joint = joint_fiducial_matrix(table, [o1, o2])
-    for flat, (i, j) in enumerate(joint.row_keys):
+    rows = itertools.product(range(o1.size), range(o2.size))
+    for flat, (i, j) in enumerate(rows):
         g1_row, g2_row = o1.indices[i], o2.indices[j]
         expect = table.values[g1_row, g2_row, :]
         assert np.array_equal(joint.values[flat], expect)
@@ -73,7 +115,7 @@ def test_composite_omega_is_a_product_subset(scenarios):
     o1, o2, o3 = _omegas(table, s.regions)
     for pair in ([o1, o2], [o1, o3], [o2, o3]):
         joint = joint_fiducial_matrix(table, pair)
-        comp = find_composite_omega(joint)
+        comp = find_fiducial_set(joint)
         assert comp.parent_size == pair[0].size * pair[1].size
         assert set(comp.indices) <= set(range(comp.parent_size))
         assert comp.size <= comp.parent_size
@@ -82,17 +124,19 @@ def test_composite_omega_is_a_product_subset(scenarios):
 def test_composite_expansion_reconstructs(scenarios):
     s = scenarios("polariser_chain")
     table = build_prob_table(s.spec, s.regions)
+    r1, r2, _ = s.regions
     o1, o2, _ = _omegas(table, s.regions)
     joint = joint_fiducial_matrix(table, [o1, o2])
-    comp = find_composite_omega(joint)
-    entry = compute_compositional_lambda(joint, comp, [o1, o2])
+    entry = build_causaloid(table).entry((r1, r2))
+    comp = entry.omega
+    assert comp == find_fiducial_set(joint)
     approx = entry.matrix @ joint.values[list(comp.indices)]
     assert np.abs(approx - joint.values).max() < 1e-8
     assert np.array_equal(
         entry.matrix[list(comp.indices)], np.eye(comp.size)
     )
-    # the composite is derived from the factors, and its checks still run
-    assert entry.composite == CompositeRegion((o1.region, o2.region))
+    assert entry.factor_omegas == (o1, o2)
+    assert entry.region == Region((1, 2))
     with pytest.raises(ValueError, match="ordered by least location"):
         CompositionalLambda(factor_omegas=(o2, o1), omega=comp, matrix=entry.matrix)
 
@@ -102,7 +146,7 @@ def test_adjacency_strictness(scenarios):
     table = build_prob_table(s.spec, s.regions)
     o1, o2 = _omegas(table, s.regions)
     joint = joint_fiducial_matrix(table, [o1, o2])
-    comp = find_composite_omega(joint)
+    comp = find_fiducial_set(joint)
     assert comp.size == comp.parent_size  # equality, not shrinkage
 
 
@@ -163,13 +207,13 @@ def test_adjacency_compresses_only_pairs_missing_from_the_registry(
     table = build_prob_table(s.spec, s.regions)
     r1, r2, r3 = s.regions
     calls = []
-    original = comp.find_composite_omega
+    original = comp.find_fiducial_set
 
     def counted(*args, **kwargs):
         calls.append(args[0].factors)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(comp, "find_composite_omega", counted)
+    monkeypatch.setattr(comp, "find_fiducial_set", counted)
     full = adjacency_graph(build_causaloid(table), table)
     assert calls == []
     partial = adjacency_graph(build_causaloid(table, composites=[(r1, r2)]), table)

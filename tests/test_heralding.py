@@ -37,9 +37,13 @@ def polariser(pipelines):
     return run.scenario, run.table, run.causaloid
 
 
+def _region(scenario, name):
+    return scenario.regions[scenario.region_names.index(name)]
+
+
 def _labels(scenario, table, name):
-    axis = table.region_axis(scenario.region_named(name))
-    return scenario.region_named(name), table.gammas[axis].labels
+    region = _region(scenario, name)
+    return region, table.gammas[table.region_axis(region)].labels
 
 
 def test_query_validation(polariser):
@@ -58,7 +62,7 @@ def test_query_validation(polariser):
 def test_herald_rejects_a_target_action_no_label_has(polariser):
     s, table, c = polariser
     r1, labs1 = _labels(s, table, "R1")
-    q = HeraldQuery.from_labels((s.region_named("R2"), ((9,), (0,))), [(r1, labs1[0])])
+    q = HeraldQuery.from_labels((_region(s, "R2"), ((9,), (0,))), [(r1, labs1[0])])
     with pytest.raises(UnknownProcedure, match=r"no label of \{2\} has action part \(9,\)"):
         herald(c, q, table=table)
 

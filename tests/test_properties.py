@@ -3,8 +3,9 @@
 The chains carry random stochastic kernels (``kernel_family``) on one or two
 chains of one to three locations, split into random regions; each generated
 arrangement is compressed and checked against the exact oracle
-``joint_prob``, and every well-defined herald on it against the table's
-direct conditionals. The span check's cut ranks are checked against the
+``joint_prob``, every well-defined herald on it against the table's
+direct conditionals, and its expansions for order symmetry and basis-change
+invariance. The span check's cut ranks are checked against the
 extended-exterior table on those chains and on two-location qubit chains of
 random Kraus instruments (``kraus_family``). The documents are the bundled
 scenarios with random edits; parsing one either succeeds or raises a
@@ -14,12 +15,13 @@ cases.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import json
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from causaloid import (
@@ -33,18 +35,22 @@ from causaloid import (
     build_measurement_matrix,
     build_prob_table,
     causaloid_product,
+    change_omega_basis,
     complete_effect,
     conditional_from_table,
     conditional_sweep,
+    fold_to_exterior,
     herald,
     ic_effects,
     ic_preparations,
+    joint_fiducial_matrix,
     joint_prob,
     kernel_family,
     kraus_family,
     r_vector,
 )
-from causaloid.errors import CausaloidError, ZeroDenominatorVector
+from causaloid.errors import CausaloidError, SingularTransform, ZeroDenominatorVector
+from causaloid.tables import greedy_independent_rows
 from causaloid.scenario import parse_scenario_dict
 
 from conftest import SCENARIO_NAMES, scenario_path
@@ -88,11 +94,14 @@ def _family(rng, location: int, size: int, outcomes_per_action, resets=False):
 
 
 @st.composite
-def arrangements(draw, n_chains=st.integers(1, 2), straddle=True, resets=False):
+def arrangements(
+    draw, n_chains=st.integers(1, 2), straddle=True, resets=False, labels=2
+):
     """A classical spec with random kernels and a random region partition.
 
     With ``straddle`` false every region stays on one chain; ``resets`` is
-    passed to ``_family``.
+    passed to ``_family``. Each location has up to ``labels`` actions of up
+    to ``labels`` outcomes each.
     """
     lengths = [draw(st.integers(1, 3)) for _ in range(draw(n_chains))]
     owners = draw(st.permutations([c for c, n in enumerate(lengths) for _ in range(n)]))
@@ -107,7 +116,7 @@ def arrangements(draw, n_chains=st.integers(1, 2), straddle=True, resets=False):
             rng,
             x + 1,
             sizes[owner],
-            draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)),
+            draw(st.lists(st.integers(1, labels), min_size=1, max_size=labels)),
             resets,
         )
         for x, owner in enumerate(owners)
@@ -215,6 +224,80 @@ def test_well_defined_heralds_match_the_table_conditional(arrangement):
             for j, (_, p) in enumerate(conditional_sweep(table, query)):
                 if p is not None:
                     assert abs(conditional_from_table(table, query, j) - result.p) <= 1e-8
+
+
+@_settings(25)
+@given(arrangements(n_chains=st.just(1), labels=3))
+def test_expansion_order_symmetry(arrangement):
+    # expanding the fiducial block P of two regions first over one region
+    # and then over the other gives the same table either way: the folded
+    # table, which neither expansion saw as a whole. Up to nine labels per
+    # location make some regions compress; identity expansions would make
+    # the check hold trivially
+    _, table, c, _ = _compressed(arrangement)
+    lams = [c.tomographic(r) for r in c.regions]
+    assume(len(lams) > 1 and any(lam.omega.size < lam.gamma.size for lam in lams))
+    for a, b in itertools.permutations(c.regions, 2):
+        la, lb = c.tomographic(a), c.tomographic(b)
+        folded, _ = fold_to_exterior(table, [a, b])
+        p = folded[np.ix_(la.omega.indices, lb.omega.indices)]
+        a_first = np.einsum("jb,ibe->ije", lb.matrix, np.einsum("ia,abe->ibe", la.matrix, p))
+        b_first = np.einsum("ia,aje->ije", la.matrix, np.einsum("jb,abe->aje", lb.matrix, p))
+        assert np.abs(a_first - b_first).max() <= 1e-9
+        assert np.abs(a_first - folded).max() <= 1e-9
+
+
+def _changes_basis(arrangement) -> bool:
+    """Re-express every entry over the fiducial rows a reverse scan picks.
+
+    Returns whether some entry's basis actually changed; arrangements
+    where no entry has a second basis are not counted.
+    """
+    _, table, c, rng = _compressed(arrangement)
+    # only an entry with fewer fiducial rows than rows has another basis
+    assume(any(c.omega_of(k).size < c.omega_of(k).parent_size for k in c.keys()))
+    changed = False
+    for key in c.keys():
+        entry = c.entry(key)
+        if isinstance(key, Region):
+            values = build_measurement_matrix(table, key).values
+        else:
+            values = joint_fiducial_matrix(table, [c.omega_of(r) for r in key]).values
+        n = values.shape[0]
+        reverse = greedy_independent_rows(values[::-1], 1e-9)
+        new_omega = dataclasses.replace(
+            entry.omega, indices=tuple(sorted(n - 1 - i for i in reverse))
+        )
+        try:
+            moved = change_omega_basis(entry, new_omega)
+        except SingularTransform:
+            continue
+        # the round trip is exact up to float error relative to the matrix:
+        # expansion coefficients reach the thousands on near-dependent rows
+        back = change_omega_basis(moved, entry.omega)
+        scale = max(1.0, float(np.abs(entry.matrix).max()))
+        assert np.abs(back.matrix - entry.matrix).max() <= 1e-9 * scale
+        cols = rng.integers(values.shape[1], size=20)
+        old = entry.matrix @ values[np.ix_(entry.omega.indices, cols)]
+        new = moved.matrix @ values[np.ix_(new_omega.indices, cols)]
+        assert np.abs(old - new).max() <= 1e-9
+        changed |= new_omega != entry.omega
+    return changed
+
+
+def test_basis_change_invariance():
+    # a prediction does not depend on which fiducial rows carry it; the
+    # alternative set comes from scanning the rows in reverse, and most
+    # arrangements that admit another basis must really move to one
+    changed = []
+
+    @_settings(25)
+    @given(arrangements())
+    def check(arrangement):
+        changed.append(_changes_basis(arrangement))
+
+    check()
+    assert sum(changed) > len(changed) / 2
 
 
 @st.composite

@@ -349,6 +349,14 @@ MALFORMED = {
         ["herald", "--target", "R2:2", "--tol-herald", "inf"], "error: --tol-herald: "),
     "nan-rank-tolerance-flag": ("classical_bit", None, ["validate", "--tol-rank", "nan"],
                                 "error: --tol-rank: "),
+    "diagram-product-of-one-region": ("polariser_chain", None,
+                                      ["diagram", "--expr", "product:R1"], "error: --expr: "),
+    "diagram-undeclared-region": ("polariser_chain", None,
+                                  ["diagram", "--expr", "born:R9"], "error: --expr: "),
+    "diagram-expression-without-kind": ("polariser_chain", None,
+                                        ["diagram", "--expr", "bogus"], "error: --expr: "),
+    "diagram-unknown-kind": ("polariser_chain", None,
+                             ["diagram", "--expr", "zzz:R1"], "error: --expr: "),
     "quantum-size-above-the-limit": (
         "qubit_channel", lambda d: d["theory"]["chains"][0].update(size=9), ["compress"],
         "error: $.theory.chains[0].size: a quantum chain size must be at most 8"),

@@ -7,10 +7,10 @@ import pytest
 from causaloid import (
     Region,
     born_rule,
+    build_causaloid,
     build_measurement_matrix,
     build_prob_table,
     clamp_probability,
-    compute_tomographic_lambda,
     find_fiducial_set,
     fold_to_exterior,
     r_vector,
@@ -35,8 +35,8 @@ def polariser_table(scenarios):
 @pytest.fixture(scope="module")
 def polariser_entry(polariser_table):
     m = build_measurement_matrix(polariser_table, Region((2,)))
-    omega = find_fiducial_set(m)
-    return m, omega, compute_tomographic_lambda(m, omega)
+    lam = build_causaloid(polariser_table, composites=()).tomographic(Region((2,)))
+    return m, lam.omega, lam
 
 
 def test_measurement_matrix_shape(polariser_table):
@@ -92,9 +92,8 @@ def test_expansion_rejects_non_spanning_rows():
 def test_full_rank_table_compresses_to_identity(scenarios):
     s = scenarios("classical_bit")
     table = build_prob_table(s.spec, s.regions)
-    m = build_measurement_matrix(table, s.regions[0])
-    omega = find_fiducial_set(m)
-    lam = compute_tomographic_lambda(m, omega)
+    lam = build_causaloid(table).tomographic(s.regions[0])
+    omega = lam.omega
     assert omega.indices == tuple(range(4))
     assert np.array_equal(lam.matrix, np.eye(4))
 

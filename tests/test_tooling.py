@@ -88,3 +88,17 @@ def test_readme_commands_run(tmp_path, capsys):
                 argv[i] = str(root / argv[i])
         assert main(argv) == 0, " ".join(words)
     capsys.readouterr()
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the Library section's code uses the public names; run from a scratch
+    # directory, it must still work and write its registry file there
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        code = block.replace('"scenarios/', f'"{ROOT / "scenarios"}/')
+        exec(compile(code, "README.md", "exec"), {})
+    assert (tmp_path / "registry.json").is_file()
+    capsys.readouterr()
