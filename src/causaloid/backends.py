@@ -35,6 +35,7 @@ from .tables import (
     ProbTable,
     greedy_independent_rows,
 )
+from .tomographic import DEFAULT_RANK_TOL
 
 __all__ = [
     "Chain",
@@ -776,7 +777,7 @@ def validate_table_spans(
     spec: TheorySpec,
     table: ProbTable,
     ranks: Sequence[int],
-    tol_rank: float = 1e-9,
+    tol_rank: float = DEFAULT_RANK_TOL,
 ) -> tuple[SpanValidation, ...]:
     """Confirm the declared exterior set already exhausts the reachable span.
 
@@ -823,7 +824,7 @@ def validate_table_spans(
 
 
 def validate_exterior_span(
-    spec: TheorySpec, region: Region, tol_rank: float = 1e-9
+    spec: TheorySpec, region: Region, tol_rank: float = DEFAULT_RANK_TOL
 ) -> SpanValidation:
     """Span check of one region on its own table (see validate_table_spans)."""
     table = build_prob_table(spec, [region])
@@ -841,5 +842,5 @@ def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:
     fam = spec.family(location)
     d = spec.vec_dim(spec.chain_of(location))
     rows = fam.stacked().reshape(len(fam.labels()), -1)
-    dim = len(greedy_independent_rows(rows, 1e-9))
+    dim = len(greedy_independent_rows(rows, DEFAULT_RANK_TOL))
     return dim, d * d

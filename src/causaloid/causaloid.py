@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compositional import CompositionalLambda, fiducial_rows_matrix
+from .compositional import CompositionalLambda, fiducial_rows_matrix, product_rows
 from .errors import (
     ContextMismatch,
     IoError,
@@ -126,19 +126,8 @@ class MetaRule:
     ``deduce`` rebuilds the entry from the stub's factor fiducial sets.
     """
 
-    identifier: str
     drops: Callable[[CompositionalLambda], bool]
     deduce: Callable[[DeducedEntry], CompositionalLambda]
-
-
-def _retain_all_drops(entry: CompositionalLambda) -> bool:
-    return False
-
-
-def _retain_all_deduce(stub: DeducedEntry) -> CompositionalLambda:
-    raise RuleInapplicable(
-        f"the retain-all rule deduces nothing (entry {key_to_str(stub.key)})"
-    )
 
 
 def _tensor_drops(entry: CompositionalLambda) -> bool:
@@ -147,31 +136,12 @@ def _tensor_drops(entry: CompositionalLambda) -> bool:
 
 
 def _tensor_deduce(stub: DeducedEntry) -> CompositionalLambda:
-    dims = tuple(o.size for o in stub.factor_omegas)
-    n = 1
-    for d in dims:
-        n *= d
-    regions = tuple(o.region for o in stub.factor_omegas)
-    omega = OmegaSet(
-        region=key_union(stub.key),
-        indices=tuple(range(n)),
-        parent_size=n,
-        row_kind="omega-product",
-        factors=regions,
-        dims=dims,
-    )
-    return CompositionalLambda(
-        factor_omegas=stub.factor_omegas,
-        omega=omega,
-        matrix=np.eye(n),
-    )
+    omega = product_rows(stub.factor_omegas)
+    return CompositionalLambda(stub.factor_omegas, omega, np.eye(omega.parent_size))
 
 
 RULE_REGISTRY: dict[str, MetaRule] = {
-    "retain-all": MetaRule("retain-all", _retain_all_drops, _retain_all_deduce),
-    "tensor-factorization": MetaRule(
-        "tensor-factorization", _tensor_drops, _tensor_deduce
-    ),
+    "tensor-factorization": MetaRule(_tensor_drops, _tensor_deduce),
 }
 
 
@@ -209,18 +179,11 @@ class Causaloid:
                         f"factor {key_to_str(child)} of {key_to_str(key)} "
                         "has no registry entry"
                     )
-        for key, entry in self.composites:
-            expect = tuple(self.omega_of(child) for child in key)
-            if entry.factor_omegas != expect:
+        # a stub carries its factors' fiducial sets as an entry does
+        for key, entry in self.composites + tuple((d.key, d) for d in self.deduced):
+            if entry.factor_omegas != tuple(self.omega_of(child) for child in key):
                 raise ContextMismatch(
                     f"entry {key_to_str(key)} disagrees with its factors' "
-                    "fiducial sets"
-                )
-        for stub in self.deduced:
-            expect = tuple(self.omega_of(child) for child in stub.key)
-            if stub.factor_omegas != expect:
-                raise ContextMismatch(
-                    f"stub {key_to_str(stub.key)} disagrees with its factors' "
                     "fiducial sets"
                 )
 
@@ -245,8 +208,6 @@ class Causaloid:
         raise MissingEntry(f"no registry entry for {key_to_str(key)}")
 
     def omega_of(self, key) -> OmegaSet:
-        if isinstance(key, Region):
-            return self.tomographic(key).omega
         return self.entry(key).omega
 
     def keys(self) -> tuple:
@@ -331,10 +292,9 @@ def build_causaloid(
                         f"factor {key_to_str(child)} of {key_to_str(key)} "
                         "must be built first"
                     )
+            factor_omegas = tuple(entries[child].omega for child in key)
             matrix = fiducial_rows_matrix(
-                table,
-                [_leaf_rows(entries, child) for child in key],
-                tuple(key_union(child) for child in key),
+                table, [_leaf_rows(entries, child) for child in key], factor_omegas
             )
         omega = find_fiducial_set(matrix, tol_rank)
         lam = solve_expansion(matrix.values, omega.indices, tol_residual)
@@ -342,7 +302,6 @@ def build_causaloid(
             gamma = table.gammas[table.region_axis(key)]
             entries[key] = TomographicLambda(gamma=gamma, omega=omega, matrix=lam)
         else:
-            factor_omegas = tuple(entries[child].omega for child in key)
             entries[key] = CompositionalLambda(
                 factor_omegas=factor_omegas, omega=omega, matrix=lam
             )
@@ -366,13 +325,7 @@ def change_omega_basis(entry, new_omega: OmegaSet):
     old = entry.omega
     if new_omega.size != old.size:
         raise ContextMismatch("the new fiducial set must have the same size")
-    if (
-        new_omega.row_kind != old.row_kind
-        or new_omega.parent_size != old.parent_size
-        or new_omega.region != old.region
-        or new_omega.factors != old.factors
-        or new_omega.dims != old.dims
-    ):
+    if new_omega.every_row() != old.every_row():
         raise ContextMismatch("the new fiducial set indexes a different row set")
     rows = list(new_omega.indices)
     t = entry.matrix[rows]

@@ -9,6 +9,7 @@ signature of causal adjacency.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,8 +22,10 @@ from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
     OmegaSet,
+    check_expansion,
     find_fiducial_set,
     fold_to_exterior,
+    label_rows,
 )
 
 if TYPE_CHECKING:
@@ -30,6 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CompositionalLambda",
+    "product_rows",
     "joint_fiducial_matrix",
     "fiducial_rows_matrix",
     "PairCompression",
@@ -63,24 +67,12 @@ class CompositionalLambda:
             seen |= set(r.locations)
         if [r.locations for r in factors] != sorted(r.locations for r in factors):
             raise ValueError("constituents must be ordered by least location")
-        if self.omega.row_kind != "omega-product":
-            raise ValueError("composite entries compress a product row set")
-        if self.omega.factors != factors:
-            raise ValueError("composite set factors must match the constituents")
-        if self.omega.region != Region(seen):
-            raise ValueError("composite set region must be the union of the factors")
-        dims = tuple(o.size for o in self.factor_omegas)
-        if self.omega.dims != dims:
-            raise ValueError("composite set dims must match the factor sizes")
-        if self.matrix.shape != (self.omega.parent_size, self.omega.size):
+        if self.omega.every_row() != product_rows(self.factor_omegas):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} != "
-                f"{(self.omega.parent_size, self.omega.size)}"
+                "composite fiducial set must index the product of the "
+                "factors' fiducial sets"
             )
-        eye = np.eye(self.omega.size)
-        if not np.allclose(self.matrix[list(self.omega.indices)], eye, atol=1e-9):
-            raise ValueError("composite fiducial rows must form the identity")
-        self.matrix.setflags(write=False)
+        check_expansion(self.omega, self.matrix)
 
     @property
     def region(self) -> Region:
@@ -91,17 +83,34 @@ class CompositionalLambda:
         return self.omega.parent_size
 
 
+def product_rows(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
+    """Every multi-index over the factors' fiducial sets, last factor fastest.
+
+    The region is the union of the factors' regions.
+    """
+    dims = tuple(o.size for o in factor_omegas)
+    n = math.prod(dims)
+    return OmegaSet(
+        region=Region(itertools.chain(*(o.region for o in factor_omegas))),
+        indices=tuple(range(n)),
+        parent_size=n,
+        row_kind="omega-product",
+        factors=tuple(o.region for o in factor_omegas),
+        dims=dims,
+    )
+
+
 def fiducial_rows_matrix(
     table: ProbTable,
     parts: Sequence[tuple[tuple[Region, ...], Sequence[tuple[int, ...]]]],
-    factors: tuple[Region, ...],
+    factor_omegas: Sequence[OmegaSet],
 ) -> MeasurementMatrix:
     """Joint probabilities at every product of the factors' fiducial rows.
 
     ``parts`` holds, per factor, its leaf regions and, per fiducial
-    element, one gamma row index per leaf. The row multi-index runs
-    lexicographically with the last factor fastest. Leaves need not cover
-    the whole table; the remaining regions fold into the exterior axis.
+    element, one gamma row index per leaf. The rows are
+    ``product_rows(factor_omegas)``. Leaves need not cover the whole table;
+    the remaining regions fold into the exterior axis.
     """
     vals, exteriors = fold_to_exterior(
         table, tuple(itertools.chain(*(leaves for leaves, _ in parts)))
@@ -111,8 +120,8 @@ def fiducial_rows_matrix(
             "the joint table varies over a single exterior configuration; "
             "embed the regions in a larger predictively well-defined region"
         )
-    dims = tuple(len(rows) for _, rows in parts)
-    grid = np.indices(dims).reshape(len(dims), -1)
+    product = product_rows(factor_omegas)
+    grid = np.indices(product.dims).reshape(len(product.dims), -1)
     assignments = np.concatenate(
         [
             np.array(rows, dtype=int).reshape(len(rows), len(leaves))[pos]
@@ -121,12 +130,7 @@ def fiducial_rows_matrix(
         axis=1,
     )
     return MeasurementMatrix(
-        row_kind="omega-product",
-        exteriors=exteriors,
-        values=np.ascontiguousarray(vals[tuple(assignments.T)]),
-        region=Region(itertools.chain(*factors)),
-        factors=factors,
-        dims=dims,
+        product, exteriors, np.ascontiguousarray(vals[tuple(assignments.T)])
     )
 
 
@@ -142,17 +146,12 @@ def joint_fiducial_matrix(
     if len(omegas) < 2:
         raise ValueError("a joint matrix needs at least two factors")
     for o in omegas:
-        if o.row_kind != "gamma":
-            raise ContextMismatch(
-                "joint matrices take per-region fiducial sets over labels"
-            )
-        gamma = table.gammas[table.region_axis(o.region)]
-        if o.parent_size != gamma.size:
+        if o.every_row() != label_rows(table.gammas[table.region_axis(o.region)]):
             raise ContextMismatch(
                 f"fiducial set of {o.region} does not index this table"
             )
     parts = [((o.region,), [(i,) for i in o.indices]) for o in omegas]
-    return fiducial_rows_matrix(table, parts, tuple(o.region for o in omegas))
+    return fiducial_rows_matrix(table, parts, omegas)
 
 
 @dataclass(frozen=True)

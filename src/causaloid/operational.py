@@ -110,14 +110,14 @@ class Stack:
     tag: ProcedureSpec
 
     def __init__(self, cards: Iterable[Card], tag: ProcedureSpec):
-        cardset = frozenset(cards)
-        locs = [c.location for c in cardset]
+        cards = tuple(cards)
+        locs = [c.location for c in cards]
         if len(set(locs)) != len(locs):
             raise ValueError("a stack holds at most one card per location")
-        for c in cardset:
+        for c in cards:
             if c.action != tag.action_at(c.location):
                 raise ValueError(f"card {c} disagrees with the procedure tag")
-        object.__setattr__(self, "cards", cardset)
+        object.__setattr__(self, "cards", frozenset(cards))
         object.__setattr__(self, "tag", tag)
 
     def card_at(self, location: int) -> Card:
@@ -304,8 +304,9 @@ def _parse_piece(piece: str, text: str, offset: int) -> list[Stack]:
             raise SchemaError(f"card {line!r} has no action in the procedure tag", where(i))
         if card.action != actions[card.location]:
             raise SchemaError(f"card {line!r} disagrees with the procedure tag", where(i))
-        if cards.setdefault(card.location, card) != card:
+        if card.location in cards:
             raise SchemaError(f"card {line!r} is a second card at its location", where(i))
+        cards[card.location] = card
     if tag is not None:
         stacks.append(Stack(cards.values(), tag))
     return stacks

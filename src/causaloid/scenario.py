@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from . import backends
 from .backends import ClassicalSpec, QuantumSpec, TheorySpec, enumerate_labels
 from .errors import BackendError, IoError, SchemaError
-from .heralding import HeraldQuery
+from .heralding import DEFAULT_HERALD_TOL, HeraldQuery
 from .operational import Region
 from .operators import MAX_QUANTUM_DIM
+from .tomographic import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL
 
 __all__ = [
     "SCENARIO_FORMAT_VERSION",
@@ -323,7 +324,7 @@ def _parse_heralds(raw, names, spec, path: str) -> tuple[HeraldSpec, ...]:
     return tuple(out)
 
 
-def parse_scenario_dict(doc: dict, source: str = "<dict>") -> ScenarioFile:
+def parse_scenario_dict(doc: dict) -> ScenarioFile:
     """Validate a scenario document and build its theory objects."""
     _check_keys(doc, _TOP_KEYS, "$")
     version = _require(doc, "format_version", "$")
@@ -369,9 +370,9 @@ def parse_scenario_dict(doc: dict, source: str = "<dict>") -> ScenarioFile:
         regions=tuple(names.values()),
         composites=composites,
         heralds=heralds,
-        tol_rank=float(tols.get("rank", 1e-9)),
-        tol_residual=float(tols.get("residual", 1e-8)),
-        tol_herald=float(tols.get("herald", 1e-8)),
+        tol_rank=float(tols.get("rank", DEFAULT_RANK_TOL)),
+        tol_residual=float(tols.get("residual", DEFAULT_RESIDUAL_TOL)),
+        tol_herald=float(tols.get("herald", DEFAULT_HERALD_TOL)),
         seed=seed,
     )
 
@@ -391,4 +392,4 @@ def parse_scenario(path: str) -> ScenarioFile:
         ) from exc
     if not isinstance(doc, dict):
         raise SchemaError("the top level must be an object", path)
-    return parse_scenario_dict(doc, source=path)
+    return parse_scenario_dict(doc)

@@ -13,11 +13,15 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import UnknownLabel, UnknownRegion
 from .operational import Region
+
+if TYPE_CHECKING:
+    from .tomographic import OmegaSet
 
 __all__ = [
     "Label",
@@ -235,29 +239,19 @@ class ProbTable:
 class MeasurementMatrix:
     """Rows of joint probabilities over the exterior axis.
 
-    ``row_kind`` is "gamma" when rows are the labels of ``region`` in label
-    order, and "omega-product" when rows are multi-indices over per-factor
-    fiducial sets (the last factor's index varying fastest); ``region`` is
-    then the union of the factors.
+    ``rows`` keeps every row of the parent row set it tabulates: the labels
+    of one region, or the product of the factors' fiducial sets.
     """
 
-    row_kind: str
+    rows: OmegaSet
     exteriors: ExteriorAxis
     values: np.ndarray
-    region: Region
-    factors: tuple[Region, ...] | None = None
-    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.row_kind not in ("gamma", "omega-product"):
-            raise ValueError(f"unknown row kind {self.row_kind!r}")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.exteriors):
             raise ValueError("matrix columns must match the exterior axis")
-        if self.row_kind == "omega-product":
-            if self.dims is None or self.factors is None:
-                raise ValueError("omega-product matrices need dims and factors")
-            if math.prod(self.dims) != self.n_rows:
-                raise ValueError("dims do not multiply out to the row count")
+        if self.rows.parent_size != self.n_rows:
+            raise ValueError("the row set size must equal the row count")
         self.values.setflags(write=False)
 
     @property

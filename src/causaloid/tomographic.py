@@ -10,8 +10,9 @@ with r-vectors.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,9 +38,11 @@ __all__ = [
     "RVector",
     "StateVector",
     "fold_to_exterior",
+    "label_rows",
     "build_measurement_matrix",
     "find_fiducial_set",
     "solve_expansion",
+    "check_expansion",
     "r_vector",
     "state_vector",
     "born_rule",
@@ -56,7 +59,9 @@ class OmegaSet:
 
     ``row_kind`` is "gamma" when the parent rows are the labels of one
     region, and "omega-product" when they are multi-indices over factor
-    fiducial sets (last factor fastest, lexicographic).
+    fiducial sets (last factor fastest, lexicographic). ``label_rows`` and
+    ``compositional.product_rows`` build the parent row sets, and
+    ``every_row`` recovers the parent of any subset.
     """
 
     region: Region
@@ -78,10 +83,7 @@ class OmegaSet:
                 raise ValueError("product-kind sets need factors and dims")
             if len(self.factors) != len(self.dims):
                 raise ValueError("one dim per factor is required")
-            n = 1
-            for d in self.dims:
-                n *= d
-            if n != self.parent_size:
+            if math.prod(self.dims) != self.parent_size:
                 raise ValueError("dims do not multiply out to the parent size")
         elif self.factors is not None or self.dims is not None:
             raise ValueError("gamma-kind sets carry no factors or dims")
@@ -89,6 +91,29 @@ class OmegaSet:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    def every_row(self) -> "OmegaSet":
+        """The same parent row set with every row kept."""
+        return replace(self, indices=tuple(range(self.parent_size)))
+
+
+def label_rows(gamma: GammaSet) -> OmegaSet:
+    """Every label of one region, in label order."""
+    return OmegaSet(gamma.region, tuple(range(gamma.size)), gamma.size)
+
+
+def check_expansion(omega: OmegaSet, matrix: np.ndarray) -> None:
+    """Check an expansion matrix over ``omega`` and make it read-only.
+
+    It has one row per parent row and one column per fiducial element, and
+    its rows at the fiducial indices form the identity.
+    """
+    shape = (omega.parent_size, omega.size)
+    if matrix.shape != shape:
+        raise ValueError(f"matrix shape {matrix.shape} != {shape}")
+    if not np.allclose(matrix[list(omega.indices)], np.eye(omega.size), atol=1e-9):
+        raise ValueError("fiducial rows must form the identity")
+    matrix.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,21 +129,9 @@ class TomographicLambda:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.omega.row_kind != "gamma":
-            raise ValueError("tomographic entries compress a gamma row set")
-        if self.omega.region != self.gamma.region:
-            raise ValueError("fiducial set and label set disagree on the region")
-        if self.omega.parent_size != self.gamma.size:
-            raise ValueError("fiducial parent size must equal the label count")
-        if self.matrix.shape != (self.gamma.size, self.omega.size):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} != "
-                f"{(self.gamma.size, self.omega.size)}"
-            )
-        eye = np.eye(self.omega.size)
-        if not np.allclose(self.matrix[list(self.omega.indices)], eye, atol=1e-9):
-            raise ValueError("fiducial rows must form the identity")
-        self.matrix.setflags(write=False)
+        if self.omega.every_row() != label_rows(self.gamma):
+            raise ValueError("fiducial set must index the labels of its region")
+        check_expansion(self.omega, self.matrix)
 
     @property
     def region(self) -> Region:
@@ -185,9 +198,8 @@ def build_measurement_matrix(table: ProbTable, region: Region) -> MeasurementMat
             f"but not {region}"
         )
     vals, exteriors = fold_to_exterior(table, [region])
-    return MeasurementMatrix(
-        row_kind="gamma", exteriors=exteriors, values=vals, region=region
-    )
+    gamma = table.gammas[table.region_axis(region)]
+    return MeasurementMatrix(label_rows(gamma), exteriors, vals)
 
 
 def find_fiducial_set(matrix: MeasurementMatrix, tol: float = DEFAULT_RANK_TOL) -> OmegaSet:
@@ -198,14 +210,7 @@ def find_fiducial_set(matrix: MeasurementMatrix, tol: float = DEFAULT_RANK_TOL) 
     """
     if matrix.n_rows == 0:
         raise ValueError("cannot compress an empty matrix")
-    return OmegaSet(
-        region=matrix.region,
-        indices=greedy_independent_rows(matrix.values, tol),
-        parent_size=matrix.n_rows,
-        row_kind=matrix.row_kind,
-        factors=matrix.factors,
-        dims=matrix.dims,
-    )
+    return replace(matrix.rows, indices=greedy_independent_rows(matrix.values, tol))
 
 
 def solve_expansion(
@@ -245,7 +250,7 @@ def state_vector(
     matrix: MeasurementMatrix, omega: OmegaSet, exterior_index: int
 ) -> StateVector:
     """The fiducial probability list of one exterior column."""
-    if omega.parent_size != matrix.n_rows or omega.row_kind != matrix.row_kind:
+    if omega.every_row() != matrix.rows.every_row():
         raise ContextMismatch("fiducial set does not describe this matrix")
     if not 0 <= exterior_index < len(matrix.exteriors):
         raise UnknownExterior(f"exterior index {exterior_index} out of range")

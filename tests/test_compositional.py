@@ -77,7 +77,7 @@ def test_composite_region_validation(scenarios):
         with pytest.raises(SchemaError, match=message):
             causaloid_from_dict(bad)
     omega = dict(item["omega"], region=item["factor_omegas"][0]["region"])
-    with pytest.raises(SchemaError, match="union of the factors"):
+    with pytest.raises(SchemaError, match="product of the factors' fiducial sets"):
         causaloid_from_dict(dict(doc, composites=[dict(item, omega=omega)]))
 
 
@@ -86,8 +86,8 @@ def test_joint_rows_last_factor_fastest(scenarios):
     table = build_prob_table(s.spec, s.regions)
     o1, o2, _ = _omegas(table, s.regions)
     joint = joint_fiducial_matrix(table, [o1, o2])
-    assert joint.row_kind == "omega-product"
-    assert joint.dims == (o1.size, o2.size)
+    assert joint.rows.row_kind == "omega-product"
+    assert joint.rows.dims == (o1.size, o2.size)
     assert joint.values.shape[0] == o1.size * o2.size
     # row (i, j) sits at flat position i * |omega2| + j
     folded, _ = fold_to_exterior(table, [o1.region, o2.region])
@@ -210,7 +210,7 @@ def test_adjacency_compresses_only_pairs_missing_from_the_registry(
     original = comp.find_fiducial_set
 
     def counted(*args, **kwargs):
-        calls.append(args[0].factors)
+        calls.append(args[0].rows.factors)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(comp, "find_fiducial_set", counted)

@@ -1,11 +1,17 @@
 """First-level compression: fiducial sets, expansion matrices, state vectors."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from causaloid import (
+    CompositionalLambda,
+    MeasurementMatrix,
+    OmegaSet,
     Region,
+    TomographicLambda,
     born_rule,
     build_causaloid,
     build_measurement_matrix,
@@ -23,6 +29,7 @@ from causaloid.errors import (
     ResidualTooLarge,
     UnknownExterior,
 )
+from causaloid.compositional import product_rows
 from causaloid.tables import greedy_independent_rows
 
 
@@ -41,7 +48,7 @@ def polariser_entry(polariser_table):
 
 def test_measurement_matrix_shape(polariser_table):
     m = build_measurement_matrix(polariser_table, Region((2,)))
-    assert m.row_kind == "gamma"
+    assert m.rows.row_kind == "gamma"
     assert m.n_rows == 8
     with pytest.raises(IncompleteTable):
         build_measurement_matrix(polariser_table, Region((9,)))
@@ -81,6 +88,63 @@ def test_expansion_reconstructs_all_rows(polariser_entry):
     # fiducial rows are exact standard basis vectors, not merely close
     fid = lam.matrix[list(omega.indices)]
     assert np.array_equal(fid, np.eye(omega.size))
+
+
+# two factor fiducial sets of sizes 2 and 1, and their product rows
+_A = OmegaSet(Region((1,)), (0, 1), 3)
+_B = OmegaSet(Region((3,)), (1,), 2)
+_AB = product_rows((_A, _B))
+
+# (constructor of an object whose row set disagrees with its parent rows,
+# the ValueError message)
+ROW_SET_FAULTS = {
+    "tomographic-other-region": (
+        lambda m, lam: TomographicLambda(
+            lam.gamma, replace(lam.omega, region=Region((9,))), lam.matrix
+        ),
+        "fiducial set must index the labels of its region",
+    ),
+    "tomographic-other-label-count": (
+        lambda m, lam: TomographicLambda(
+            lam.gamma, replace(lam.omega, parent_size=lam.gamma.size + 1), lam.matrix
+        ),
+        "fiducial set must index the labels of its region",
+    ),
+    "tomographic-product-rows": (
+        lambda m, lam: TomographicLambda(
+            lam.gamma,
+            replace(lam.omega, row_kind="omega-product", factors=(lam.region,),
+                    dims=(lam.gamma.size,)),
+            lam.matrix,
+        ),
+        "fiducial set must index the labels of its region",
+    ),
+    "compositional-wrong-dims": (
+        lambda m, lam: CompositionalLambda((_A, _B), replace(_AB, dims=(1, 2)), np.eye(2)),
+        "composite fiducial set must index the product of the factors' fiducial sets",
+    ),
+    "compositional-wrong-region": (
+        lambda m, lam: CompositionalLambda(
+            (_A, _B), replace(_AB, region=Region((1,))), np.eye(2)
+        ),
+        "composite fiducial set must index the product of the factors' fiducial sets",
+    ),
+    "measurement-matrix-wrong-size": (
+        lambda m, lam: MeasurementMatrix(
+            replace(m.rows, parent_size=m.n_rows + 1).every_row(), m.exteriors, m.values
+        ),
+        "the row set size must equal the row count",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", ROW_SET_FAULTS.values(), ids=ROW_SET_FAULTS)
+def test_row_sets_must_match_their_parent_rows(polariser_entry, build, message):
+    m, _, lam = polariser_entry
+    assert CompositionalLambda((_A, _B), _AB, np.eye(2)).omega == _AB
+    with pytest.raises(ValueError) as info:
+        build(m, lam)
+    assert str(info.value) == message
 
 
 def test_expansion_rejects_non_spanning_rows():

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
 import shlex
+import sys
 
+import causaloid
+import causaloid.cli
 from causaloid import (
     Chain,
     ProcedureSpec,
@@ -39,6 +43,33 @@ def test_every_traced_target_resolves():
             assert hasattr(owner, part), f"causaloid.{mod_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"causaloid.{mod_name}.{attr}"
+
+
+def test_benchmark_workloads_pass_their_own_checks(tmp_path, monkeypatch, capsys):
+    # each workload of BENCHMARK.json, run briefly and untraced on the
+    # checkout's bench/ files: every operation must pass the workload's own
+    # oracle check, so a change to what bench/ reads of the package fails
+    # here and not only in the benchmark run; bench/ is only read
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    null_tracer = _load_tracer().NULL_TRACER
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for item in contract["workloads"]:
+        cls = workloads.WORKLOADS[item["name"]]
+        workdir = tmp_path / cls.name
+        workdir.mkdir()
+        wl = cls(causaloid, str(ROOT), str(workdir), 3, null_tracer)
+        wl.setup()
+        wl.prepare()
+        # the query mix repeats every 100 operations
+        ops = 100 if cls.name == "query" else 2
+        for i in range(ops):
+            assert wl.check(i, wl.op(i, wl.draw(i))), (cls.name, wl.kind(i), i)
+        if cls.name == "query":
+            assert {wl.kind(i) for i in range(ops)} == {k for k, _ in workloads.QUERY_MIX}
+        assert wl.finish(ops) == 0, cls.name
+    capsys.readouterr()
 
 
 def test_sample_stacks_draws_in_one_sample_cards_call(monkeypatch):
