@@ -13,6 +13,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -431,6 +432,10 @@ def kernel_family(
 # preparations and effects
 # ---------------------------------------------------------------------------
 
+# Each set is built once per (kind, size) and shared: Preparation and
+# TerminalEffect are frozen and their vectors read-only.
+
+@lru_cache(maxsize=None)
 def ic_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
     if kind == "classical":
         return tuple(Preparation(np.eye(size)[j].copy()) for j in range(size))
@@ -440,6 +445,7 @@ def ic_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def ic_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
     if kind == "classical":
         return tuple(
@@ -459,6 +465,7 @@ def complete_effect(kind: str, size: int) -> TerminalEffect:
     )
 
 
+@lru_cache(maxsize=None)
 def _extra_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
     if kind == "classical":
         out = [Preparation(np.full(size, 1.0 / size))]
@@ -478,6 +485,7 @@ def _extra_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _extra_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
     if kind == "classical":
         out = [TerminalEffect(np.full(size, 0.5), False)]

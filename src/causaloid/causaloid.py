@@ -447,8 +447,13 @@ def expand(causaloid: Causaloid) -> Causaloid:
 # ---------------------------------------------------------------------------
 
 def matrix_hex(matrix: np.ndarray) -> list[list[str]]:
-    """Exact float hex strings, row by row."""
-    return [[float(x).hex() for x in row] for row in matrix]
+    """Exact float hex strings, row by row.
+
+    Each string is ``float.hex`` of the entry as a Python float; the
+    report digests the compact JSON text of these rows.
+    """
+    rows = np.asarray(matrix, dtype=float).tolist()
+    return [list(map(float.hex, row)) for row in rows]
 
 
 def _matrix_from_hex(rows: list[list[str]]) -> np.ndarray:

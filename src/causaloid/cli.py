@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -61,7 +62,9 @@ EXIT_NUMERICAL = 3
 EXIT_HERALD = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="causaloid",
         description="compress operational scenarios and answer herald queries",

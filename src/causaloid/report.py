@@ -53,9 +53,22 @@ class CompressionReport:
     heralds: tuple[tuple[str, HeraldResult], ...]
 
 
-def _matrix_digest(matrix) -> str:
-    blob = json.dumps(matrix_hex(matrix), separators=(",", ":")).encode("ascii")
-    return hashlib.sha256(blob).hexdigest()
+def _matrix_digest(rows: list[list[str]]) -> str:
+    """sha256 of the compact JSON text of ``matrix_hex`` rows.
+
+    The text is what ``json.dumps(rows, separators=(",", ":"))`` writes;
+    hex float strings need no escaping, so it is joined directly.
+    """
+    text = "[" + ",".join('["' + '","'.join(row) + '"]' for row in rows) + "]"
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _lambda_fields(matrix, full_matrices: bool) -> dict:
+    rows = matrix_hex(matrix)
+    fields = {"lambda_shape": list(matrix.shape), "lambda_sha256": _matrix_digest(rows)}
+    if full_matrices:
+        fields["lambda_hex"] = rows
+    return fields
 
 
 def _float_pair(value: float) -> dict:
@@ -115,11 +128,8 @@ def _elementary_section(
             "gamma_size": entry.gamma.size,
             "omega_size": entry.omega.size,
             "omega_indices": list(entry.omega.indices),
-            "lambda_shape": list(entry.matrix.shape),
-            "lambda_sha256": _matrix_digest(entry.matrix),
+            **_lambda_fields(entry.matrix, full_matrices),
         }
-        if full_matrices:
-            item["lambda_hex"] = matrix_hex(entry.matrix)
         if len(item["omega_indices"]) != item["omega_size"]:
             raise CausaloidError("omega index list lost entries")
         out.append(item)
@@ -138,11 +148,8 @@ def _composite_section(
             "omega_size": entry.omega.size,
             "omega_indices": list(entry.omega.indices),
             "adjacent": entry.omega.size < entry.product_size,
-            "lambda_shape": list(entry.matrix.shape),
-            "lambda_sha256": _matrix_digest(entry.matrix),
+            **_lambda_fields(entry.matrix, full_matrices),
         }
-        if full_matrices:
-            item["lambda_hex"] = matrix_hex(entry.matrix)
         out.append(item)
     return out
 

@@ -265,7 +265,9 @@ def greedy_independent_rows(values: np.ndarray, tol: float) -> tuple[int, ...]:
     Scans rows in order and keeps a row when its residual after projection
     onto the span of the rows already kept exceeds ``tol * max(1, |row|)``.
     Two projection passes keep the retained basis orthonormal to workable
-    precision.
+    precision. At most ``values.shape[1]`` rows are returned, in
+    increasing order: the scan stops once that many are kept, since no
+    larger set is independent, whatever ``tol``.
     """
     rows = np.asarray(values, dtype=float)
     if rows.ndim != 2:
@@ -275,11 +277,13 @@ def greedy_independent_rows(values: np.ndarray, tol: float) -> tuple[int, ...]:
     chosen: list[int] = []
     basis = np.zeros((0, rows.shape[1]))
     for i in range(rows.shape[0]):
+        if len(chosen) == rows.shape[1]:
+            break
         v = rows[i]
         r = v - basis.T @ (basis @ v)
         r -= basis.T @ (basis @ r)
-        norm = float(np.linalg.norm(r))
-        if norm > tol * max(1.0, float(np.linalg.norm(v))):
+        norm = math.sqrt(r @ r)
+        if norm > tol * max(1.0, math.sqrt(v @ v)):
             chosen.append(i)
             basis = np.vstack([basis, r / norm])
     return tuple(chosen)

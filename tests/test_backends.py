@@ -182,6 +182,20 @@ def test_classical_kernels_must_be_stochastic():
             )
 
 
+def test_constant_sets_are_shared_and_read_only():
+    # one set per (kind, size) for the whole process: the same objects on
+    # every call, no vector writable, and the kind part of the key
+    for build in (ic_preparations, ic_effects, _extra_preparations, _extra_effects):
+        first = build("quantum", 3)
+        assert build("quantum", 3) is first
+        with pytest.raises(ValueError):
+            first[0].vector[0] = 1.0
+        classical = build("classical", 2)
+        assert classical is not build("quantum", 2)
+        assert all(item.vector.shape == (2,) for item in classical)
+        assert all(item.vector.shape == (4,) for item in build("quantum", 2))
+
+
 def test_deterministic_family_maps():
     fam = deterministic_family(1, 3, ["identity", "cycle", "reset:2", "uniform"])
     assert fam.n_actions == 4

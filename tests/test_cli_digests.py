@@ -71,6 +71,23 @@ def test_output_bytes_are_pinned(capsys, name, command):
     assert _digest(capsys, argv) == DIGESTS[name][command]
 
 
+def test_one_process_carries_nothing_between_calls(capsys):
+    # the parser and the preparation and effect sets are built once per
+    # process; a flagged run and an argparse error leave no trace in the
+    # plain runs after them, and a classical and a quantum scenario of the
+    # same size get their own sets
+    first, second = "qubit_channel", "classical_bit"
+    flagged = ["--full-matrices", "--tol-rank", "1e-7", "--seed", "99"]
+    assert main(["compress", "--scenario", scenario_path(first), *flagged]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--scenario", scenario_path(first), "--tol-rank", "tiny"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for name in (second, first):
+        argv = ["compress", "--scenario", scenario_path(name)]
+        assert _digest(capsys, argv) == DIGESTS[name]["compress"]
+
+
 # (scenario, command, --tol-rank) -> (exit code, sha256 of stdout) over the
 # rank-tolerance grid; above 1e-3 most scenarios fail their reconstruction
 # check (exit 3, empty stdout), and the classical ones still pass at 0.5

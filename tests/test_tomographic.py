@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from causaloid import (
     CompositionalLambda,
@@ -71,6 +74,33 @@ def test_greedy_scan_prefers_lowest_indices():
             before = [i for i in chosen if i < j]
             sub = a[before + [j]]
             assert np.linalg.matrix_rank(sub, tol=1e-9) == len(before)
+
+
+@st.composite
+def _row_matrices(draw):
+    """Products of rank at most ``n_cols`` (often taller than wide), or arbitrary arrays."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, n_cols))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, n_cols))
+    return draw(hnp.arrays(
+        np.float64, (n_rows, n_cols),
+        elements=st.floats(-1e150, 1e150, allow_nan=False),
+    ))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _row_matrices(),
+    st.sampled_from([1e-300, 1e-100, 1e-17, 1e-15, 1e-13, 1e-9]) | st.floats(1e-300, 1e3),
+)
+def test_greedy_scan_keeps_at_most_one_row_per_column(values, tol):
+    # below rounding level every residual passes the test, so only the
+    # stop at full rank keeps the set independent
+    chosen = greedy_independent_rows(values, tol)
+    assert len(chosen) <= values.shape[1]
+    assert list(chosen) == sorted(set(chosen))
 
 
 def test_fiducial_set_is_deterministic(polariser_table):
