@@ -825,6 +825,13 @@ def validate_table_spans(
                 f"region {region}: rank grows from {rank} to {extended} when the "
                 f"exterior set is extended; declare more preparations/effects"
             )
+        if extended < rank:
+            # more columns cannot lower a rank in exact arithmetic: the
+            # fiducial set holds rows that only rounding noise separates
+            raise SpanDeficient(
+                f"region {region}: fiducial rank {rank} exceeds the extended rank "
+                f"{extended}; the rank tolerance is below rounding noise"
+            )
         n_exteriors = table.values.size // table.values.shape[axis]
         n_extended = n_exteriors // declared * widen
         out.append(SpanValidation(region, rank, extended, n_exteriors, n_extended))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ __all__ = [
     "expand",
     "causaloid_to_dict",
     "causaloid_from_dict",
+    "json_text",
     "save_causaloid",
     "load_causaloid",
 ]
@@ -457,7 +459,16 @@ def matrix_hex(matrix: np.ndarray) -> list[list[str]]:
 
 
 def _matrix_from_hex(rows: list[list[str]]) -> np.ndarray:
-    return np.array([[float.fromhex(x) for x in row] for row in rows], dtype=float)
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
+        raise ValueError("matrix_hex must be a non-empty list of rows")
+    n, c = len(rows), len(rows[0])
+    if not all(isinstance(row, list) and len(row) == c for row in rows):
+        raise ValueError("matrix_hex rows must be lists of equal length")
+    # one pass over every string; float.fromhex keeps the values bit-exact
+    values = np.fromiter(
+        map(float.fromhex, itertools.chain.from_iterable(rows)), float, n * c
+    )
+    return values.reshape(n, c)
 
 
 def _omega_to_dict(o: OmegaSet) -> dict:
@@ -598,11 +609,95 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
         raise SchemaError(f"malformed causaloid document: {exc}") from exc
 
 
+_escape = json.encoder.encode_basestring_ascii
+_INDENT = "  "
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, CPython's json leaves its C encoder and writes
+    every value from Python. Here a list whose items are all strings (a
+    ``matrix_hex`` row) is one ``str.join`` over json's C string escaper;
+    every other value is written one element at a time, as json writes
+    it: ``int.__repr__``, ``float.__repr__``, ``NaN``/``Infinity``,
+    ``true``/``false``/``null``, tuples as lists, dict keys sorted and
+    converted as json converts them. Anything json rejects for its type
+    raises ``TypeError``. Containers that hold themselves are not
+    detected.
+    """
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + _INDENT
+        try:
+            parts.append("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
+            return
+        except TypeError:
+            pass  # not all strings: one element at a time
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            sep = "," + inner
+            _write_json(item, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + _INDENT
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _json_key(key) + ": ")
+            sep = "," + inner
+            _write_json(item, inner, parts)
+        parts.append(newline + "}")
+    else:
+        parts.append(_json_scalar(value))
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if key is None or isinstance(key, (int, float)):
+        # json quotes the scalar's text, which needs no escaping
+        return '"' + _json_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def save_causaloid(causaloid: Causaloid, path: str) -> None:
-    text = json.dumps(causaloid_to_dict(causaloid), indent=2, sort_keys=True)
+    text = json_text(causaloid_to_dict(causaloid))
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

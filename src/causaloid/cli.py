@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
+from .causaloid import json_text
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
     CausaloidError,
@@ -192,7 +192,7 @@ def _cmd_herald(args) -> int:
             "high": {"exterior": hi_ext.describe(), "p": hi_p},
             "low": {"exterior": lo_ext.describe(), "p": lo_p},
         }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     if args.require_herald and not result.well_defined:
         sys.stderr.write("herald query is not well defined\n")
         return EXIT_HERALD
@@ -228,7 +228,7 @@ def _cmd_validate(args) -> int:
     scenario = _load(args)
     _, spans, _ = checked_causaloid(scenario)
     payload = {"scenario": scenario.name, "span_validation": span_rows(scenario, spans)}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return EXIT_OK
 
 

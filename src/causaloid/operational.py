@@ -119,6 +119,12 @@ class Stack:
                 raise ValueError(f"card {c} disagrees with the procedure tag")
         object.__setattr__(self, "cards", frozenset(cards))
         object.__setattr__(self, "tag", tag)
+        # runs with equal outcomes share one Stack, which writers and
+        # counters then hash once per run: compute the hash once
+        object.__setattr__(self, "_hash", hash((self.cards, tag)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def card_at(self, location: int) -> Card:
         for c in self.cards:
@@ -187,13 +193,26 @@ def sample_stacks(backend, procedure: ProcedureSpec, runs: int, seed: int) -> li
     order = [x for chain in backend.chains for x in chain.locations]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     outcomes = backend.sample_cards(procedure, rng.random((runs, len(order))))
-    rows, which = np.unique(outcomes, axis=0, return_inverse=True)
+    rows, which = _distinct_rows(outcomes)
     actions = [procedure.action_at(x) for x in order]
     distinct = [
-        Stack((Card(x, a, s) for x, a, s in zip(order, actions, row.tolist())), procedure)
-        for row in rows
+        Stack((Card(x, a, s) for x, a, s in zip(order, actions, row)), procedure)
+        for row in rows.tolist()
     ]
-    return [distinct[j] for j in which.reshape(-1).tolist()]
+    return [distinct[j] for j in which.tolist()]
+
+
+def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and the
+    position of each input row among them: what ``np.unique(values,
+    axis=0, return_inverse=True)`` returns, from one ``lexsort``."""
+    order = np.lexsort(values.T[::-1])
+    ordered = values[order]
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    which = np.empty(len(ordered), dtype=np.intp)
+    which[order] = np.cumsum(starts) - 1
+    return ordered[starts], which
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ only on request).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 from . import __version__
@@ -22,7 +21,7 @@ from .backends import (
     conditioning_span,
     validate_table_spans,
 )
-from .causaloid import Causaloid, build_causaloid, matrix_hex
+from .causaloid import Causaloid, build_causaloid, json_text, matrix_hex
 from .compositional import adjacency_graph
 from .errors import CausaloidError, IoError
 from .heralding import HeraldResult, herald
@@ -292,7 +291,7 @@ def run_pipeline(
 
 def report_json(report: CompressionReport) -> str:
     """Canonical text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
+    return json_text(report.payload)
 
 
 def write_report(report: CompressionReport, path) -> None:

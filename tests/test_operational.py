@@ -30,7 +30,7 @@ from causaloid import (
     sample_stacks,
 )
 from causaloid.errors import SchemaError, UnknownProcedure, UnknownRegion
-from causaloid.operational import _write_stacks
+from causaloid.operational import _distinct_rows, _write_stacks
 from causaloid.tables import ExteriorConfiguration
 
 
@@ -123,6 +123,29 @@ def test_sample_stacks_deterministic_and_order_free():
     # run i is seeded independently of how many runs are requested
     d = sample_stacks(spec, proc, 16, seed=7)
     assert a[:16] == d
+
+
+@pytest.mark.parametrize(
+    "shape, high",
+    [((0, 3), 2), ((1, 1), 2), ((60, 1), 3), ((1000, 3), 2), ((300, 5), 4), ((40, 2), 1000)],
+)
+def test_distinct_rows_match_np_unique(shape, high):
+    # sample_stacks groups runs by outcome row; np.unique is the reference
+    values = np.random.default_rng(sum(shape) + high).integers(0, high, size=shape)
+    rows, which = _distinct_rows(values)
+    want_rows, want_which = np.unique(values, axis=0, return_inverse=True)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(which, want_which.reshape(-1))
+
+
+def test_equal_stacks_hash_alike():
+    p = ProcedureSpec({1: 0, 2: 1})
+    a = Stack([Card(1, 0, 0), Card(2, 1, 1)], p)
+    b = Stack([Card(2, 1, 1), Card(1, 0, 0)], ProcedureSpec({2: 1, 1: 0}))
+    c = Stack([Card(1, 0, 1), Card(2, 1, 1)], p)
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert len({a, b, c}) == 2
 
 
 def test_stack_round_trip(tmp_path):

@@ -561,6 +561,18 @@ def test_tiny_rank_tolerance_keeps_fiducial_sets_independent(capsys, name):
         assert item["omega_size"] <= exteriors[item["region"]]
 
 
+@pytest.mark.parametrize("command", ["compress", "validate"])
+def test_noise_rows_in_a_fiducial_set_fail_the_span_check(capsys, command):
+    # at 1e-16 the greedy scan keeps 8 rows of polariser_chain's R1, whose
+    # extended exterior set has rank 5: more columns cannot lower a rank,
+    # so the extra rows are rounding noise and the run must not pass
+    argv = [command, "--scenario", _scn("polariser_chain"), "--tol-rank", "1e-16"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fiducial rank 8 exceeds the extended rank 5" in captured.err
+
+
 def test_pipeline_decodes_only_witness_exteriors(scenarios, monkeypatch):
     # exterior columns are index arithmetic; a configuration object is
     # decoded only for the two witnesses of an ill-defined herald
