@@ -7,7 +7,7 @@ region unions, adjacency classification, and heralded conditional
 probabilities for unperformed experiments. A deterministic CLI wraps the
 pipeline.
 """
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -146,4 +146,6 @@ from .tomographic import (
     state_vector,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are not exported
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -18,12 +18,13 @@ import numpy as np
 from .compositional import CompositionalLambda, fiducial_rows_matrix, product_rows
 from .errors import (
     ContextMismatch,
-    IoError,
     MissingEntry,
     RuleInapplicable,
     SchemaError,
     SingularTransform,
     UnknownRegion,
+    read_json,
+    write_text,
 )
 from .operational import Region
 from .tables import GammaSet, Label, ProbTable
@@ -42,7 +43,6 @@ from .tomographic import (
 )
 
 __all__ = [
-    "Key",
     "DeducedEntry",
     "MetaRule",
     "RULE_REGISTRY",
@@ -62,14 +62,12 @@ __all__ = [
     "load_causaloid",
 ]
 
-# a registry key is a Region (first-level entry) or a tuple of keys
-# (grouping whose factors are the child keys, in canonical order)
-Key = "Region | tuple"
-
 MAX_BASIS_CONDITION = 1e12
 FORMAT_VERSION = 1
 
 
+# a registry key is a Region (first-level entry) or a tuple of keys
+# (grouping whose factors are the child keys, in canonical order)
 def key_union(key) -> Region:
     if isinstance(key, Region):
         return key
@@ -486,9 +484,12 @@ def _omega_to_dict(o: OmegaSet) -> dict:
 
 def _omega_from_dict(d: dict) -> OmegaSet:
     kind = d["row_kind"]
+    indices = tuple(d["indices"])
+    if not all(type(i) is int for i in indices):
+        raise ValueError("fiducial indices must be integers")
     return OmegaSet(
         region=Region(tuple(d["region"])),
-        indices=tuple(d["indices"]),
+        indices=indices,
         parent_size=int(d["parent_size"]),
         row_kind=kind,
         factors=tuple(Region(tuple(f)) for f in d["factors"])
@@ -505,9 +506,18 @@ def _key_to_json(key):
 
 
 def _key_from_json(node):
-    if all(isinstance(x, int) for x in node):
-        return Region(tuple(node))
-    return tuple(_key_from_json(c) for c in node)
+    # a region is a list of ints; a grouping must be in normalize_key form:
+    # two or more keys, pairwise disjoint, ordered by least location (the
+    # children are checked already, so one level is checked here)
+    if isinstance(node, list) and node and all(type(x) is int for x in node):
+        return Region(node)
+    if not isinstance(node, list) or len(node) < 2:
+        raise ValueError(f"a key must list locations or two or more keys, got {node!r}")
+    key = tuple(map(_key_from_json, node))
+    unions = [key_union(k).locations for k in key]
+    if unions != sorted(unions) or len(key_union(key)) != sum(map(len, unions)):
+        raise ValueError(f"grouping {node!r} is not disjoint and in canonical order")
+    return key
 
 
 def causaloid_to_dict(causaloid: Causaloid) -> dict:
@@ -605,7 +615,8 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
             deduced=deduced,
             rules=tuple(doc.get("rules", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # a key nested deeper than the interpreter's stack is malformed too
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed causaloid document: {exc}") from exc
 
 
@@ -694,22 +705,8 @@ def _json_key(key) -> str:
 
 
 def save_causaloid(causaloid: Causaloid, path: str) -> None:
-    text = json_text(causaloid_to_dict(causaloid))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, json_text(causaloid_to_dict(causaloid)))
 
 
 def load_causaloid(path: str) -> Causaloid:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return causaloid_from_dict(doc)
+    return causaloid_from_dict(read_json(path))

@@ -27,13 +27,13 @@ from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
     CausaloidError,
     DegenerateExterior,
-    IoError,
     ResidualTooLarge,
     SchemaError,
     SingularTransform,
     SpanDeficient,
     ZeroDenominator,
     ZeroDenominatorVector,
+    write_text,
 )
 from .heralding import HeraldQuery, herald
 from .report import (
@@ -41,7 +41,6 @@ from .report import (
     report_json,
     run_pipeline,
     span_rows,
-    write_report,
 )
 from .scenario import ScenarioFile, check_tolerance, label_ref, parse_scenario
 
@@ -131,21 +130,14 @@ def _load(args) -> ScenarioFile:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from exc
+    else:
+        write_text(out_path, text)
 
 
 def _cmd_compress(args) -> int:
     scenario = _load(args)
     report = run_pipeline(scenario, full_matrices=args.full_matrices)
-    if args.out is not None:
-        write_report(report, args.out)
-    else:
-        sys.stdout.write(report_json(report))
+    _emit(report_json(report), args.out)
     if args.require_herald:
         for name, result in report.heralds:
             if not result.well_defined:

@@ -1,9 +1,15 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its one file reader and writer.
 
 Every failure mode that callers are expected to handle gets its own class so
 CLI exit-code mapping and tests can discriminate without string matching.
+Every file is read and written through ``read_text``, ``read_json`` and
+``write_text``: one that cannot be opened, read or written is an ``IoError``;
+one that is not UTF-8, not JSON or nested too deeply to decode is a
+``SchemaError`` naming the file.
 """
 from __future__ import annotations
+
+import json
 
 
 class CausaloidError(Exception):
@@ -96,3 +102,34 @@ class ZeroDenominatorVector(CausaloidError):
 
 class RuleInapplicable(CausaloidError):
     """A meta-compression rule cannot be applied to the given causaloid."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text at byte {exc.start}", str(path)) from exc
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"{path}:{exc.lineno}:{exc.colno}"
+        raise SchemaError(f"not valid JSON: {exc.msg}", where) from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON nested too deeply to decode", str(path)) from exc
+
+
+def write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc

@@ -8,14 +8,13 @@ are estimated directly from collections of stacks; everything downstream
 """
 from __future__ import annotations
 
-import io
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, SchemaError, UnknownRegion, ZeroConditionCount
+from .errors import SchemaError, UnknownRegion, ZeroConditionCount, read_text, write_text
 
 __all__ = [
     "Card",
@@ -220,14 +219,10 @@ def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def dump_stacks(stacks: Sequence[Stack], path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_stacks(stacks, fh)
-    except OSError as exc:
-        raise IoError(f"cannot write stacks to {path}: {exc}") from exc
+    write_text(path, _write_stacks(stacks))
 
 
-def _write_stacks(stacks: Sequence[Stack], fh: io.TextIOBase) -> None:
+def _write_stacks(stacks: Sequence[Stack]) -> str:
     # everything after the run index depends on the stack alone, so each
     # distinct stack is formatted once
     bodies: dict[Stack, str] = {}
@@ -241,16 +236,11 @@ def _write_stacks(stacks: Sequence[Stack], fh: io.TextIOBase) -> None:
             )
             body = bodies[stack] = f" procedure {proc}\n{cards}\n"
         parts.append(f"# stack {i}{body}")
-    fh.write("".join(parts))
+    return "".join(parts)
 
 
 def load_stacks(path) -> list[Stack]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read stacks from {path}: {exc}") from exc
-    return parse_stacks(text)
+    return parse_stacks(read_text(path))
 
 
 def parse_stacks(text: str) -> list[Stack]:

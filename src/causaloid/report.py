@@ -23,7 +23,7 @@ from .backends import (
 )
 from .causaloid import Causaloid, build_causaloid, json_text, matrix_hex
 from .compositional import adjacency_graph
-from .errors import CausaloidError, IoError
+from .errors import write_text
 from .heralding import HeraldResult, herald
 from .operational import Region
 from .scenario import ScenarioFile
@@ -129,8 +129,6 @@ def _elementary_section(
             "omega_indices": list(entry.omega.indices),
             **_lambda_fields(entry.matrix, full_matrices),
         }
-        if len(item["omega_indices"]) != item["omega_size"]:
-            raise CausaloidError("omega index list lost entries")
         out.append(item)
     return out
 
@@ -295,9 +293,4 @@ def report_json(report: CompressionReport) -> str:
 
 
 def write_report(report: CompressionReport, path) -> None:
-    text = report_json(report)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    write_text(path, report_json(report))

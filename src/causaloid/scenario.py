@@ -7,13 +7,13 @@ out-of-range indices are schema errors that name the offending path.
 """
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
 from . import backends
 from .backends import ClassicalSpec, QuantumSpec, TheorySpec, enumerate_labels
-from .errors import BackendError, IoError, SchemaError
+from .causaloid import key_union
+from .errors import BackendError, SchemaError, read_json
 from .heralding import DEFAULT_HERALD_TOL, HeraldQuery
 from .operational import Region
 from .operators import MAX_QUANTUM_DIM
@@ -117,13 +117,6 @@ def _int_list(value, path: str) -> list[int]:
     ):
         raise SchemaError("expected a list of non-negative integers", path)
     return value
-
-
-def _locations(node) -> list[int]:
-    """Every location under a region or a nested grouping of regions."""
-    if isinstance(node, Region):
-        return list(node.locations)
-    return [x for child in node for x in _locations(child)]
 
 
 def _build_family(item: dict, location: int, size: int, path: str):
@@ -239,7 +232,8 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
     if not isinstance(raw, list):
         raise SchemaError("expected a list of groupings", path)
 
-    def resolve(node, npath):
+    # a grouping has two or more disjoint factors: at depth d it holds d + 1 regions
+    def resolve(node, npath, depth):
         if isinstance(node, str):
             if node not in names:
                 raise SchemaError(f"region {node!r} is not declared", npath)
@@ -247,18 +241,19 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
         if isinstance(node, list):
             if len(node) < 2:
                 raise SchemaError("a grouping needs at least two factors", npath)
+            if depth >= len(names):
+                raise SchemaError(f"nested {depth} deep, needs {depth + 1} regions", npath)
             key = tuple(
-                resolve(child, f"{npath}[{i}]") for i, child in enumerate(node)
+                resolve(child, f"{npath}[{i}]", depth + 1) for i, child in enumerate(node)
             )
-            locs = _locations(key)
-            if len(set(locs)) != len(locs):
+            if len(key_union(key)) != sum(len(key_union(child)) for child in key):
                 raise SchemaError("grouping factors must be pairwise disjoint", npath)
             return key
         raise SchemaError("expected a region name or a nested grouping", npath)
 
     out = []
     for i, node in enumerate(raw):
-        key = resolve(node, f"{path}[{i}]")
+        key = resolve(node, f"{path}[{i}]", 1)
         if isinstance(key, Region):
             raise SchemaError("a grouping needs at least two factors", f"{path}[{i}]")
         out.append(key)
@@ -379,17 +374,7 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
 
 def parse_scenario(path: str) -> ScenarioFile:
     """Read and validate one scenario file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"not valid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}"
-        ) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("the top level must be an object", path)
     return parse_scenario_dict(doc)

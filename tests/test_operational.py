@@ -414,7 +414,7 @@ def test_parse_stacks_matches_the_line_parser():
         effects=(ic_effects("quantum", 2),),
     )
     buf = io.StringIO()
-    _write_stacks(sample_stacks(spec, ProcedureSpec({1: 0, 2: 1, 3: 2}), 200, 7), buf)
+    buf.write(_write_stacks(sample_stacks(spec, ProcedureSpec({1: 0, 2: 1, 3: 2}), 200, 7)))
     dump = buf.getvalue()
     texts = [dump, dump.replace("\n", "\r\n"), " " + dump.replace("\n", " \n\t")]
     texts += MALFORMED_STACKS

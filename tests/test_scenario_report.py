@@ -26,10 +26,11 @@ from causaloid import (
     run_pipeline,
     write_report,
 )
-from causaloid.causaloid import _matrix_from_hex, matrix_hex
+from causaloid.causaloid import _matrix_from_hex, load_causaloid, matrix_hex
 from causaloid.cli import main
 from causaloid.report import _matrix_digest
 from causaloid.errors import IoError, SchemaError, UnknownEntry
+from causaloid.operational import load_stacks
 from causaloid.scenario import parse_scenario, parse_scenario_dict
 
 from conftest import SCENARIO_NAMES, scenario_path
@@ -53,6 +54,63 @@ def test_invalid_json_reports_position(tmp_path):
         parse_scenario(str(bad))
     assert ":2:11:" in str(err.value)  # file:line:column prefix
     assert "not valid JSON" in str(err.value)
+
+
+# not UTF-8 at byte 9, and nested deeper than the JSON decoder can follow
+def _not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": \xff\xfe}')
+    return path
+
+
+def _too_deep(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    return path
+
+
+READERS = {"parse_scenario": parse_scenario, "load_causaloid": load_causaloid,
+           "load_stacks": load_stacks}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_non_utf8_file_is_a_schema_error(tmp_path, reader):
+    path = _not_utf8(tmp_path)
+    with pytest.raises(SchemaError) as err:
+        READERS[reader](str(path))
+    assert str(err.value) == f"{path}: not UTF-8 text at byte 9"
+
+
+@pytest.mark.parametrize("reader", ["load_causaloid", "parse_scenario"])
+def test_too_deeply_nested_json_is_a_schema_error(tmp_path, reader):
+    path = _too_deep(tmp_path)
+    with pytest.raises(SchemaError) as err:
+        READERS[reader](str(path))
+    assert str(err.value) == f"{path}: JSON nested too deeply to decode"
+
+
+@pytest.mark.parametrize("make", [_not_utf8, _too_deep])
+def test_cli_unreadable_scenario_exits_2(tmp_path, capsys, make):
+    path = make(tmp_path)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_composites_nest_no_deeper_than_the_regions_allow():
+    # three regions allow one nested grouping: ((R1 x R2) x R3)
+    doc = _doc("polariser_chain")
+    doc["composites"] = [["R3", ["R1", "R2"]]]
+    assert len(parse_scenario_dict(doc).composites) == 1
+    node = ["R1", "R2"]
+    for _ in range(500):
+        node = ["R3", node]
+    doc["composites"] = [node]
+    with pytest.raises(SchemaError) as err:
+        parse_scenario_dict(doc)
+    assert err.value.path == "$.composites[0][1][1]"
 
 
 def test_unknown_top_level_key():

@@ -30,7 +30,7 @@ from causaloid.causaloid import (
     meta_compress,
     save_causaloid,
 )
-from causaloid.errors import SchemaError
+from causaloid.errors import CausaloidError, SchemaError
 from causaloid.report import checked_causaloid
 
 from conftest import SCENARIO_NAMES
@@ -259,3 +259,50 @@ def test_malformed_matrix_hex_is_a_schema_error(tmp_path, chain3_doc, section, c
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SchemaError, match="malformed causaloid document"):
         load_causaloid(path)
+
+
+# -- single-field edits of a registry document --------------------------------
+
+ODD_VALUES = ("x", 1.5, True, [], [[1]])
+
+
+def _fields(node, path=()):
+    """The path of every field, with each matrix cut to its first entry
+    (the rest of every matrix is covered by the malformed matrix_hex cases)."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node[:1] if "matrix_hex" in path else node)
+        if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def test_edited_registry_fields_fail_only_with_causaloid_errors(scenarios):
+    _, _, c = checked_causaloid(scenarios("polariser_chain"))
+    doc = causaloid_to_dict(meta_compress(c, ["tensor-factorization"]))
+    assert doc["composites"] and doc["deduced"]
+    for path in list(_fields(doc)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kept = parent[path[-1]]
+        for value in ODD_VALUES:
+            parent[path[-1]] = value
+            try:
+                causaloid_from_dict(doc)
+            except CausaloidError as exc:
+                # a key or a fiducial index of the wrong type is a schema fault
+                if "key" in path or ("indices" in path and path[-1] != "indices"):
+                    assert isinstance(exc, SchemaError), (path, value, exc)
+            else:
+                assert "key" not in path, (path, value)
+        parent[path[-1]] = kept
+    causaloid_from_dict(doc)
+    # a well-formed key nested past the interpreter's stack
+    key = [1]
+    for location in range(2, 3000):
+        key = [key, [location]]
+    doc["composites"][0]["key"] = key
+    with pytest.raises(SchemaError, match="malformed causaloid document"):
+        causaloid_from_dict(doc)

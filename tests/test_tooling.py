@@ -1,6 +1,7 @@
 """Guards for the in-repo tooling that instruments the package from outside."""
 from __future__ import annotations
 
+import __future__
 import importlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import pathlib
 import re
 import shlex
 import sys
+import types
 
 import causaloid
 import causaloid.cli
@@ -133,3 +135,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
         exec(compile(code, "README.md", "exec"), {})
     assert (tmp_path / "registry.json").is_file()
     capsys.readouterr()
+
+
+def test_star_import_binds_only_public_names():
+    # the submodules and the __future__ feature the package imports are not
+    # part of its names
+    for name in causaloid.__all__:
+        value = getattr(causaloid, name)
+        assert not isinstance(value, (types.ModuleType, __future__._Feature)), name
+    assert "Causaloid" in causaloid.__all__ and "annotations" not in causaloid.__all__
