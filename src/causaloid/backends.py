@@ -13,7 +13,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,14 +134,12 @@ class InstrumentFamily:
     def labels(self) -> list[tuple[int, int]]:
         return [(a, s) for a in range(len(self.actions)) for s in range(len(self.actions[a]))]
 
+    @cached_property
     def stacked(self) -> np.ndarray:
         """All per-label transfer matrices as one (n_labels, D, D) array."""
-        cache = getattr(self, "_cached_stack", None)
-        if cache is None:
-            cache = np.stack([self.actions[a][s] for a, s in self.labels()])
-            cache.setflags(write=False)
-            object.__setattr__(self, "_cached_stack", cache)
-        return cache
+        stack = np.stack([self.actions[a][s] for a, s in self.labels()])
+        stack.setflags(write=False)
+        return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +219,7 @@ class TheorySpec:
 
     def _check_total_probability(self, fam: InstrumentFamily) -> None:
         t = self.total_covector(self.chain_of(fam.location))
-        stack = fam.stacked()
+        stack = fam.stacked
         # labels run action by action, so one reduceat sums every action's
         # outcome maps (in outcome order) at once
         starts = np.cumsum([0] + [len(group) for group in fam.actions[:-1]])
@@ -635,7 +633,7 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
         acc = np.stack([p.vector for p in spec.preparations[ci]])
         shape = [len(acc)]
         for loc in chain.locations:
-            stack = spec.family(loc).stacked()  # (n_labels, D, D)
+            stack = spec.family(loc).stacked  # (n_labels, D, D)
             acc = np.einsum("kmn,cn->ckm", stack, acc.reshape(-1, stack.shape[1]))
             loc_axes[loc] = full.ndim + len(shape)
             shape.append(len(stack))
@@ -706,7 +704,7 @@ def _cut_slots(
     d = spec.vec_dim(chain)
     preps = spec.preparations[ci] + _extra_preparations(spec.kind, chain.size)
     effs = spec.effects[ci] + _extra_effects(spec.kind, chain.size)
-    stacks = [spec.family(x).stacked() for x in chain.locations]
+    stacks = [spec.family(x).stacked for x in chain.locations]
     inputs = [_span_factor(np.stack([p.vector for p in preps]))]
     for stack in stacks:
         pushed = inputs[-1] @ stack.transpose(0, 2, 1)  # rows (T v)
@@ -742,7 +740,7 @@ def _cut_rows(
     """
     chain = spec.chains[ci]
     d = spec.vec_dim(chain)
-    stacks = [spec.family(x).stacked() for x in chain.locations]
+    stacks = [spec.family(x).stacked for x in chain.locations]
     inputs, outputs = slots
     x = inputs[positions[0]][None]  # (rows, columns, d) states
     for j, p in enumerate(positions):
@@ -856,6 +854,6 @@ def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:
     """
     fam = spec.family(location)
     d = spec.vec_dim(spec.chain_of(location))
-    rows = fam.stacked().reshape(len(fam.labels()), -1)
+    rows = fam.stacked.reshape(len(fam.labels()), -1)
     dim = len(greedy_independent_rows(rows, DEFAULT_RANK_TOL))
     return dim, d * d

@@ -26,7 +26,7 @@ from .errors import (
     read_json,
     write_text,
 )
-from .operational import Region
+from .operational import Region, disjoint_union
 from .tables import GammaSet, Label, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
@@ -67,31 +67,24 @@ FORMAT_VERSION = 1
 
 
 # a registry key is a Region (first-level entry) or a tuple of keys
-# (grouping whose factors are the child keys, in canonical order)
+# (grouping whose factors are the child keys, in canonical order: sorted
+# by key_union)
 def key_union(key) -> Region:
+    """The region a key covers; ``ValueError`` if two factors overlap."""
     if isinstance(key, Region):
         return key
-    locs: list[int] = []
-    for child in key:
-        locs.extend(key_union(child).locations)
-    return Region(tuple(sorted(locs)))
+    return disjoint_union(map(key_union, key))
 
 
 def normalize_key(spec) -> "Region | tuple":
-    """Canonical nested-tuple form: factors sorted by least location."""
+    """Canonical nested-tuple form: disjoint factors sorted by least location."""
     if isinstance(spec, Region):
         return spec
     children = tuple(normalize_key(c) for c in spec)
     if len(children) < 2:
         raise ValueError("a grouping needs at least two factors")
-    ordered = tuple(sorted(children, key=lambda k: key_union(k).locations))
-    seen: set[int] = set()
-    for c in ordered:
-        u = set(key_union(c).locations)
-        if seen & u:
-            raise ValueError("grouping factors must be pairwise disjoint")
-        seen |= u
-    return ordered
+    key_union(children)
+    return tuple(sorted(children, key=key_union))
 
 
 def key_to_str(key) -> str:
@@ -147,7 +140,12 @@ RULE_REGISTRY: dict[str, MetaRule] = {
 
 @dataclass(frozen=True, eq=False)
 class Causaloid:
-    """Immutable registry of expansion entries for one scenario."""
+    """Immutable registry of expansion entries for one scenario.
+
+    Every lookup reads one index from key to entry, built at construction
+    in ``keys()`` order: regions, composites, then stubs. A stub stands in
+    for its entry until first use, when the deduced entry replaces it.
+    """
 
     regions: tuple[Region, ...]
     elementary: tuple[TomographicLambda, ...]
@@ -156,31 +154,29 @@ class Causaloid:
     rules: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if list(self.regions) != sorted(self.regions, key=lambda r: r.locations):
+        if list(self.regions) != sorted(self.regions):
             raise ValueError("regions must be in canonical order")
-        seen: set[int] = set()
-        for r in self.regions:
-            if seen & set(r.locations):
-                raise ValueError("regions must be pairwise disjoint")
-            seen |= set(r.locations)
+        disjoint_union(self.regions)
         if tuple(e.region for e in self.elementary) != self.regions:
             raise ValueError("one first-level entry per region, in order")
         for name in self.rules:
             if name not in RULE_REGISTRY:
                 raise RuleInapplicable(f"rule {name!r} is not registered")
-        keys = [k for k, _ in self.composites] + [d.key for d in self.deduced]
-        if len(set(keys)) != len(keys):
+        grouped = self.composites + tuple((d.key, d) for d in self.deduced)
+        index = dict(zip(self.regions, self.elementary))
+        index.update(grouped)
+        if len(index) != len(self.regions) + len(grouped):
             raise ValueError("registry keys must be unique")
-        known = set(self.regions) | set(keys)
-        for key in keys:
+        object.__setattr__(self, "_index", index)
+        for key, _ in grouped:
             for child in key:
-                if child not in known:
+                if child not in index:
                     raise MissingEntry(
                         f"factor {key_to_str(child)} of {key_to_str(key)} "
                         "has no registry entry"
                     )
         # a stub carries its factors' fiducial sets as an entry does
-        for key, entry in self.composites + tuple((d.key, d) for d in self.deduced):
+        for key, entry in grouped:
             if entry.factor_omegas != tuple(self.omega_of(child) for child in key):
                 raise ContextMismatch(
                     f"entry {key_to_str(key)} disagrees with its factors' "
@@ -190,53 +186,37 @@ class Causaloid:
     # -- lookups ---------------------------------------------------------
 
     def tomographic(self, region: Region) -> TomographicLambda:
-        try:
-            return self.elementary[self.regions.index(region)]
-        except ValueError:
-            raise UnknownRegion(f"no first-level entry for {region}") from None
+        if not isinstance(region, Region) or region not in self._index:
+            raise UnknownRegion(f"no first-level entry for {region}")
+        return self._index[region]
 
     def entry(self, key):
-        """Resolve a key to its entry, materializing stubs on demand."""
+        """Resolve a key to its entry; a stub is deduced on first use."""
         if isinstance(key, Region):
             return self.tomographic(key)
-        for k, entry in self.composites:
-            if k == key:
-                return entry
-        for stub in self.deduced:
-            if stub.key == key:
-                return self._materialize(stub)
-        raise MissingEntry(f"no registry entry for {key_to_str(key)}")
+        found = self._index.get(key)
+        if found is None:
+            raise MissingEntry(f"no registry entry for {key_to_str(key)}")
+        if isinstance(found, DeducedEntry):
+            found = self._index[key] = RULE_REGISTRY[found.rule].deduce(found)
+        return found
 
     def omega_of(self, key) -> OmegaSet:
         return self.entry(key).omega
 
     def keys(self) -> tuple:
-        return tuple(self.regions) + tuple(k for k, _ in self.composites) + tuple(
-            d.key for d in self.deduced
-        )
+        return tuple(self._index)
 
     def product_entry(self, contexts: Sequence[OmegaSet]) -> CompositionalLambda:
         """The grouped entry whose factor fiducial sets are ``contexts``."""
         contexts = tuple(contexts)
-        for _, entry in self.composites:
-            if entry.factor_omegas == contexts:
-                return entry
-        for stub in self.deduced:
-            if stub.factor_omegas == contexts:
-                return self._materialize(stub)
+        for key, entry in self._index.items():
+            if isinstance(key, tuple) and entry.factor_omegas == contexts:
+                return self.entry(key)
         names = ", ".join(str(o.region) for o in contexts)
         raise MissingEntry(
             f"no stored entry or rule covers the grouping ({names})"
         )
-
-    def _materialize(self, stub: DeducedEntry) -> CompositionalLambda:
-        cache = getattr(self, "_cached_stub_entries", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_cached_stub_entries", cache)
-        if stub.key not in cache:
-            cache[stub.key] = RULE_REGISTRY[stub.rule].deduce(stub)
-        return cache[stub.key]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +255,7 @@ def build_causaloid(
     same way: pick the fiducial rows of the entry's measurement matrix,
     then express every row over them.
     """
-    regions = tuple(sorted(table.regions, key=lambda r: r.locations))
+    regions = tuple(sorted(table.regions))
     if composites is None:
         composites = list(itertools.combinations(regions, 2))
     keys = list(regions) + [normalize_key(tuple(spec)) for spec in composites]
@@ -361,7 +341,7 @@ def hybrid_product(
     that entry's row for those components, column k; a full product row
     set gives the plain outer product. One factor is returned as it is.
     """
-    ordered = sorted(factors, key=lambda f: f[0].region.locations)
+    ordered = sorted(factors, key=lambda f: f[0].region)
     if len(ordered) == 1:
         return RVector(context=ordered[0][0], components=ordered[0][1])
     entry = causaloid.product_entry(tuple(context for context, _ in ordered))
@@ -429,14 +409,11 @@ def meta_compress(causaloid: Causaloid, rules: Sequence[str]) -> Causaloid:
 
 def expand(causaloid: Causaloid) -> Causaloid:
     """Materialize every stub back into a stored entry."""
-    restored = list(causaloid.composites)
-    for stub in causaloid.deduced:
-        restored.append((stub.key, causaloid._materialize(stub)))
-    restored.sort(key=lambda pair: key_union(pair[0]).locations)
+    grouped = sorted((k for k in causaloid.keys() if isinstance(k, tuple)), key=key_union)
     return Causaloid(
         regions=causaloid.regions,
         elementary=causaloid.elementary,
-        composites=tuple(restored),
+        composites=tuple((key, causaloid.entry(key)) for key in grouped),
         deduced=(),
         rules=causaloid.rules,
     )
@@ -488,11 +465,11 @@ def _omega_from_dict(d: dict) -> OmegaSet:
     if not all(type(i) is int for i in indices):
         raise ValueError("fiducial indices must be integers")
     return OmegaSet(
-        region=Region(tuple(d["region"])),
+        region=_region_from_json(d["region"]),
         indices=indices,
         parent_size=int(d["parent_size"]),
         row_kind=kind,
-        factors=tuple(Region(tuple(f)) for f in d["factors"])
+        factors=tuple(map(_region_from_json, d["factors"]))
         if kind == "omega-product"
         else None,
         dims=tuple(d["dims"]) if kind == "omega-product" else None,
@@ -505,18 +482,28 @@ def _key_to_json(key):
     return [_key_to_json(c) for c in key]
 
 
+def _region_from_json(node) -> Region:
+    # a region is written as its sorted, duplicate-free locations, and is
+    # read only in that form, so a re-save writes the same bytes
+    region = Region(node)
+    if list(region.locations) != node:
+        raise ValueError(f"region {node!r} is not sorted and duplicate-free")
+    return region
+
+
 def _key_from_json(node):
     # a region is a list of ints; a grouping must be in normalize_key form:
     # two or more keys, pairwise disjoint, ordered by least location (the
     # children are checked already, so one level is checked here)
     if isinstance(node, list) and node and all(type(x) is int for x in node):
-        return Region(node)
+        return _region_from_json(node)
     if not isinstance(node, list) or len(node) < 2:
         raise ValueError(f"a key must list locations or two or more keys, got {node!r}")
     key = tuple(map(_key_from_json, node))
-    unions = [key_union(k).locations for k in key]
-    if unions != sorted(unions) or len(key_union(key)) != sum(map(len, unions)):
-        raise ValueError(f"grouping {node!r} is not disjoint and in canonical order")
+    unions = list(map(key_union, key))
+    if unions != sorted(unions):
+        raise ValueError(f"grouping {node!r} is not in canonical order")
+    disjoint_union(unions)
     return key
 
 
@@ -573,11 +560,11 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
             raise SchemaError(
                 f"unsupported format_version {doc.get('format_version')!r}"
             )
-        regions = tuple(Region(tuple(r)) for r in doc["regions"])
+        regions = tuple(map(_region_from_json, doc["regions"]))
         elementary = []
         for item in doc["elementary"]:
             gamma = GammaSet(
-                Region(tuple(item["region"])),
+                _region_from_json(item["region"]),
                 tuple((tuple(a), tuple(s)) for a, s in item["labels"]),
             )
             elementary.append(

@@ -206,6 +206,8 @@ def _cmd_diagram(args) -> int:
     names = [part for part in rest.split(",") if part] if kind == "product" else [rest]
     if kind == "product" and len(names) != 2:
         raise SchemaError("product wants exactly two region names", "--expr")
+    if kind == "product" and names[0] == names[1]:
+        raise SchemaError("product wants two different region names", "--expr")
     declared = dict(zip(scenario.region_names, scenario.regions))
     for name in names:
         if name not in declared:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContextMismatch, DegenerateExterior, MissingEntry
-from .operational import Region
+from .operational import Region, disjoint_union
 from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
@@ -57,17 +57,13 @@ class CompositionalLambda:
     matrix: np.ndarray
 
     def __post_init__(self):
-        factors = tuple(o.region for o in self.factor_omegas)
+        factors = [o.region for o in self.factor_omegas]
         if len(factors) < 2:
             raise ValueError("a composite needs at least two constituents")
-        seen: set[int] = set()
-        for r in factors:
-            if seen & set(r.locations):
-                raise ValueError("constituents must be pairwise disjoint")
-            seen |= set(r.locations)
-        if [r.locations for r in factors] != sorted(r.locations for r in factors):
+        rows = product_rows(self.factor_omegas)  # raises if two factors overlap
+        if factors != sorted(factors):
             raise ValueError("constituents must be ordered by least location")
-        if self.omega.every_row() != product_rows(self.factor_omegas):
+        if self.omega.every_row() != rows:
             raise ValueError(
                 "composite fiducial set must index the product of the "
                 "factors' fiducial sets"
@@ -86,12 +82,13 @@ class CompositionalLambda:
 def product_rows(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
     """Every multi-index over the factors' fiducial sets, last factor fastest.
 
-    The region is the union of the factors' regions.
+    The region is the union of the factors' regions, which must be
+    pairwise disjoint.
     """
     dims = tuple(o.size for o in factor_omegas)
     n = math.prod(dims)
     return OmegaSet(
-        region=Region(itertools.chain(*(o.region for o in factor_omegas))),
+        region=disjoint_union(o.region for o in factor_omegas),
         indices=tuple(range(n)),
         parent_size=n,
         row_kind="omega-product",
@@ -142,7 +139,7 @@ def joint_fiducial_matrix(
     Factors are put in canonical order (least location first); the row
     multi-index runs lexicographically with the last factor fastest.
     """
-    omegas = tuple(sorted(omegas, key=lambda o: o.region.locations))
+    omegas = tuple(sorted(omegas, key=lambda o: o.region))
     if len(omegas) < 2:
         raise ValueError("a joint matrix needs at least two factors")
     for o in omegas:

@@ -123,7 +123,7 @@ def product_scene(
     The regions are drawn in canonical order (least location first), as
     the registry stores the grouping, so either argument order works.
     """
-    first, second = sorted((first, second), key=lambda r: r.locations)
+    first, second = sorted((first, second))
     e1 = _entry_or_unknown(causaloid, first)
     e2 = _entry_or_unknown(causaloid, second)
     try:

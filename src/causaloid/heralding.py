@@ -22,7 +22,7 @@ from .errors import (
     ZeroDenominator,
     ZeroDenominatorVector,
 )
-from .operational import Region
+from .operational import Region, disjoint_union
 from .tables import ExteriorAxis, ExteriorConfiguration, Label, ProbTable
 from .tomographic import fold_to_exterior, r_vector
 
@@ -53,12 +53,7 @@ class HeraldQuery:
     conditions: tuple[tuple[Region, Label], ...]
 
     def __post_init__(self):
-        named = [self.target[0]] + [r for r, _ in self.conditions]
-        seen: set[int] = set()
-        for r in named:
-            if seen & set(r.locations):
-                raise ValueError("query regions must be pairwise disjoint")
-            seen |= set(r.locations)
+        disjoint_union(self.named_regions)
 
     @classmethod
     def from_labels(
@@ -70,12 +65,7 @@ class HeraldQuery:
 
     @property
     def named_regions(self) -> tuple[Region, ...]:
-        return tuple(
-            sorted(
-                [self.target[0]] + [r for r, _ in self.conditions],
-                key=lambda r: r.locations,
-            )
-        )
+        return tuple(sorted([self.target[0]] + [r for r, _ in self.conditions]))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .errors import SchemaError, UnknownRegion, ZeroConditionCount, read_text, w
 __all__ = [
     "Card",
     "Region",
+    "disjoint_union",
     "ProcedureSpec",
     "Stack",
     "EstimateResult",
@@ -44,9 +45,13 @@ class Card:
                 raise ValueError(f"card {name} must be a non-negative int, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Region:
-    """A non-empty set of locations, stored sorted and duplicate-free."""
+    """A non-empty set of locations, stored sorted and duplicate-free.
+
+    Regions order by their sorted locations; for pairwise-disjoint regions
+    that is least location first, the canonical order of every grouping.
+    """
 
     locations: tuple[int, ...]
 
@@ -70,6 +75,15 @@ class Region:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.locations) + "}"
+
+
+def disjoint_union(regions: Iterable[Region]) -> Region:
+    """The union of pairwise-disjoint regions; ``ValueError`` if two overlap."""
+    locations = [x for r in regions for x in r.locations]
+    union = Region(locations)
+    if len(union) != len(locations):
+        raise ValueError("regions must be pairwise disjoint")
+    return union
 
 
 @dataclass(frozen=True)

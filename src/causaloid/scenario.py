@@ -246,8 +246,10 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
             key = tuple(
                 resolve(child, f"{npath}[{i}]", depth + 1) for i, child in enumerate(node)
             )
-            if len(key_union(key)) != sum(len(key_union(child)) for child in key):
-                raise SchemaError("grouping factors must be pairwise disjoint", npath)
+            try:
+                key_union(key)
+            except ValueError:
+                raise SchemaError("grouping factors must be pairwise disjoint", npath) from None
             return key
         raise SchemaError("expected a region name or a nested grouping", npath)
 
@@ -345,6 +347,8 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
         for x in locations:
             if x not in instrumented:
                 raise SchemaError(f"location {x} is not declared", rp)
+            if locations.count(x) > 1:
+                raise SchemaError(f"location {x} is repeated in the region", rp)
             if x in used:
                 raise SchemaError(f"location {x} is in two regions", rp)
             used.add(x)

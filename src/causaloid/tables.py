@@ -13,6 +13,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,16 +62,13 @@ class GammaSet:
 
     def index_of(self, label: Label) -> int:
         try:
-            return self._lookup()[label]
+            return self._lookup[label]
         except KeyError:
             raise UnknownLabel(f"label {label} is not in the label set of {self.region}") from None
 
+    @cached_property
     def _lookup(self) -> dict[Label, int]:
-        cache = getattr(self, "_cached_lookup", None)
-        if cache is None:
-            cache = {lab: i for i, lab in enumerate(self.labels)}
-            object.__setattr__(self, "_cached_lookup", cache)
-        return cache
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def labels_for_action(self, actions: tuple[int, ...]) -> tuple[int, ...]:
         """Indices of the labels sharing one action assignment."""

@@ -32,7 +32,11 @@ from causaloid.errors import (
     SingularTransform,
     UnknownRegion,
 )
+from causaloid.operational import disjoint_union
+from causaloid.report import checked_causaloid
 from causaloid.tomographic import OmegaSet, StateVector
+
+from conftest import SCENARIO_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +62,38 @@ def test_key_helpers():
     assert key_to_str(((a, b), c)) == "(({1} x {2}) x {3})"
     with pytest.raises(ValueError):
         normalize_key((a, (a, b)))  # overlapping factors
+    assert disjoint_union((c, a)) == Region((1, 3))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        disjoint_union((a, Region((1, 2))))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        key_union(((a, b), (b, c)))
+
+
+def test_region_order_is_the_canonical_order(scenarios):
+    # sorting by Region order, and keys by their unions, is sorting by
+    # sorted locations
+    for name in SCENARIO_NAMES:
+        regions = scenarios(name).regions
+        assert sorted(regions) == sorted(regions, key=lambda r: r.locations)
+        keys = checked_causaloid(scenarios(name))[2].keys()[::-1]
+        assert sorted(keys, key=key_union) == sorted(
+            keys, key=lambda k: key_union(k).locations
+        )
+
+
+def test_every_grouped_key_resolves_to_one_entry(scenarios):
+    # a stub is deduced once; entry and product_entry give the same object
+    stubs = 0
+    for name in SCENARIO_NAMES:
+        built = checked_causaloid(scenarios(name))[2]
+        for c in (built, meta_compress(built, ["tensor-factorization"])):
+            stubs += len(c.deduced)
+            for key in c.keys():
+                entry = c.entry(key)
+                assert c.entry(key) is entry
+                if isinstance(key, tuple):
+                    assert c.product_entry(entry.factor_omegas) is entry
+    assert stubs
 
 
 def test_registry_lookups(chain3):

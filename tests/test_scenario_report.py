@@ -412,6 +412,9 @@ MALFORMED = {
                     "error: $.theory.instruments[0].family: "),
     "object-family": ("classical_bit", _family({}), ["compress"],
                       "error: $.theory.instruments[0].family: "),
+    "location-repeated-in-a-region": (
+        "classical_chain3", lambda d: d["regions"].update(R1=[1, 1]), ["compress"],
+        "error: $.regions.R1: location 1 is repeated in the region"),
     "location-repeated-in-a-chain": (
         "classical_chain3",
         lambda d: d["theory"]["chains"][0].update(locations=[1, 1, 2, 3]),
@@ -443,6 +446,9 @@ MALFORMED = {
                                 "error: --tol-rank: "),
     "diagram-product-of-one-region": ("polariser_chain", None,
                                       ["diagram", "--expr", "product:R1"], "error: --expr: "),
+    "diagram-product-of-a-region-with-itself": (
+        "polariser_chain", None, ["diagram", "--expr", "product:R1,R1"],
+        "error: --expr: product wants two different region names"),
     "diagram-undeclared-region": ("polariser_chain", None,
                                   ["diagram", "--expr", "born:R9"], "error: --expr: "),
     "diagram-expression-without-kind": ("polariser_chain", None,

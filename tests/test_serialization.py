@@ -306,3 +306,43 @@ def test_edited_registry_fields_fail_only_with_causaloid_errors(scenarios):
     doc["composites"][0]["key"] = key
     with pytest.raises(SchemaError, match="malformed causaloid document"):
         causaloid_from_dict(doc)
+
+
+def _region_fields(node, path=()):
+    """The path of every region-valued field: the regions, each entry's and
+    fiducial set's region, a product set's factors and every key leaf."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _region_fields(child, path + (key,))
+    elif isinstance(node, list) and node and all(type(x) is int for x in node):
+        if path[-1] == "region" or path[-2] in ("regions", "factors") or "key" in path:
+            yield path
+    elif isinstance(node, list) and "matrix_hex" not in path:
+        for i, child in enumerate(node):
+            yield from _region_fields(child, path + (i,))
+
+
+def test_registry_regions_load_only_in_canonical_form(scenarios):
+    # a region written with a repeated location or out of order would load
+    # and then be saved as other bytes
+    _, _, c = checked_causaloid(scenarios("polariser_chain"))
+    doc = causaloid_to_dict(meta_compress(c, ["tensor-factorization"]))
+    paths = list(_region_fields(doc))
+    kinds = {"key" if "key" in p else [k for k in p if isinstance(k, str)][-1] for p in paths}
+    assert kinds == {"regions", "region", "factors", "key"}
+    assert ("elementary", 0, "region") in paths and ("deduced", 0, "key", 0) in paths
+    reversed_ones = 0
+    for path in paths:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kept = parent[path[-1]]
+        edits = [[kept[0]] + kept] + ([kept[::-1]] if len(kept) > 1 else [])
+        reversed_ones += len(edits) - 1
+        for value in edits:
+            parent[path[-1]] = value
+            with pytest.raises(SchemaError, match="malformed causaloid document"):
+                causaloid_from_dict(doc)
+        parent[path[-1]] = kept
+    assert reversed_ones
+    causaloid_from_dict(doc)
