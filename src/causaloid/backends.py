@@ -157,6 +157,8 @@ class TheorySpec:
     conditioning_actions: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("classical", "quantum"):
+            raise BackendError("a theory is a ClassicalSpec or a QuantumSpec")
         locs = [f.location for f in self.instruments]
         if locs != sorted(locs) or len(set(locs)) != len(locs):
             raise BackendError("instrument families must be sorted by unique location")

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compositional import CompositionalLambda, fiducial_rows_matrix, product_rows
+from .compositional import (
+    CompositionalLambda, fiducial_rows_matrix, product_leaf_rows, product_rows
+)
 from .errors import (
     ContextMismatch,
     MissingEntry,
@@ -223,20 +225,12 @@ class Causaloid:
 # construction
 # ---------------------------------------------------------------------------
 
-def _leaf_rows(
-    entries: dict, key
-) -> tuple[tuple[Region, ...], list[tuple[int, ...]]]:
+def _leaf_rows(entries: dict, key) -> tuple[tuple[Region, ...], np.ndarray]:
     """Per fiducial element of ``key``: one gamma row index per leaf region."""
     omega = entries[key].omega
     if isinstance(key, Region):
-        return (key,), [(i,) for i in omega.indices]
-    parts = [_leaf_rows(entries, child) for child in key]
-    regions = tuple(itertools.chain(*(p[0] for p in parts)))
-    rows = []
-    for flat in omega.indices:
-        pos = np.unravel_index(flat, omega.dims)
-        rows.append(tuple(itertools.chain(*(p[1][q] for p, q in zip(parts, pos)))))
-    return regions, rows
+        return (key,), np.array(omega.indices, dtype=np.intp)[:, None]
+    return product_leaf_rows([_leaf_rows(entries, child) for child in key], omega)
 
 
 def build_causaloid(
@@ -329,10 +323,8 @@ def change_omega_basis(entry, new_omega: OmegaSet):
 # products and joint evaluation
 # ---------------------------------------------------------------------------
 
-def hybrid_product(
-    causaloid: Causaloid, factors: Sequence[tuple[OmegaSet, np.ndarray]]
-) -> RVector:
-    """The registry-mediated product of (context, components) factors.
+def hybrid_product(causaloid: Causaloid, factors: Sequence[RVector]) -> RVector:
+    """The registry-mediated product of measurement vectors.
 
     The factors are put in canonical order (least location first), their
     components multiplied out (last factor fastest) and contracted with the
@@ -341,21 +333,19 @@ def hybrid_product(
     that entry's row for those components, column k; a full product row
     set gives the plain outer product. One factor is returned as it is.
     """
-    ordered = sorted(factors, key=lambda f: f[0].region)
+    ordered = sorted(factors, key=lambda r: r.context.region)
     if len(ordered) == 1:
-        return RVector(context=ordered[0][0], components=ordered[0][1])
-    entry = causaloid.product_entry(tuple(context for context, _ in ordered))
-    w = ordered[0][1]
-    for _, components in ordered[1:]:
-        w = np.multiply.outer(w, components)
+        return ordered[0]
+    entry = causaloid.product_entry(tuple(r.context for r in ordered))
+    w = ordered[0].components
+    for r in ordered[1:]:
+        w = np.multiply.outer(w, r.components)
     return RVector(context=entry.omega, components=w.reshape(-1) @ entry.matrix)
 
 
 def causaloid_product(r1: RVector, r2: RVector, causaloid: Causaloid) -> RVector:
     """Compose two measurement vectors, in either order, through the registry."""
-    return hybrid_product(
-        causaloid, [(r1.context, r1.components), (r2.context, r2.components)]
-    )
+    return hybrid_product(causaloid, [r1, r2])
 
 
 def joint_r_vector(causaloid: Causaloid, labels: Sequence[Label]) -> RVector:
@@ -366,7 +356,7 @@ def joint_r_vector(causaloid: Causaloid, labels: Sequence[Label]) -> RVector:
         r_vector(lab, causaloid.tomographic(r))
         for r, lab in zip(causaloid.regions, labels)
     ]
-    return hybrid_product(causaloid, [(f.context, f.components) for f in factors])
+    return hybrid_product(causaloid, factors)
 
 
 def evaluate_joint(
@@ -459,20 +449,39 @@ def _omega_to_dict(o: OmegaSet) -> dict:
     return out
 
 
+# the keys causaloid_to_dict writes; a document is read only in that form,
+# so a re-save writes the same bytes
+_DOC_KEYS = frozenset(
+    ("format_version", "kind", "regions", "elementary", "composites", "deduced", "rules")
+)
+_ELEMENTARY_KEYS = frozenset(("region", "labels", "omega", "matrix_hex"))
+_COMPOSITE_KEYS = frozenset(("key", "factor_omegas", "omega", "matrix_hex"))
+_DEDUCED_KEYS = frozenset(("key", "rule", "factor_omegas"))
+_OMEGA_KEYS = frozenset(("region", "indices", "parent_size", "row_kind"))
+_PRODUCT_OMEGA_KEYS = _OMEGA_KEYS | {"factors", "dims"}
+
+
+def _exact_keys(node, keys: frozenset) -> None:
+    if not isinstance(node, dict) or node.keys() != keys:
+        raise ValueError(f"an object with exactly the keys {sorted(keys)} is required")
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _omega_from_dict(d: dict) -> OmegaSet:
-    kind = d["row_kind"]
-    indices = tuple(d["indices"])
-    if not all(type(i) is int for i in indices):
-        raise ValueError("fiducial indices must be integers")
+    product = d["row_kind"] == "omega-product"
+    _exact_keys(d, _PRODUCT_OMEGA_KEYS if product else _OMEGA_KEYS)
     return OmegaSet(
         region=_region_from_json(d["region"]),
-        indices=indices,
-        parent_size=int(d["parent_size"]),
-        row_kind=kind,
-        factors=tuple(map(_region_from_json, d["factors"]))
-        if kind == "omega-product"
-        else None,
-        dims=tuple(d["dims"]) if kind == "omega-product" else None,
+        indices=tuple(map(_int, d["indices"])),
+        parent_size=_int(d["parent_size"]),
+        row_kind=d["row_kind"],
+        factors=tuple(map(_region_from_json, d["factors"])) if product else None,
+        dims=tuple(map(_int, d["dims"])) if product else None,
     )
 
 
@@ -556,16 +565,22 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
     try:
         if doc.get("kind") != "causaloid":
             raise SchemaError("document kind is not 'causaloid'")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise SchemaError(
-                f"unsupported format_version {doc.get('format_version')!r}"
-            )
+        version = doc.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported format_version {version!r}")
+        _exact_keys(doc, _DOC_KEYS)
+        rules = doc["rules"]
+        if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
+            raise ValueError("rules must be a list of rule names")
         regions = tuple(map(_region_from_json, doc["regions"]))
         elementary = []
         for item in doc["elementary"]:
+            _exact_keys(item, _ELEMENTARY_KEYS)
             gamma = GammaSet(
                 _region_from_json(item["region"]),
-                tuple((tuple(a), tuple(s)) for a, s in item["labels"]),
+                tuple(
+                    (tuple(map(_int, a)), tuple(map(_int, s))) for a, s in item["labels"]
+                ),
             )
             elementary.append(
                 TomographicLambda(
@@ -576,6 +591,7 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
             )
         composites = []
         for item in doc["composites"]:
+            _exact_keys(item, _COMPOSITE_KEYS)
             factor_omegas = tuple(
                 _omega_from_dict(o) for o in item["factor_omegas"]
             )
@@ -585,22 +601,24 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
                 matrix=_matrix_from_hex(item["matrix_hex"]),
             )
             composites.append((_key_from_json(item["key"]), entry))
-        deduced = tuple(
-            DeducedEntry(
-                key=_key_from_json(item["key"]),
-                rule=item["rule"],
-                factor_omegas=tuple(
-                    _omega_from_dict(o) for o in item["factor_omegas"]
-                ),
+        deduced = []
+        for item in doc["deduced"]:
+            _exact_keys(item, _DEDUCED_KEYS)
+            deduced.append(
+                DeducedEntry(
+                    key=_key_from_json(item["key"]),
+                    rule=item["rule"],
+                    factor_omegas=tuple(
+                        _omega_from_dict(o) for o in item["factor_omegas"]
+                    ),
+                )
             )
-            for item in doc.get("deduced", [])
-        )
         return Causaloid(
             regions=regions,
             elementary=tuple(elementary),
             composites=tuple(composites),
-            deduced=deduced,
-            rules=tuple(doc.get("rules", [])),
+            deduced=tuple(deduced),
+            rules=tuple(rules),
         )
     # a key nested deeper than the interpreter's stack is malformed too
     except (KeyError, TypeError, ValueError, RecursionError) as exc:

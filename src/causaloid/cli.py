@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import re
 import sys
 
 from .causaloid import json_text
@@ -74,11 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument("--tol-rank", type=float, default=None, help="rank tolerance override")
-        p.add_argument("--tol-herald", type=float, default=None, help="herald tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
 
     p = sub.add_parser("compress", help="run the full compression pipeline")
     common(p)
+    p.add_argument("--tol-herald", type=float, default=None, help="herald tolerance override")
+    p.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
     p.add_argument(
         "--full-matrices",
         action="store_true",
@@ -92,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("herald", help="answer one herald query")
     common(p)
+    p.add_argument("--tol-herald", type=float, default=None, help="herald tolerance override")
     p.add_argument("--target", required=True, help="REGION:LABEL_INDEX")
     p.add_argument("--given", default="", help="comma list of REGION:LABEL_INDEX")
     p.add_argument(
@@ -116,15 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ScenarioFile:
     """The parsed scenario with the flags that were given written into it."""
-    for flag, value in (("--tol-rank", args.tol_rank), ("--tol-herald", args.tol_herald)):
-        if value is not None:
-            check_tolerance(value, flag)
-    flags = {"seed": args.seed, "tol_rank": args.tol_rank,
-             "tol_herald": args.tol_herald}
-    return dataclasses.replace(
-        parse_scenario(args.scenario),
-        **{field: value for field, value in flags.items() if value is not None},
-    )
+    given = vars(args)  # a subcommand has only the flags it reads
+    flags = {f: given[f] for f in ("seed", "tol_rank", "tol_herald") if given.get(f) is not None}
+    for field in ("tol_rank", "tol_herald"):
+        if field in flags:
+            check_tolerance(flags[field], "--" + field.replace("_", "-"))
+    return dataclasses.replace(parse_scenario(args.scenario), **flags)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -148,10 +147,14 @@ def _cmd_compress(args) -> int:
 
 def _parse_ref(scenario: ScenarioFile, text: str, flag: str):
     region_name, sep, index = text.partition(":")
-    if not sep or not index.lstrip("-").isdigit():
+    if not sep or not re.fullmatch(r"-?[0-9]+", index):
         raise SchemaError(f"wants REGION:LABEL_INDEX, got {text!r}", flag)
+    try:
+        number = int(index)
+    except ValueError:  # more digits than int() converts
+        raise SchemaError(f"label index of {len(index)} characters", flag) from None
     names = dict(zip(scenario.region_names, scenario.regions))
-    return label_ref(scenario.spec, names, region_name, int(index), flag)
+    return label_ref(scenario.spec, names, region_name, number, flag)
 
 
 def _cmd_herald(args) -> int:

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CompositionalLambda",
     "product_rows",
+    "product_leaf_rows",
     "joint_fiducial_matrix",
     "fiducial_rows_matrix",
     "PairCompression",
@@ -97,37 +98,43 @@ def product_rows(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
     )
 
 
+def product_leaf_rows(
+    parts: Sequence[tuple[tuple[Region, ...], np.ndarray]], omega: OmegaSet
+) -> tuple[tuple[Region, ...], np.ndarray]:
+    """Leaf rows of the product rows ``omega`` selects, in ``parts``' form.
+
+    ``parts`` holds, per factor, its leaf regions and an ``(n, k)`` array
+    of one gamma row index per leaf for each of its n fiducial elements.
+    Each row of ``omega`` (a flat index over its ``dims``, last factor
+    fastest) joins one such row per factor.
+    """
+    pos = np.unravel_index(np.array(omega.indices, dtype=np.intp), omega.dims)
+    leaves = tuple(itertools.chain(*(part[0] for part in parts)))
+    return leaves, np.concatenate([part[1][q] for part, q in zip(parts, pos)], axis=1)
+
+
 def fiducial_rows_matrix(
     table: ProbTable,
-    parts: Sequence[tuple[tuple[Region, ...], Sequence[tuple[int, ...]]]],
+    parts: Sequence[tuple[tuple[Region, ...], np.ndarray]],
     factor_omegas: Sequence[OmegaSet],
 ) -> MeasurementMatrix:
     """Joint probabilities at every product of the factors' fiducial rows.
 
-    ``parts`` holds, per factor, its leaf regions and, per fiducial
-    element, one gamma row index per leaf. The rows are
+    ``parts`` holds, per factor, its leaf regions and its leaf rows, as
+    ``product_leaf_rows`` takes them. The rows are
     ``product_rows(factor_omegas)``. Leaves need not cover the whole table;
     the remaining regions fold into the exterior axis.
     """
-    vals, exteriors = fold_to_exterior(
-        table, tuple(itertools.chain(*(leaves for leaves, _ in parts)))
-    )
+    product = product_rows(factor_omegas)
+    leaves, rows = product_leaf_rows(parts, product)
+    vals, exteriors = fold_to_exterior(table, leaves)
     if len(exteriors) < 2:
         raise DegenerateExterior(
             "the joint table varies over a single exterior configuration; "
             "embed the regions in a larger predictively well-defined region"
         )
-    product = product_rows(factor_omegas)
-    grid = np.indices(product.dims).reshape(len(product.dims), -1)
-    assignments = np.concatenate(
-        [
-            np.array(rows, dtype=int).reshape(len(rows), len(leaves))[pos]
-            for (leaves, rows), pos in zip(parts, grid)
-        ],
-        axis=1,
-    )
     return MeasurementMatrix(
-        product, exteriors, np.ascontiguousarray(vals[tuple(assignments.T)])
+        product, exteriors, np.ascontiguousarray(vals[tuple(rows.T)])
     )
 
 
@@ -147,7 +154,7 @@ def joint_fiducial_matrix(
             raise ContextMismatch(
                 f"fiducial set of {o.region} does not index this table"
             )
-    parts = [((o.region,), [(i,) for i in o.indices]) for o in omegas]
+    parts = [((o.region,), np.array(o.indices, dtype=np.intp)[:, None]) for o in omegas]
     return fiducial_rows_matrix(table, parts, omegas)
 
 

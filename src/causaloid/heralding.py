@@ -24,7 +24,7 @@ from .errors import (
 )
 from .operational import Region, disjoint_union
 from .tables import ExteriorAxis, ExteriorConfiguration, Label, ProbTable
-from .tomographic import fold_to_exterior, r_vector
+from .tomographic import RVector, fold_to_exterior, r_vector
 
 __all__ = [
     "DEFAULT_HERALD_TOL",
@@ -130,15 +130,14 @@ def herald(
     for region in query.named_regions:
         lam = causaloid.tomographic(region)
         if region == target_region:
-            u_parts.append((lam.omega, r_vector(target_label, lam).components))
+            u_parts.append(r_vector(target_label, lam))
             acc = np.zeros(lam.omega.size)
             for row in summed:
                 acc = acc + lam.matrix[row]
-            v_parts.append((lam.omega, acc))
+            v_parts.append(RVector(lam.omega, acc))
         else:
-            comps = r_vector(fixed[region], lam).components
-            u_parts.append((lam.omega, comps))
-            v_parts.append((lam.omega, comps))
+            u_parts.append(r_vector(fixed[region], lam))
+            v_parts.append(u_parts[-1])
     u = hybrid_product(causaloid, u_parts).components
     v = hybrid_product(causaloid, v_parts).components
 

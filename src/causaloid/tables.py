@@ -38,6 +38,9 @@ __all__ = [
 # sorted location tuple
 Label = tuple[tuple[int, ...], tuple[int, ...]]
 
+# how far a fixed procedure's outcome sum may stray from its bound
+OUTCOME_SUM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GammaSet:
@@ -212,7 +215,7 @@ class ProbTable:
         except ValueError:
             raise UnknownRegion(f"table has no region {region}") from None
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check probability bounds and per-procedure outcome sums."""
         v = self.values
         if v.min() < -1e-12 or v.max() > 1 + 1e-12:
@@ -227,9 +230,9 @@ class ProbTable:
             actions = [a for a, _ in g.labels]
             starts = [i for i, a in enumerate(actions) if i == 0 or a != actions[i - 1]]
             sums = np.add.reduceat(sums, starts, axis=axis)
-        if sums.max() > 1 + tol:
+        if sums.max() > 1 + OUTCOME_SUM_TOL:
             raise ValueError("outcome sums exceed 1 for a fixed procedure")
-        if (np.abs(sums[..., self.exteriors.unit_sum_mask()] - 1) > tol).any():
+        if (np.abs(sums[..., self.exteriors.unit_sum_mask()] - 1) > OUTCOME_SUM_TOL).any():
             raise ValueError("complete terminal effects must give unit outcome sums")
 
 

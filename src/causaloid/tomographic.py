@@ -51,6 +51,8 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_RESIDUAL_TOL = 1e-8
+# float dust a displayed probability may carry outside [0, 1]
+CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -269,8 +271,8 @@ def born_rule(r: RVector, p: StateVector) -> float:
     return float(r.components @ p.components)
 
 
-def clamp_probability(value: float, tol: float = 1e-9) -> float:
+def clamp_probability(value: float) -> float:
     """Display-side clamp of float dust to [0, 1]."""
-    if value < -tol or value > 1 + tol:
-        raise ValueError(f"value {value} is not a probability within {tol}")
+    if value < -CLAMP_TOL or value > 1 + CLAMP_TOL:
+        raise ValueError(f"value {value} is not a probability within {CLAMP_TOL}")
     return min(max(value, 0.0), 1.0)

@@ -1,6 +1,7 @@
 """Exact theory evaluation: instrument families, joint probabilities, spans."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from causaloid import (
     ProcedureSpec,
     QuantumSpec,
     Region,
+    TheorySpec,
     build_causaloid,
     build_prob_table,
     complete_effect,
@@ -659,6 +661,27 @@ def test_conditioning_restrictions_are_rejected():
             effects=(ic_effects("quantum", 2),),
             conditioning_actions=((1, (0,)),),
         )
+
+
+def test_theory_spec_itself_is_not_a_theory():
+    # the base class has no kind of its own to size its wires by
+    parts = {
+        "chains": (Chain("photon", 2, (1,)),),
+        "instruments": (polariser_family(1, [0, 90]),),
+        "preparations": (ic_preparations("quantum", 2),),
+        "effects": (ic_effects("quantum", 2),),
+    }
+    with pytest.raises(BackendError, match="ClassicalSpec or a QuantumSpec"):
+        TheorySpec(**parts)
+    spec = QuantumSpec(**parts)
+    assert dataclasses.replace(spec, effects=spec.effects).kind == "quantum"
+    classical = ClassicalSpec(
+        chains=(Chain("tape", 2, (1,)),),
+        instruments=(probe_reset_family(1, 2),),
+        preparations=(ic_preparations("classical", 2),),
+        effects=(ic_effects("classical", 2),),
+    )
+    assert dataclasses.replace(classical, effects=classical.effects).kind == "classical"
 
 
 def test_conditioning_span_flags():

@@ -17,6 +17,7 @@ from causaloid import (
     change_omega_basis,
     evaluate_joint,
     expand,
+    hybrid_product,
     joint_r_vector,
     load_causaloid,
     meta_compress,
@@ -141,9 +142,15 @@ def test_pair_product_matches_table(chain3):
             c,
         )
         assert rr.context == entry.omega
+        swapped = causaloid_product(
+            r_vector(table.gammas[1].labels[j], lam2),
+            r_vector(table.gammas[0].labels[i], lam1),
+            c,
+        )
+        assert np.array_equal(swapped.components, rr.components)
         # fold region 3 into the exterior by fixing its label
         want = float(table.values[i, j, k, e])
-        p = np.array([float(table.values[row + (k, e)]) for row in rows])
+        p = np.array([float(table.values[tuple(row) + (k, e)]) for row in rows])
         assert float(rr.components @ p) == pytest.approx(want, abs=1e-9)
 
 
@@ -156,6 +163,8 @@ def test_product_and_joint_agree(polariser):
     joint = joint_r_vector(c, labels)
     assert joint.context == triple.omega
     assert joint.components.shape == (triple.omega.size,)
+    one = r_vector(labels[0], lam[0])
+    assert hybrid_product(c, [one]) is one
 
 
 def test_evaluate_joint_against_oracle(polariser):
@@ -173,7 +182,7 @@ def test_evaluate_joint_against_oracle(polariser):
         e = int(rng.integers(0, len(table.exteriors)))
         p = StateVector(
             context=triple.omega,
-            components=np.array([float(table.values[row + (e,)]) for row in rows]),
+            components=np.array([float(table.values[tuple(row) + (e,)]) for row in rows]),
         )
         i, j, k = (int(rng.integers(0, 8)) for _ in range(3))
         labels = (
@@ -207,11 +216,11 @@ def test_nested_grouping_agrees_with_flat(scenarios):
         e = int(rng.integers(0, len(table.exteriors)))
         p_flat = StateVector(
             flat.omega,
-            np.array([float(table.values[row + (e,)]) for row in flat_rows]),
+            np.array([float(table.values[tuple(row) + (e,)]) for row in flat_rows]),
         )
         p_nested = StateVector(
             nested.omega,
-            np.array([float(table.values[row + (e,)]) for row in nested_rows]),
+            np.array([float(table.values[tuple(row) + (e,)]) for row in nested_rows]),
         )
         i, j, k = (int(rng.integers(0, 8)) for _ in range(3))
         labels = [g.labels[x] for g, x in zip(table.gammas, (i, j, k))]
@@ -226,6 +235,39 @@ def test_nested_grouping_agrees_with_flat(scenarios):
         want = float(table.values[i, j, k, e])
         assert via_nested == pytest.approx(want, abs=1e-9)
         assert via_flat == pytest.approx(want, abs=1e-9)
+
+
+def _reference_leaf_rows(entries, key):
+    # one fiducial element at a time: unravel its flat index over the
+    # factors' sizes and chain one leaf row per factor
+    omega = entries[key].omega
+    if isinstance(key, Region):
+        return [(i,) for i in omega.indices]
+    parts = [_reference_leaf_rows(entries, child) for child in key]
+    rows = []
+    for flat in omega.indices:
+        pos = np.unravel_index(flat, omega.dims)
+        rows.append(tuple(itertools.chain(*(p[q] for p, q in zip(parts, pos)))))
+    return rows
+
+
+def test_leaf_rows_match_a_per_element_decode(scenarios):
+    from causaloid.causaloid import _leaf_rows
+
+    s = scenarios("polariser_chain")
+    r1, r2, r3 = s.regions
+    c = build_causaloid(
+        build_prob_table(s.spec, s.regions), list(s.composites) + [((r1, r2), r3)]
+    )
+    entries = {k: c.entry(k) for k in c.keys()}
+    grouped = [k for k in c.keys() if isinstance(k, tuple)]
+    assert ((r1, r2), r3) in grouped and len(grouped) == len(s.composites) + 1
+    for key in grouped:
+        leaves, rows = _leaf_rows(entries, key)
+        assert leaves == tuple(sorted(leaves)) and disjoint_union(leaves) == key_union(key)
+        assert rows.dtype == np.intp
+        assert rows.shape == (entries[key].omega.size, len(leaves))
+        assert list(map(tuple, rows.tolist())) == _reference_leaf_rows(entries, key)
 
 
 def test_change_basis_round_trip(polariser):

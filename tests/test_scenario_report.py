@@ -426,6 +426,14 @@ MALFORMED = {
     "given-names-a-region-twice": (
         "polariser_chain", None,
         ["herald", "--target", "R2:2", "--given", "R1:0,R1:1"], "error: --given: "),
+    "superscript-target-index": ("polariser_chain", None, ["herald", "--target", "R2:\u00b2"],
+                                 "error: --target: "),
+    "arabic-indic-given-index": (
+        "polariser_chain", None,
+        ["herald", "--target", "R2:2", "--given", "R1:\u0663"], "error: --given: "),
+    "index-past-the-digit-limit": ("polariser_chain", None,
+                                   ["herald", "--target", "R2:" + "1" * 5000],
+                                   "error: --target: label index of 5000 characters"),
     "zero-rank-tolerance-flag": ("classical_bit", None, ["compress", "--tol-rank", "0"],
                                  "error: --tol-rank: "),
     "negative-herald-tolerance-flag": (
@@ -499,6 +507,22 @@ def test_cli_diagram(tmp_path, capsys):
     assert main(["diagram", "--scenario", _scn("classical_bit"),
                  "--expr", "expand:R9"]) == 2
     capsys.readouterr()
+
+
+def test_cli_subcommands_take_only_the_flags_they_read(capsys):
+    # validate and diagram run no herald and print no seed; herald prints no seed
+    path = _scn("polariser_chain")
+    for argv in (
+        ["validate", "--tol-herald", "1e-6"],
+        ["validate", "--seed", "1"],
+        ["diagram", "--expr", "born:R1", "--tol-herald", "1e-6"],
+        ["diagram", "--expr", "born:R1", "--seed", "1"],
+        ["herald", "--target", "R2:2", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", path, *argv[1:]])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_cli_seed_lands_in_report(tmp_path):

@@ -261,6 +261,53 @@ def test_malformed_matrix_hex_is_a_schema_error(tmp_path, chain3_doc, section, c
         load_causaloid(path)
 
 
+# -- edits that the loader must refuse -----------------------------------------
+
+def _label(part, value):
+    # the last label of the first region, [[3], [1]] in polariser_chain
+    return lambda d: d["elementary"][0]["labels"][-1][part].__setitem__(0, value)
+
+
+# each edit would load and then be saved as other bytes, or load a float
+# where the registry holds an integer
+REGISTRY_EDITS = {
+    "extra top-level key": lambda d: d.update(extra=1),
+    "extra key in an omega": lambda d: d["elementary"][0]["omega"].update(extra=1),
+    "extra key in an elementary entry": lambda d: d["elementary"][0].update(extra=1),
+    "extra key in a composite entry": lambda d: d["composites"][0].update(extra=1),
+    "extra key in a stub": lambda d: d["deduced"][0].update(extra=1),
+    "factors on a gamma omega": lambda d: d["elementary"][0]["omega"].update(factors=[[1]]),
+    "deduced removed": lambda d: d.pop("deduced"),
+    "rules removed": lambda d: d.pop("rules"),
+    "float parent_size": lambda d: d["elementary"][0]["omega"].update(parent_size=8.0),
+    "string parent_size": lambda d: d["elementary"][0]["omega"].update(parent_size="8"),
+    "float format_version": lambda d: d.update(format_version=1.0),
+    "boolean format_version": lambda d: d.update(format_version=True),
+    "float label action": _label(0, 3.0),
+    "float label outcome": _label(1, 1.0),
+    "float dims": lambda d: d["composites"][0]["omega"].update(dims=[5.0, 5.0]),
+    "rules a string": lambda d: d.update(rules="tensor-factorization"),
+}
+
+
+@pytest.fixture(scope="module")
+def polariser_meta_doc(scenarios):
+    _, _, c = checked_causaloid(scenarios("polariser_chain"))
+    doc = causaloid_to_dict(meta_compress(c, ["tensor-factorization"]))
+    assert doc["elementary"][0]["labels"][-1] == [[3], [1]]
+    assert doc["composites"][0]["omega"]["dims"] == [5, 5]
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(REGISTRY_EDITS))
+def test_registry_loads_only_what_save_writes(polariser_meta_doc, case):
+    doc = json.loads(json.dumps(polariser_meta_doc))
+    causaloid_from_dict(doc)
+    REGISTRY_EDITS[case](doc)
+    with pytest.raises(SchemaError, match="causaloid document|format_version"):
+        causaloid_from_dict(doc)
+
+
 # -- single-field edits of a registry document --------------------------------
 
 ODD_VALUES = ("x", 1.5, True, [], [[1]])
