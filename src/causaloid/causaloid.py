@@ -7,9 +7,9 @@ downstream (products, joint evaluation, heralding) reads from here.
 """
 from __future__ import annotations
 
+import base64
 import itertools
 import json
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 MAX_BASIS_CONDITION = 1e12
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # a registry key is a Region (first-level entry) or a tuple of keys
@@ -423,17 +423,23 @@ def matrix_hex(matrix: np.ndarray) -> list[list[str]]:
     return [list(map(float.hex, row)) for row in rows]
 
 
-def _matrix_from_hex(rows: list[list[str]]) -> np.ndarray:
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
-        raise ValueError("matrix_hex must be a non-empty list of rows")
-    n, c = len(rows), len(rows[0])
-    if not all(isinstance(row, list) and len(row) == c for row in rows):
-        raise ValueError("matrix_hex rows must be lists of equal length")
-    # one pass over every string; float.fromhex keeps the values bit-exact
-    values = np.fromiter(
-        map(float.fromhex, itertools.chain.from_iterable(rows)), float, n * c
-    )
-    return values.reshape(n, c)
+def _matrix_to_b64(matrix: np.ndarray) -> str:
+    # the row-major little-endian float64 bytes: every bit, NaN payloads too
+    return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _matrix_from_b64(text, omega: OmegaSet) -> np.ndarray:
+    # the shape is the fiducial set's; the text must be the canonical
+    # base64 of its bytes, so a re-save writes the same bytes
+    if not isinstance(text, str):
+        raise ValueError("matrix_f64le_b64 must be a string")
+    data = base64.b64decode(text, validate=True)
+    if base64.b64encode(data).decode("ascii") != text:
+        raise ValueError("matrix_f64le_b64 is not canonical base64")
+    shape = (omega.parent_size, omega.size)
+    if len(data) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"matrix_f64le_b64 holds {len(data)} bytes, not 8 x {shape}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
 def _omega_to_dict(o: OmegaSet) -> dict:
@@ -454,8 +460,8 @@ def _omega_to_dict(o: OmegaSet) -> dict:
 _DOC_KEYS = frozenset(
     ("format_version", "kind", "regions", "elementary", "composites", "deduced", "rules")
 )
-_ELEMENTARY_KEYS = frozenset(("region", "labels", "omega", "matrix_hex"))
-_COMPOSITE_KEYS = frozenset(("key", "factor_omegas", "omega", "matrix_hex"))
+_ELEMENTARY_KEYS = frozenset(("region", "labels", "omega", "matrix_f64le_b64"))
+_COMPOSITE_KEYS = frozenset(("key", "factor_omegas", "omega", "matrix_f64le_b64"))
 _DEDUCED_KEYS = frozenset(("key", "rule", "factor_omegas"))
 _OMEGA_KEYS = frozenset(("region", "indices", "parent_size", "row_kind"))
 _PRODUCT_OMEGA_KEYS = _OMEGA_KEYS | {"factors", "dims"}
@@ -526,7 +532,7 @@ def causaloid_to_dict(causaloid: Causaloid) -> dict:
                     [list(a), list(s)] for a, s in entry.gamma.labels
                 ],
                 "omega": _omega_to_dict(entry.omega),
-                "matrix_hex": matrix_hex(entry.matrix),
+                "matrix_f64le_b64": _matrix_to_b64(entry.matrix),
             }
         )
     composites = []
@@ -536,7 +542,7 @@ def causaloid_to_dict(causaloid: Causaloid) -> dict:
                 "key": _key_to_json(key),
                 "factor_omegas": [_omega_to_dict(o) for o in entry.factor_omegas],
                 "omega": _omega_to_dict(entry.omega),
-                "matrix_hex": matrix_hex(entry.matrix),
+                "matrix_f64le_b64": _matrix_to_b64(entry.matrix),
             }
         )
     deduced = []
@@ -582,28 +588,27 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
                     (tuple(map(_int, a)), tuple(map(_int, s))) for a, s in item["labels"]
                 ),
             )
-            elementary.append(
-                TomographicLambda(
-                    gamma=gamma,
-                    omega=_omega_from_dict(item["omega"]),
-                    matrix=_matrix_from_hex(item["matrix_hex"]),
-                )
-            )
+            omega = _omega_from_dict(item["omega"])
+            matrix = _matrix_from_b64(item["matrix_f64le_b64"], omega)
+            elementary.append(TomographicLambda(gamma=gamma, omega=omega, matrix=matrix))
         composites = []
         for item in doc["composites"]:
             _exact_keys(item, _COMPOSITE_KEYS)
             factor_omegas = tuple(
                 _omega_from_dict(o) for o in item["factor_omegas"]
             )
+            omega = _omega_from_dict(item["omega"])
             entry = CompositionalLambda(
                 factor_omegas=factor_omegas,
-                omega=_omega_from_dict(item["omega"]),
-                matrix=_matrix_from_hex(item["matrix_hex"]),
+                omega=omega,
+                matrix=_matrix_from_b64(item["matrix_f64le_b64"], omega),
             )
             composites.append((_key_from_json(item["key"]), entry))
         deduced = []
         for item in doc["deduced"]:
             _exact_keys(item, _DEDUCED_KEYS)
+            if not isinstance(item["rule"], str):
+                raise ValueError("a stub's rule must be a rule name")
             deduced.append(
                 DeducedEntry(
                     key=_key_from_json(item["key"]),
@@ -625,88 +630,9 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
         raise SchemaError(f"malformed causaloid document: {exc}") from exc
 
 
-_escape = json.encoder.encode_basestring_ascii
-_INDENT = "  "
-
-
 def json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    With ``indent`` set, CPython's json leaves its C encoder and writes
-    every value from Python. Here a list whose items are all strings (a
-    ``matrix_hex`` row) is one ``str.join`` over json's C string escaper;
-    every other value is written one element at a time, as json writes
-    it: ``int.__repr__``, ``float.__repr__``, ``NaN``/``Infinity``,
-    ``true``/``false``/``null``, tuples as lists, dict keys sorted and
-    converted as json converts them. Anything json rejects for its type
-    raises ``TypeError``. Containers that hold themselves are not
-    detected.
-    """
-    parts: list[str] = []
-    _write_json(value, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write_json(value, newline: str, parts: list[str]) -> None:
-    if isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + _INDENT
-        try:
-            parts.append("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
-            return
-        except TypeError:
-            pass  # not all strings: one element at a time
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            sep = "," + inner
-            _write_json(item, inner, parts)
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + _INDENT
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            parts.append(sep + _json_key(key) + ": ")
-            sep = "," + inner
-            _write_json(item, inner, parts)
-        parts.append(newline + "}")
-    else:
-        parts.append(_json_scalar(value))
-
-
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _escape(key)
-    if key is None or isinstance(key, (int, float)):
-        # json quotes the scalar's text, which needs no escaping
-        return '"' + _json_scalar(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """The one JSON text policy: indent 2, sorted keys, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def save_causaloid(causaloid: Causaloid, path: str) -> None:

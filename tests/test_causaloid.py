@@ -383,8 +383,9 @@ def test_document_validation(chain3, tmp_path):
     with pytest.raises(SchemaError):
         causaloid_from_dict(bad)
     bad = dict(doc)
-    bad["elementary"] = [dict(doc["elementary"][0], matrix_hex=[["0x1.0p+0"]])]
-    with pytest.raises(SchemaError):
+    # the packed [[1.0]]: a canonical string of the wrong shape
+    bad["elementary"] = [dict(doc["elementary"][0], matrix_f64le_b64="AAAAAAAA8D8=")]
+    with pytest.raises(SchemaError, match="holds 8 bytes"):
         causaloid_from_dict(bad)
     for top in ([], "causaloid", 1, None):
         with pytest.raises(SchemaError, match="must be a JSON object"):

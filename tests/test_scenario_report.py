@@ -26,7 +26,7 @@ from causaloid import (
     run_pipeline,
     write_report,
 )
-from causaloid.causaloid import _matrix_from_hex, load_causaloid, matrix_hex
+from causaloid.causaloid import load_causaloid, matrix_hex
 from causaloid.cli import main
 from causaloid.report import _matrix_digest
 from causaloid.errors import IoError, SchemaError, UnknownEntry
@@ -213,7 +213,7 @@ def test_matrix_digest_matches_the_json_definition(matrix, transpose):
     blob = json.dumps(rows, separators=(",", ":")).encode("ascii")
     assert matrix_hex(matrix) == rows
     assert _matrix_digest(matrix_hex(matrix)) == hashlib.sha256(blob).hexdigest()
-    back = _matrix_from_hex(matrix_hex(matrix))
+    back = np.array([[float.fromhex(x) for x in row] for row in matrix_hex(matrix)])
     want = np.ascontiguousarray(matrix, dtype=float)
     assert back.shape == want.shape
     assert np.array_equal(back.view(np.uint64), want.view(np.uint64))

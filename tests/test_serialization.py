@@ -1,19 +1,20 @@
-"""The one JSON writer and the causaloid document it writes.
+"""The causaloid document the registry writes: format 2.
 
-``json_text`` must return exactly ``json.dumps(value, indent=2,
-sort_keys=True) + "\\n"``; ``json.dumps`` stays the oracle here. The
-registry pins are sha256 sums of ``save_causaloid`` bytes for every bundled
-scenario's registry, as built and after ``meta_compress``, recorded with
-the ``json.dumps`` writer; a change that keeps the document format must
-keep them. Loading must give back every Λ entry bit for bit, and every
-malformed ``matrix_hex`` must end in a ``SchemaError``.
+Each Λ is one string, the canonical base64 of its row-major little-endian
+float64 bytes; its shape is the entry's fiducial set's. The registry pins
+are sha256 sums of ``save_causaloid`` bytes for every bundled scenario's
+registry, as built and after ``meta_compress``. The format-1 pins, recorded
+when each Λ was a list of ``float.hex`` rows, are checked against a format-1
+rendering of the same registry, so every Λ bit is the one format 1 held.
+Loading must give back every Λ bit, NaN payloads included, a re-save must
+write the same bytes, and every malformed packed string must end in a
+``SchemaError``.
 """
 from __future__ import annotations
 
-import enum
+import base64
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from causaloid.report import checked_causaloid
 
 from conftest import SCENARIO_NAMES
 
+# sha256 of the format-1 rendering (_format_1) of each registry
 REGISTRY_DIGESTS = {
     "adjacent_gates": {
         "built": "f0005e61b96e002067d240ffbb5572f0d2e28c862db001d9d2296cf4b973e183",
@@ -71,13 +73,75 @@ REGISTRY_DIGESTS = {
 }
 
 
+# sha256 of the save_causaloid bytes of each registry
+REGISTRY_V2_DIGESTS = {
+    "adjacent_gates": {
+        "built": "24822d46f5ed0bfb370c88bb26bf2b94ba0de934b7c7fb46224e47529763f020",
+        "meta": "70c88f72cb5d11f4d22814a8382b1ae89ba08925f74ed21d899516b90df6f9bc",
+    },
+    "classical_bit": {
+        "built": "cb6500c5521929888505e16b6b6c65e1496386799a830d010847cd67ca6acf99",
+        "meta": "26848ad429f5557309ef15ffe816e98050e117923aa26285720fe9ad808a16c3",
+    },
+    "classical_chain3": {
+        "built": "d27bacfc31c7e599d6ef0e3ec92bfb0323cc1627267c31881363f599c7af4df8",
+        "meta": "f3ebc68b0a8da09f0659ef255af93e423ab672e2a3410a4ea02be548e5d44f1a",
+    },
+    "classical_trit": {
+        "built": "1b7cd5ce840e6cdabcd75ddd18a2d05d438e361101019b334ac647d0a902ebe2",
+        "meta": "ea70b3d895ed8d7245aa788a520d69d3ff0237ea05a4c27709104ddaf4f1d4d2",
+    },
+    "polariser_chain": {
+        "built": "109bcfc4ba33d980d67c6884a74bb53ac8b4d87ea7b9d4d9738e0a82faac1311",
+        "meta": "5ab532e3b53d0fa0e3834b8cada965f973b2589d1f8dae72dd2322b1066b798b",
+    },
+    "qubit_channel": {
+        "built": "a1d431b2a31d5c6e006bac70d6b2f8a9eda2030a67c28e022e4e9d8e97c8b3b1",
+        "meta": "74abc23ec918f29ad7ae149ecbc2536e78daee34dd1b345f91e4ea0bd8ef3838",
+    },
+    "qutrit_channel": {
+        "built": "7f41e482b0bb9ad413937933784987be74a19de0a0731c4d1c905161bbcfc55a",
+        "meta": "eed68df37f991f3f574e54fb9db8d915cc2acbd88219146db843551638e2558d",
+    },
+    "spacelike_bits": {
+        "built": "310f26cc326fe964c6e942fcea3ce101ce237c558bb7c5ffec0dae26ad5c3181",
+        "meta": "ecd3a0fca30cf543d21b5201c4868254fc41724dea25f3eb5901b0bcb337e2fd",
+    },
+}
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _pack(matrix) -> str:
+    return _b64(np.asarray(matrix, dtype="<f8").tobytes())
+
+
+def _unpack(item: dict) -> np.ndarray:
+    omega = item["omega"]
+    data = base64.b64decode(item["matrix_f64le_b64"], validate=True)
+    shape = (omega["parent_size"], len(omega["indices"]))
+    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+
+
+def _format_1(doc: dict) -> dict:
+    """The document as format 1 wrote it: each Λ as ``matrix_hex`` rows."""
+    doc = json.loads(json.dumps(doc))
+    for item in doc["elementary"] + doc["composites"]:
+        item["matrix_hex"] = matrix_hex(_unpack(item))
+        del item["matrix_f64le_b64"]
+    doc["format_version"] = 1
+    return doc
+
+
 def _registry(scenarios, name: str, kind: str):
     _, _, c = checked_causaloid(scenarios(name))
     return c if kind == "built" else meta_compress(c, ["tensor-factorization"])
 
 
 def test_every_bundled_registry_is_pinned():
-    assert sorted(REGISTRY_DIGESTS) == sorted(SCENARIO_NAMES)
+    assert sorted(REGISTRY_DIGESTS) == sorted(REGISTRY_V2_DIGESTS) == sorted(SCENARIO_NAMES)
 
 
 @pytest.mark.parametrize("kind", ["built", "meta"])
@@ -87,90 +151,12 @@ def test_registry_bytes_are_pinned(tmp_path, scenarios, name, kind):
     path = tmp_path / "registry.json"
     save_causaloid(c, path)
     data = path.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == REGISTRY_DIGESTS[name][kind]
-    # the file is the json.dumps text of causaloid_to_dict, plus a newline
-    text = json.dumps(causaloid_to_dict(c), indent=2, sort_keys=True) + "\n"
-    assert data == text.encode("utf-8")
-
-
-# -- the writer against json.dumps ------------------------------------------
-
-def _oracle(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-def _outcome(write, value):
-    try:
-        return write(value)
-    except TypeError:
-        return TypeError
-
-
-class _Colour(enum.IntEnum):
-    RED = 3
-
-
-_AWKWARD_TEXT = st.sampled_from([
-    "", '"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "\U0001f600",
-    "\ud800", "\udfff", "a\ud83dz", "0x1.8p+0", "nan", "-inf",
-])
-_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | _AWKWARD_TEXT
-_FLOATS = (
-    st.floats()
-    | st.sampled_from([
-        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
-        math.inf, -math.inf, math.nan, 1.7976931348623157e308, 0.1,
-    ])
-    | st.floats().map(np.float64)
-)
-_INTS = st.integers() | st.integers(min_value=-(2**80), max_value=2**80) | st.just(_Colour.RED)
-_SCALARS = _TEXT | _INTS | _FLOATS | st.booleans() | st.none()
-# one key type per dict, as a sortable document has; mixed keys below
-_KEYS = (
-    st.lists(_TEXT, max_size=5)
-    | st.lists(_INTS | st.booleans(), max_size=4)
-    | st.lists(st.floats(), max_size=3)
-    | st.lists(st.none(), max_size=1)
-)
-
-
-def _containers(children):
-    return (
-        st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
-        | st.lists(_TEXT, max_size=6)
-        | st.lists(_TEXT | _SCALARS, max_size=6)
-        | st.tuples(_KEYS, st.lists(children, min_size=5, max_size=5)).map(
-            lambda kv: dict(zip(kv[0], kv[1]))
-        )
-    )
-
-
-_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_VALUES)
-def test_json_text_is_json_dumps(value):
-    assert _outcome(json_text, value) == _outcome(_oracle, value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        np.int64(1), np.bool_(True), {1, 2}, b"bytes", 1j, object(),
-        [["0x1.0p+0", "0x0.0p+0"], [np.float32(1.0)]],
-        {"a": [1, 2, np.int64(3)]},
-        {(1, 2): "tuple key"},
-        {"mixed": 1, 2: "keys"},
-    ],
-    ids=lambda v: type(v).__name__,
-)
-def test_json_text_rejects_what_json_rejects(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        json_text(value)
+    assert hashlib.sha256(data).hexdigest() == REGISTRY_V2_DIGESTS[name][kind]
+    save_causaloid(load_causaloid(path), path)
+    assert path.read_bytes() == data
+    # every Λ bit is the one the format-1 pins hold
+    text = json.dumps(_format_1(causaloid_to_dict(c)), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REGISTRY_DIGESTS[name][kind]
 
 
 # -- registry round trip over arbitrary float bit patterns ------------------
@@ -200,11 +186,11 @@ def test_registry_round_trip_keeps_every_bit(tmp_path_factory, polariser_doc, da
     doc = json.loads(json.dumps(polariser_doc))
     written = []
     for item in doc["elementary"] + doc["composites"]:
-        rows = np.array([[float.fromhex(x) for x in row] for row in item["matrix_hex"]])
+        rows = _unpack(item)
         free = [i for i in range(rows.shape[0]) if i not in item["omega"]["indices"]]
         bits = data.draw(hnp.arrays(np.uint64, (len(free), rows.shape[1]), elements=_BITS))
         rows[free] = bits.view(np.float64)
-        item["matrix_hex"] = matrix_hex(rows)
+        item["matrix_f64le_b64"] = _pack(rows)
         written.append(rows)
     path = tmp_path_factory.mktemp("registry") / "registry.json"
     save_causaloid(causaloid_from_dict(doc), path)
@@ -213,29 +199,33 @@ def test_registry_round_trip_keeps_every_bit(tmp_path_factory, polariser_doc, da
     assert len(got) == len(written)
     for want, matrix in zip(written, got):
         assert matrix.shape == want.shape
-        nan = np.isnan(want)
-        # float.hex writes every NaN as "nan": a NaN comes back as NaN
-        assert np.array_equal(np.isnan(matrix), nan)
-        assert np.array_equal(matrix[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        # all 64 bits of every value, NaN payloads and signs included
+        assert np.array_equal(matrix.view(np.uint64), want.view(np.uint64))
     assert path.read_text(encoding="utf-8") == json_text(causaloid_to_dict(back))
 
 
-# -- malformed matrix_hex ----------------------------------------------------
+# -- malformed packed matrices ----------------------------------------------
 
-def _bad_matrices(m: list[list[str]]) -> dict:
-    n = len(m[0])
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _bad_packed(text: str) -> dict:
+    """Every kind of malformed packed Λ, made from a canonical ``text`` that
+    ends in one "=" pad (so its last symbol carries two zero pad bits)."""
+    data = base64.b64decode(text)
+    last = _ALPHABET.index(text[-2])
     return {
-        "ragged": [m[0], m[1][:-1]] + m[2:],
-        "row not a list": [m[0], "0x1.0p+0"] + m[2:],
-        "row a string of row length": [m[0], "1" * n] + m[2:],
-        "row an object": [m[0], dict.fromkeys(m[1])] + m[2:],
-        "non-string entry": [[1.0] + m[0][1:]] + m[1:],
-        "null entry": [[None] + m[0][1:]] + m[1:],
-        "unparsable string": [["0xzz"] + m[0][1:]] + m[1:],
-        "empty matrix": [],
-        "empty rows": [[] for _ in m],
-        "not a list": "0x1.0p+0",
-        "an object": {"rows": m},
+        "a number": 1.0,
+        "a list": [text],
+        "null": None,
+        "an object": {"matrix_f64le_b64": text},
+        "empty string": "",
+        "one byte short": _b64(data[:-1]),
+        "one value too many": _b64(data + bytes(8)),
+        "outside the alphabet": "*" + text[1:],
+        "embedded newline": text[:4] + "\n" + text[4:],
+        "missing padding": text[:-1],
+        "non-zero pad bits": text[:-2] + _ALPHABET[last + 1] + "=",
     }
 
 
@@ -243,21 +233,33 @@ def _bad_matrices(m: list[list[str]]) -> dict:
 def chain3_doc(scenarios):
     _, _, c = checked_causaloid(scenarios("classical_chain3"))
     doc = causaloid_to_dict(c)
-    assert doc["elementary"] and doc["composites"]
+    for section in ("elementary", "composites"):
+        text = doc[section][0]["matrix_f64le_b64"]
+        assert text.endswith("=") and not text.endswith("==")
     return doc
 
 
 @pytest.mark.parametrize("section", ["elementary", "composites"])
-@pytest.mark.parametrize("case", list(_bad_matrices([["0x0p+0"] * 2] * 2)))
-def test_malformed_matrix_hex_is_a_schema_error(tmp_path, chain3_doc, section, case):
+@pytest.mark.parametrize("case", list(_bad_packed(_pack([1.0]))))
+def test_malformed_packed_matrix_is_a_schema_error(tmp_path, chain3_doc, section, case):
     doc = json.loads(json.dumps(chain3_doc))
     item = doc[section][0]
-    item["matrix_hex"] = _bad_matrices(item["matrix_hex"])[case]
+    item["matrix_f64le_b64"] = _bad_packed(item["matrix_f64le_b64"])[case]
     with pytest.raises(SchemaError, match="malformed causaloid document"):
         causaloid_from_dict(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SchemaError, match="malformed causaloid document"):
+        load_causaloid(path)
+
+
+def test_a_format_1_registry_is_refused(tmp_path, chain3_doc):
+    doc = _format_1(chain3_doc)
+    with pytest.raises(SchemaError, match="unsupported format_version 1"):
+        causaloid_from_dict(doc)
+    path = tmp_path / "format1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError, match="unsupported format_version 1"):
         load_causaloid(path)
 
 
@@ -287,6 +289,7 @@ REGISTRY_EDITS = {
     "float label outcome": _label(1, 1.0),
     "float dims": lambda d: d["composites"][0]["omega"].update(dims=[5.0, 5.0]),
     "rules a string": lambda d: d.update(rules="tensor-factorization"),
+    "rule a number": lambda d: d["deduced"][0].update(rule=1),
 }
 
 
@@ -314,11 +317,9 @@ ODD_VALUES = ("x", 1.5, True, [], [[1]])
 
 
 def _fields(node, path=()):
-    """The path of every field, with each matrix cut to its first entry
-    (the rest of every matrix is covered by the malformed matrix_hex cases)."""
+    """The path of every field."""
     children = node.items() if isinstance(node, dict) else (
-        enumerate(node[:1] if "matrix_hex" in path else node)
-        if isinstance(node, list) else ()
+        enumerate(node) if isinstance(node, list) else ()
     )
     for key, child in children:
         yield path + (key,)
@@ -364,7 +365,7 @@ def _region_fields(node, path=()):
     elif isinstance(node, list) and node and all(type(x) is int for x in node):
         if path[-1] == "region" or path[-2] in ("regions", "factors") or "key" in path:
             yield path
-    elif isinstance(node, list) and "matrix_hex" not in path:
+    elif isinstance(node, list):
         for i, child in enumerate(node):
             yield from _region_fields(child, path + (i,))
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import __future__
+import ast
 import importlib
 import importlib.util
 import json
@@ -144,3 +145,40 @@ def test_star_import_binds_only_public_names():
         value = getattr(causaloid, name)
         assert not isinstance(value, (types.ModuleType, __future__._Feature)), name
     assert "Causaloid" in causaloid.__all__ and "annotations" not in causaloid.__all__
+
+
+def _uses(names: set[str]) -> set[tuple[str, str, str]]:
+    """(file, enclosing function, name) of every ``json.<name>`` and every
+    bare name ``<name>`` (a builtin such as ``open``) in ``src/causaloid``."""
+    found = set()
+    for path in sorted((ROOT / "src" / "causaloid").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(tree, "<module>")]
+        while scopes:
+            node, scope = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, ast.FunctionDef) else scope
+                if isinstance(child, ast.ImportFrom):
+                    assert child.module != "json", (path.name, "import json only")
+                if isinstance(child, ast.Import):
+                    assert all(a.asname is None for a in child.names if a.name == "json")
+                if isinstance(child, ast.Attribute) and child.attr in names:
+                    if isinstance(child.value, ast.Name) and child.value.id == "json":
+                        found.add((path.name, scope, child.attr))
+                if isinstance(child, ast.Name) and child.id in names:
+                    found.add((path.name, scope, child.id))
+                scopes.append((child, inner))
+    return found
+
+
+def test_one_json_writer_one_json_reader_one_file_opener():
+    # json_text is the one JSON text policy and read_json the one parser;
+    # only errors.py opens a file
+    assert _uses({"dumps", "dump", "loads", "load"}) == {
+        ("causaloid.py", "json_text", "dumps"),
+        ("errors.py", "read_json", "loads"),
+    }
+    assert _uses({"open"}) == {
+        ("errors.py", "read_text", "open"),
+        ("errors.py", "write_text", "open"),
+    }
