@@ -27,7 +27,7 @@ from .errors import (
     UnknownProcedure,
     UnknownRegion,
 )
-from .operational import ProcedureSpec, Region
+from .operational import ProcedureSpec, Region, disjoint_union
 from .tables import (
     ExteriorAxis,
     ExteriorConfiguration,
@@ -610,15 +610,14 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     transpose puts the region axes first and the exterior digits last.
     """
     regions = tuple(regions)
-    seen: set[int] = set()
-    for r in regions:
-        if seen & set(r.locations):
-            raise UnknownRegion("table regions must be pairwise disjoint")
-        seen |= set(r.locations)
-    for loc in seen:
+    try:
+        probed = disjoint_union(regions).locations if regions else ()
+    except ValueError as exc:
+        raise UnknownRegion("table regions must be pairwise disjoint") from exc
+    for loc in probed:
         spec.family(loc)  # raises UnknownRegion if not instrumented
     gammas = tuple(enumerate_labels(spec, r) for r in regions)
-    exteriors = enumerate_exteriors(spec, seen)
+    exteriors = enumerate_exteriors(spec, probed)
     n_entries = len(exteriors)
     for g in gammas:
         n_entries *= g.size

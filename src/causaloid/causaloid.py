@@ -37,6 +37,7 @@ from .tomographic import (
     RVector,
     StateVector,
     TomographicLambda,
+    _row_set,
     born_rule,
     build_measurement_matrix,
     find_fiducial_set,
@@ -177,8 +178,10 @@ class Causaloid:
                         f"factor {key_to_str(child)} of {key_to_str(key)} "
                         "has no registry entry"
                     )
-        # a stub carries its factors' fiducial sets as an entry does
-        for key, entry in grouped:
+        # a stub carries its factors' fiducial sets as an entry does; each is
+        # checked before a grouping over it deduces it, so no stub is
+        # deduced at the sizes it declares
+        for key, entry in sorted(grouped, key=lambda item: len(key_union(item[0]))):
             if entry.factor_omegas != tuple(self.omega_of(child) for child in key):
                 raise ContextMismatch(
                     f"entry {key_to_str(key)} disagrees with its factors' "
@@ -299,7 +302,7 @@ def change_omega_basis(entry, new_omega: OmegaSet):
     old = entry.omega
     if new_omega.size != old.size:
         raise ContextMismatch("the new fiducial set must have the same size")
-    if new_omega.every_row() != old.every_row():
+    if _row_set(new_omega) != _row_set(old):
         raise ContextMismatch("the new fiducial set indexes a different row set")
     rows = list(new_omega.indices)
     t = entry.matrix[rows]
@@ -428,14 +431,9 @@ def _matrix_to_b64(matrix: np.ndarray) -> str:
     return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _matrix_from_b64(text, omega: OmegaSet) -> np.ndarray:
-    # the shape is the fiducial set's; the text must be the canonical
-    # base64 of its bytes, so a re-save writes the same bytes
-    if not isinstance(text, str):
-        raise ValueError("matrix_f64le_b64 must be a string")
+def _matrix_from_b64(text: str, omega: OmegaSet) -> np.ndarray:
+    # the shape is the fiducial set's
     data = base64.b64decode(text, validate=True)
-    if base64.b64encode(data).decode("ascii") != text:
-        raise ValueError("matrix_f64le_b64 is not canonical base64")
     shape = (omega.parent_size, omega.size)
     if len(data) != 8 * shape[0] * shape[1]:
         raise ValueError(f"matrix_f64le_b64 holds {len(data)} bytes, not 8 x {shape}")
@@ -455,24 +453,9 @@ def _omega_to_dict(o: OmegaSet) -> dict:
     return out
 
 
-# the keys causaloid_to_dict writes; a document is read only in that form,
-# so a re-save writes the same bytes
-_DOC_KEYS = frozenset(
-    ("format_version", "kind", "regions", "elementary", "composites", "deduced", "rules")
-)
-_ELEMENTARY_KEYS = frozenset(("region", "labels", "omega", "matrix_f64le_b64"))
-_COMPOSITE_KEYS = frozenset(("key", "factor_omegas", "omega", "matrix_f64le_b64"))
-_DEDUCED_KEYS = frozenset(("key", "rule", "factor_omegas"))
-_OMEGA_KEYS = frozenset(("region", "indices", "parent_size", "row_kind"))
-_PRODUCT_OMEGA_KEYS = _OMEGA_KEYS | {"factors", "dims"}
-
-
-def _exact_keys(node, keys: frozenset) -> None:
-    if not isinstance(node, dict) or node.keys() != keys:
-        raise ValueError(f"an object with exactly the keys {sorted(keys)} is required")
-
-
 def _int(value) -> int:
+    # under ==, JSON true equals 1 (and 8.0 equals 8), so the re-save
+    # comparison cannot tell them apart; this is what keeps them out
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value
@@ -480,13 +463,12 @@ def _int(value) -> int:
 
 def _omega_from_dict(d: dict) -> OmegaSet:
     product = d["row_kind"] == "omega-product"
-    _exact_keys(d, _PRODUCT_OMEGA_KEYS if product else _OMEGA_KEYS)
     return OmegaSet(
-        region=_region_from_json(d["region"]),
+        region=Region(d["region"]),
         indices=tuple(map(_int, d["indices"])),
         parent_size=_int(d["parent_size"]),
         row_kind=d["row_kind"],
-        factors=tuple(map(_region_from_json, d["factors"])) if product else None,
+        factors=tuple(map(Region, d["factors"])) if product else None,
         dims=tuple(map(_int, d["dims"])) if product else None,
     )
 
@@ -497,29 +479,13 @@ def _key_to_json(key):
     return [_key_to_json(c) for c in key]
 
 
-def _region_from_json(node) -> Region:
-    # a region is written as its sorted, duplicate-free locations, and is
-    # read only in that form, so a re-save writes the same bytes
-    region = Region(node)
-    if list(region.locations) != node:
-        raise ValueError(f"region {node!r} is not sorted and duplicate-free")
-    return region
-
-
 def _key_from_json(node):
-    # a region is a list of ints; a grouping must be in normalize_key form:
-    # two or more keys, pairwise disjoint, ordered by least location (the
-    # children are checked already, so one level is checked here)
-    if isinstance(node, list) and node and all(type(x) is int for x in node):
-        return _region_from_json(node)
-    if not isinstance(node, list) or len(node) < 2:
-        raise ValueError(f"a key must list locations or two or more keys, got {node!r}")
-    key = tuple(map(_key_from_json, node))
-    unions = list(map(key_union, key))
-    if unions != sorted(unions):
-        raise ValueError(f"grouping {node!r} is not in canonical order")
-    disjoint_union(unions)
-    return key
+    # a list of locations is a region, any other list a grouping of keys
+    if not isinstance(node, list):
+        raise ValueError(f"a key must be a list, got {node!r}")
+    if all(type(x) is int for x in node):
+        return Region(node)
+    return tuple(map(_key_from_json, node))
 
 
 def causaloid_to_dict(causaloid: Causaloid) -> dict:
@@ -566,6 +532,17 @@ def causaloid_to_dict(causaloid: Causaloid) -> dict:
 
 
 def causaloid_from_dict(doc: dict) -> Causaloid:
+    """Read a registry document; it loads only if it re-saves as itself.
+
+    Every field is decoded by the constructor that normalises it (regions
+    sort their locations, keys their factors) and the registry is built
+    from them; ``causaloid_to_dict`` of the result must then equal ``doc``,
+    so a document that loads is saved again with the same bytes. A field
+    that cannot be decoded is a ``SchemaError``, as is a document the
+    comparison refuses, named by its first top-level field that differs;
+    entries that disagree with each other raise the registry's own errors
+    (``ContextMismatch``, ``MissingEntry``).
+    """
     if not isinstance(doc, dict):
         raise SchemaError("a causaloid document must be a JSON object")
     try:
@@ -574,16 +551,10 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
         version = doc.get("format_version")
         if type(version) is not int or version != FORMAT_VERSION:
             raise SchemaError(f"unsupported format_version {version!r}")
-        _exact_keys(doc, _DOC_KEYS)
-        rules = doc["rules"]
-        if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
-            raise ValueError("rules must be a list of rule names")
-        regions = tuple(map(_region_from_json, doc["regions"]))
         elementary = []
         for item in doc["elementary"]:
-            _exact_keys(item, _ELEMENTARY_KEYS)
             gamma = GammaSet(
-                _region_from_json(item["region"]),
+                Region(item["region"]),
                 tuple(
                     (tuple(map(_int, a)), tuple(map(_int, s))) for a, s in item["labels"]
                 ),
@@ -593,7 +564,6 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
             elementary.append(TomographicLambda(gamma=gamma, omega=omega, matrix=matrix))
         composites = []
         for item in doc["composites"]:
-            _exact_keys(item, _COMPOSITE_KEYS)
             factor_omegas = tuple(
                 _omega_from_dict(o) for o in item["factor_omegas"]
             )
@@ -603,31 +573,32 @@ def causaloid_from_dict(doc: dict) -> Causaloid:
                 omega=omega,
                 matrix=_matrix_from_b64(item["matrix_f64le_b64"], omega),
             )
-            composites.append((_key_from_json(item["key"]), entry))
-        deduced = []
-        for item in doc["deduced"]:
-            _exact_keys(item, _DEDUCED_KEYS)
-            if not isinstance(item["rule"], str):
-                raise ValueError("a stub's rule must be a rule name")
-            deduced.append(
-                DeducedEntry(
-                    key=_key_from_json(item["key"]),
-                    rule=item["rule"],
-                    factor_omegas=tuple(
-                        _omega_from_dict(o) for o in item["factor_omegas"]
-                    ),
-                )
+            composites.append((normalize_key(_key_from_json(item["key"])), entry))
+        deduced = [
+            DeducedEntry(
+                key=normalize_key(_key_from_json(item["key"])),
+                rule=item["rule"],
+                factor_omegas=tuple(_omega_from_dict(o) for o in item["factor_omegas"]),
             )
-        return Causaloid(
-            regions=regions,
+            for item in doc["deduced"]
+        ]
+        causaloid = Causaloid(
+            regions=tuple(map(Region, doc["regions"])),
             elementary=tuple(elementary),
             composites=tuple(composites),
             deduced=tuple(deduced),
-            rules=tuple(rules),
+            rules=tuple(doc["rules"]),
         )
-    # a key nested deeper than the interpreter's stack is malformed too
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        saved = causaloid_to_dict(causaloid)
+        if saved != doc:
+            # decoding read every key saved has, so doc has them all
+            field = next(k for k in (*saved, *doc) if k not in saved or saved[k] != doc[k])
+            raise SchemaError(f"malformed causaloid document: {field} does not re-save as itself")
+    # a key nested deeper than the interpreter's stack is malformed too, as
+    # is a rule name the document gives that is not registered
+    except (KeyError, TypeError, ValueError, RecursionError, RuleInapplicable) as exc:
         raise SchemaError(f"malformed causaloid document: {exc}") from exc
+    return causaloid
 
 
 def json_text(value) -> str:

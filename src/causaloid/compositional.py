@@ -22,6 +22,7 @@ from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
     OmegaSet,
+    _row_set,
     check_expansion,
     find_fiducial_set,
     fold_to_exterior,
@@ -61,10 +62,10 @@ class CompositionalLambda:
         factors = [o.region for o in self.factor_omegas]
         if len(factors) < 2:
             raise ValueError("a composite needs at least two constituents")
-        rows = product_rows(self.factor_omegas)  # raises if two factors overlap
+        rows = _product_row_set(self.factor_omegas)  # raises if two factors overlap
         if factors != sorted(factors):
             raise ValueError("constituents must be ordered by least location")
-        if self.omega.every_row() != rows:
+        if _row_set(self.omega) != rows:
             raise ValueError(
                 "composite fiducial set must index the product of the "
                 "factors' fiducial sets"
@@ -86,12 +87,16 @@ def product_rows(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
     The region is the union of the factors' regions, which must be
     pairwise disjoint.
     """
+    return _product_row_set(factor_omegas).every_row()
+
+
+def _product_row_set(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
+    # product_rows with no row listed, as tomographic._row_set describes it
     dims = tuple(o.size for o in factor_omegas)
-    n = math.prod(dims)
     return OmegaSet(
         region=disjoint_union(o.region for o in factor_omegas),
-        indices=tuple(range(n)),
-        parent_size=n,
+        indices=(),
+        parent_size=math.prod(dims),
         row_kind="omega-product",
         factors=tuple(o.region for o in factor_omegas),
         dims=dims,
@@ -150,7 +155,8 @@ def joint_fiducial_matrix(
     if len(omegas) < 2:
         raise ValueError("a joint matrix needs at least two factors")
     for o in omegas:
-        if o.every_row() != label_rows(table.gammas[table.region_axis(o.region)]):
+        gamma = table.gammas[table.region_axis(o.region)]
+        if _row_set(o) != _row_set(label_rows(gamma)):
             raise ContextMismatch(
                 f"fiducial set of {o.region} does not index this table"
             )

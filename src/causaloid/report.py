@@ -28,7 +28,7 @@ from .heralding import HeraldResult, herald
 from .operational import Region
 from .scenario import ScenarioFile
 from .tables import ProbTable
-from .tomographic import clamp_probability
+from .tomographic import CLAMP_TOL, clamp_probability
 
 __all__ = [
     "REPORT_FORMAT_VERSION",
@@ -221,7 +221,7 @@ def _herald_section(
         }
         if result.p is not None:
             shown = result.p
-            if -1e-9 <= shown <= 1 + 1e-9:
+            if -CLAMP_TOL <= shown <= 1 + CLAMP_TOL:
                 shown = clamp_probability(shown)
             item["p"] = {"raw": _float_pair(result.p), "display": shown}
         if result.witness is not None:

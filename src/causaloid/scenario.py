@@ -166,10 +166,10 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
             raise SchemaError("chain name must be a string", f"{cp}.name")
         if not isinstance(size, int) or isinstance(size, bool) or size < 2:
             raise SchemaError("chain size must be an integer >= 2", f"{cp}.size")
-        if kind == "quantum" and size > MAX_QUANTUM_DIM:
-            raise SchemaError(
-                f"a quantum chain size must be at most {MAX_QUANTUM_DIM}", f"{cp}.size"
-            )
+        # a classical wire is bounded by the widest a quantum one may reach
+        bound = MAX_QUANTUM_DIM if kind == "quantum" else MAX_QUANTUM_DIM**2
+        if size > bound:
+            raise SchemaError(f"a {kind} chain size must be at most {bound}", f"{cp}.size")
         for x in locations:
             if locations.count(x) > 1:
                 raise SchemaError(

@@ -63,7 +63,8 @@ class OmegaSet:
     region, and "omega-product" when they are multi-indices over factor
     fiducial sets (last factor fastest, lexicographic). ``label_rows`` and
     ``compositional.product_rows`` build the parent row sets, and
-    ``every_row`` recovers the parent of any subset.
+    ``every_row`` recovers the parent of any subset. Two sets index the same
+    parent rows when they agree in every field but ``indices``.
     """
 
     region: Region
@@ -99,6 +100,13 @@ class OmegaSet:
         return replace(self, indices=tuple(range(self.parent_size)))
 
 
+def _row_set(omega: OmegaSet) -> OmegaSet:
+    # the parent row set described by region, size, kind, factors and dims,
+    # with no row listed: comparing these costs nothing per parent row, so
+    # a parent size read from a file allocates nothing before it is refused
+    return replace(omega, indices=())
+
+
 def label_rows(gamma: GammaSet) -> OmegaSet:
     """Every label of one region, in label order."""
     return OmegaSet(gamma.region, tuple(range(gamma.size)), gamma.size)
@@ -131,7 +139,7 @@ class TomographicLambda:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.omega.every_row() != label_rows(self.gamma):
+        if _row_set(self.omega) != _row_set(label_rows(self.gamma)):
             raise ValueError("fiducial set must index the labels of its region")
         check_expansion(self.omega, self.matrix)
 
@@ -252,7 +260,7 @@ def state_vector(
     matrix: MeasurementMatrix, omega: OmegaSet, exterior_index: int
 ) -> StateVector:
     """The fiducial probability list of one exterior column."""
-    if omega.every_row() != matrix.rows.every_row():
+    if _row_set(omega) != _row_set(matrix.rows):
         raise ContextMismatch("fiducial set does not describe this matrix")
     if not 0 <= exterior_index < len(matrix.exteriors):
         raise UnknownExterior(f"exterior index {exterior_index} out of range")

@@ -38,7 +38,7 @@ from causaloid import (
 )
 from causaloid import operators as ops
 from causaloid.backends import _extended_rows, _extra_effects, _extra_preparations
-from causaloid.errors import SpanDeficient, UnknownProcedure
+from causaloid.errors import SpanDeficient, UnknownProcedure, UnknownRegion
 from causaloid.tables import ExteriorConfiguration, ProbTable, greedy_independent_rows
 
 from conftest import SCENARIO_NAMES
@@ -291,6 +291,23 @@ def test_prob_table_matches_pointwise_oracle(scenarios):
             s.spec, dict(zip(table.regions, labels)), table.exteriors[e]
         )
         assert table.values[idx + (e,)] == pytest.approx(direct, abs=1e-12)
+
+
+def test_prob_table_refuses_overlapping_regions(scenarios):
+    s = scenarios("classical_chain3")
+    with pytest.raises(UnknownRegion, match="pairwise disjoint"):
+        build_prob_table(s.spec, [Region((1, 2)), Region((2, 3))])
+
+
+def test_prob_table_over_no_region_is_the_exterior_alone(scenarios):
+    # every location is swept: 2 preparations x 4 (action, outcome) cards
+    # at each of 3 locations x 2 effects; for each preparation and action
+    # choice (2 x 8), the outcomes and effects sum to 1
+    s = scenarios("classical_chain3")
+    table = build_prob_table(s.spec, [])
+    assert table.regions == () and table.gammas == ()
+    assert table.values.shape == (256,) == (len(table.exteriors),)
+    assert table.values.sum() == pytest.approx(16.0, abs=1e-12)
 
 
 def _assert_table_matches_oracle(spec, table):

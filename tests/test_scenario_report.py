@@ -466,6 +466,9 @@ MALFORMED = {
     "quantum-size-above-the-limit": (
         "qubit_channel", lambda d: d["theory"]["chains"][0].update(size=9), ["compress"],
         "error: $.theory.chains[0].size: a quantum chain size must be at most 8"),
+    "classical-size-above-the-limit": (
+        "classical_chain3", lambda d: d["theory"]["chains"][0].update(size=65), ["compress"],
+        "error: $.theory.chains[0].size: a classical chain size must be at most 64"),
 }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from causaloid.backends import build_prob_table
 from causaloid.causaloid import (
+    build_causaloid,
     causaloid_from_dict,
     causaloid_to_dict,
     json_text,
@@ -313,7 +316,7 @@ def test_registry_loads_only_what_save_writes(polariser_meta_doc, case):
 
 # -- single-field edits of a registry document --------------------------------
 
-ODD_VALUES = ("x", 1.5, True, [], [[1]])
+ODD_VALUES = ("x", 1.5, True, [], [[1]], "", {})
 
 
 def _fields(node, path=()):
@@ -338,13 +341,15 @@ def test_edited_registry_fields_fail_only_with_causaloid_errors(scenarios):
         for value in ODD_VALUES:
             parent[path[-1]] = value
             try:
-                causaloid_from_dict(doc)
+                loaded = causaloid_from_dict(doc)
             except CausaloidError as exc:
                 # a key or a fiducial index of the wrong type is a schema fault
                 if "key" in path or ("indices" in path and path[-1] != "indices"):
                     assert isinstance(exc, SchemaError), (path, value, exc)
             else:
                 assert "key" not in path, (path, value)
+                # what loads re-saves as itself
+                assert causaloid_to_dict(loaded) == doc, (path, value)
         parent[path[-1]] = kept
     causaloid_from_dict(doc)
     # a well-formed key nested past the interpreter's stack
@@ -354,6 +359,64 @@ def test_edited_registry_fields_fail_only_with_causaloid_errors(scenarios):
     doc["composites"][0]["key"] = key
     with pytest.raises(SchemaError, match="malformed causaloid document"):
         causaloid_from_dict(doc)
+
+
+def _elementary_rows(doc: dict) -> dict:
+    # no fiducial rows and no Λ bytes, but two million parent rows
+    item = doc["elementary"][0]
+    item["omega"].update(indices=[], parent_size=2_000_000)
+    item["matrix_f64le_b64"] = ""
+    return doc
+
+
+def _composite_rows(doc: dict) -> dict:
+    # 1000 fiducial rows per factor: a million product rows
+    item = doc["composites"][0]
+    for omega in item["factor_omegas"]:
+        omega.update(indices=list(range(1000)), parent_size=1000)
+    item["omega"].update(indices=[], parent_size=1000 * 1000, dims=[1000, 1000])
+    item["matrix_f64le_b64"] = ""
+    return doc
+
+
+def _stub_rows(doc: dict) -> dict:
+    # 40 fiducial rows per factor of a stub that a grouping lists as a
+    # factor: deduced as declared, its identity Λ would take 20 MB
+    for omega in doc["deduced"][0]["factor_omegas"]:
+        omega.update(indices=list(range(40)), parent_size=40)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def nested_stub_doc(scenarios):
+    # ((R1 x R3) x R2) over the stub (R1 x R3)
+    s = scenarios("classical_chain3")
+    r1, r2, r3 = s.regions
+    c = build_causaloid(build_prob_table(s.spec, s.regions), [(r1, r3), ((r1, r3), r2)])
+    doc = causaloid_to_dict(meta_compress(c, ["tensor-factorization"]))
+    assert doc["deduced"][0]["key"] == [[1], [3]] == doc["composites"][0]["key"][0]
+    return doc
+
+
+@pytest.mark.parametrize("fixture, edit", [
+    ("polariser_doc", _elementary_rows),
+    ("polariser_doc", _composite_rows),
+    ("nested_stub_doc", _stub_rows),
+])
+def test_declared_row_counts_cost_no_memory(tmp_path, request, fixture, edit):
+    # a row count the document declares but its data does not back is
+    # refused without listing the rows (about 100 MB each when listed)
+    doc = edit(json.loads(json.dumps(request.getfixturevalue(fixture))))
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CausaloidError):
+            load_causaloid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def _region_fields(node, path=()):
