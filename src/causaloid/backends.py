@@ -258,6 +258,13 @@ class TheorySpec:
         uniform, as ``Generator.choice`` does. Returns the
         ``(runs, n_locations)`` integer outcome array in the same column
         order.
+
+        Per location, with ``A`` the action's ``(S, D, D)`` slice of
+        ``stacked``, ``v`` the ``(runs, D)`` states and ``t`` the total
+        covector, two products do the work: the ``(S, runs)`` outcome
+        weights ``(t @ A) @ v.T``, and every run's state after every outcome
+        ``v @ A.reshape(S * D, D).T``, from which each run's next state is
+        gathered at its drawn outcome.
         """
         u = np.asarray(uniforms, dtype=float)
         n_locations = sum(len(c.locations) for c in self.chains)
@@ -272,24 +279,32 @@ class TheorySpec:
         rows = np.arange(runs)
         col = 0
         for ci, chain in enumerate(self.chains):
-            v = np.broadcast_to(self.preparations[ci][0].vector, (runs, self.vec_dim(chain)))
+            d = self.vec_dim(chain)
+            v = np.broadcast_to(self.preparations[ci][0].vector, (runs, d))
             t = self.total_covector(chain)
             for loc in chain.locations:
                 fam = self.family(loc)
                 a = procedure.action_at(loc)
                 if not 0 <= a < fam.n_actions:
                     raise UnknownProcedure(f"location {loc} has no action {a}")
-                # every run's state after every outcome: (runs, outcomes, D)
-                after = np.einsum("sde,re->rsd", np.stack(fam.actions[a]), v)
-                cdf = np.cumsum(np.clip(after @ t, 0.0, None), axis=1)
-                total = cdf[:, -1:]
+                # labels run action by action: action a's outcome maps are
+                # one slice of the stacked labels
+                start = sum(len(group) for group in fam.actions[:a])
+                n_out = len(fam.actions[a])
+                A = fam.stacked[start:start + n_out]  # (outcomes, D, D)
+                cdf = (t @ A) @ v.T  # every run's outcome weights: (outcomes, runs)
+                np.maximum(cdf, 0.0, out=cdf)
+                np.cumsum(cdf, axis=0, out=cdf)
+                total = cdf[-1]
                 if (total <= 0).any():
                     raise BackendError(
                         f"all outcomes at location {loc} have zero probability"
                     )
-                s = (cdf / total <= u[:, col:col + 1]).sum(axis=1)
+                s = (cdf / total <= u[:, col]).sum(axis=0)
                 outcomes[:, col] = s
-                v = after[rows, s]
+                # every run's state after every outcome, one row per (run, outcome)
+                after = v @ A.reshape(n_out * d, d).T
+                v = after.reshape(runs * n_out, d)[rows * n_out + s]
                 col += 1
         return outcomes
 

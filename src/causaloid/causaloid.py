@@ -119,10 +119,13 @@ class MetaRule:
     """One third-level deduction rule.
 
     ``drops`` decides whether a stored entry may be replaced by a stub;
-    ``deduce`` rebuilds the entry from the stub's factor fiducial sets.
+    ``omega`` gives the fiducial set the deduced entry will have, without
+    deducing it; ``deduce`` rebuilds the entry from the stub's factor
+    fiducial sets.
     """
 
     drops: Callable[[CompositionalLambda], bool]
+    omega: Callable[[DeducedEntry], OmegaSet]
     deduce: Callable[[DeducedEntry], CompositionalLambda]
 
 
@@ -131,13 +134,17 @@ def _tensor_drops(entry: CompositionalLambda) -> bool:
     return entry.omega.size == entry.omega.parent_size
 
 
+def _tensor_omega(stub: DeducedEntry) -> OmegaSet:
+    return product_rows(stub.factor_omegas)
+
+
 def _tensor_deduce(stub: DeducedEntry) -> CompositionalLambda:
-    omega = product_rows(stub.factor_omegas)
+    omega = _tensor_omega(stub)
     return CompositionalLambda(stub.factor_omegas, omega, np.eye(omega.parent_size))
 
 
 RULE_REGISTRY: dict[str, MetaRule] = {
-    "tensor-factorization": MetaRule(_tensor_drops, _tensor_deduce),
+    "tensor-factorization": MetaRule(_tensor_drops, _tensor_omega, _tensor_deduce),
 }
 
 
@@ -179,8 +186,9 @@ class Causaloid:
                         "has no registry entry"
                     )
         # a stub carries its factors' fiducial sets as an entry does; each is
-        # checked before a grouping over it deduces it, so no stub is
-        # deduced at the sizes it declares
+        # checked before a grouping over it reads the stub's fiducial set
+        # from its rule, so no stub is deduced here and none is sized by
+        # what it declares
         for key, entry in sorted(grouped, key=lambda item: len(key_union(item[0]))):
             if entry.factor_omegas != tuple(self.omega_of(child) for child in key):
                 raise ContextMismatch(
@@ -207,6 +215,11 @@ class Causaloid:
         return found
 
     def omega_of(self, key) -> OmegaSet:
+        """The fiducial set of a key's entry; a stub's is read from its rule,
+        which leaves the stub undeduced."""
+        found = self._index.get(key)
+        if isinstance(found, DeducedEntry):
+            return RULE_REGISTRY[found.rule].omega(found)
         return self.entry(key).omega
 
     def keys(self) -> tuple:

@@ -275,16 +275,21 @@ def greedy_independent_rows(values: np.ndarray, tol: float) -> tuple[int, ...]:
         raise ValueError("expected a 2-d array of rows")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    m, w = rows.shape
     chosen: list[int] = []
-    basis = np.zeros((0, rows.shape[1]))
-    for i in range(rows.shape[0]):
-        if len(chosen) == rows.shape[1]:
+    # kept vectors fill the rows of one preallocated buffer; the basis is
+    # its first len(chosen) rows
+    buf = np.empty((min(m, w), w))
+    basis = buf[:0]
+    for i in range(m):
+        if len(chosen) == w:
             break
         v = rows[i]
         r = v - basis.T @ (basis @ v)
         r -= basis.T @ (basis @ r)
         norm = math.sqrt(r @ r)
         if norm > tol * max(1.0, math.sqrt(v @ v)):
+            buf[len(chosen)] = r / norm
             chosen.append(i)
-            basis = np.vstack([basis, r / norm])
+            basis = buf[:len(chosen)]
     return tuple(chosen)

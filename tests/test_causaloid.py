@@ -8,6 +8,8 @@ import pytest
 
 from causaloid import (
     Causaloid,
+    CompositionalLambda,
+    DeducedEntry,
     Region,
     build_causaloid,
     build_prob_table,
@@ -355,6 +357,26 @@ def test_meta_preserves_products(chain3):
     full = causaloid_product(a, b, c)
     stub = causaloid_product(a, b, m)
     assert np.abs(full.components - stub.components).max() < 1e-12
+
+
+def test_a_stub_factor_stays_undeduced_until_first_use(chain3):
+    # (R1 x R3) is both a stub and a factor of ((R1 x R3) x R2): checking the
+    # outer grouping reads the stub's fiducial set from its rule, not its Λ
+    s, table, _ = chain3
+    r1, r2, r3 = s.regions
+    c = build_causaloid(table, [(r1, r3), ((r1, r3), r2)])
+    m = meta_compress(c, ["tensor-factorization"])
+    assert [d.key for d in m.deduced] == [(r1, r3)]
+    doc = causaloid_to_dict(m)
+    loaded = causaloid_from_dict(doc)
+    for registry in (m, loaded):
+        assert isinstance(registry._index[(r1, r3)], DeducedEntry)
+        assert registry.omega_of((r1, r3)) == c.omega_of((r1, r3))
+        assert isinstance(registry._index[(r1, r3)], DeducedEntry)
+    assert causaloid_to_dict(loaded) == doc
+    deduced = loaded.entry((r1, r3))
+    assert isinstance(loaded._index[(r1, r3)], CompositionalLambda)
+    assert np.array_equal(deduced.matrix, c.entry((r1, r3)).matrix)
 
 
 def test_save_load_round_trip(tmp_path, chain3):

@@ -24,6 +24,7 @@ from causaloid import (
     ic_preparations,
     joint_prob,
     kernel_family,
+    kraus_family,
     load_stacks,
     parse_stacks,
     polariser_family,
@@ -215,6 +216,65 @@ def test_batched_draw_matches_the_per_run_reference():
     got = spec.sample_cards(proc, uniforms)
     assert got.shape == (500, 3)
     np.testing.assert_array_equal(got, _reference_outcomes(spec, proc, uniforms))
+
+
+def _two_chain_quantum_spec():
+    # a qutrit chain (locations 1 and 3) measured in rotated bases, with a
+    # three-outcome projective action, and a polarised qubit at location 2
+    helmert = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]]).T / np.sqrt([3, 2, 6])
+
+    def basis(degrees):
+        c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+        q = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) @ helmert
+        return [np.outer(q[:, k], q[:, k]) for k in range(3)]
+
+    def binary(c, p):
+        # a weak test of the projector p: effects c p and 1 - c p
+        return [[np.sqrt(c) * p], [np.eye(3) - p + np.sqrt(1 - c) * p]]
+
+    b = basis(0)
+    return QuantumSpec(
+        chains=(Chain("qutrit", 3, (1, 3)), Chain("photon", 2, (2,))),
+        instruments=(
+            kraus_family(1, 3, [binary(0.7, b[0]), [[p] for p in b]]),
+            polariser_family(2, [0, 30, 75]),
+            kraus_family(3, 3, [[[p] for p in basis(40)], binary(0.4, b[1])]),
+        ),
+        preparations=(ic_preparations("quantum", 3), ic_preparations("quantum", 2)),
+        effects=(ic_effects("quantum", 3), ic_effects("quantum", 2)),
+    )
+
+
+@pytest.mark.parametrize("actions", [(1, 1, 0), (0, 2, 1), (1, 0, 1)])
+def test_batched_quantum_draw_matches_the_per_run_reference(actions):
+    spec = _two_chain_quantum_spec()
+    proc = ProcedureSpec(dict(zip((1, 2, 3), actions)))
+    uniforms = np.random.default_rng(6).random((400, 3))
+    uniforms[:2] = [[0.0, 0.0, 0.0], [1 - 2**-53] * 3]
+    got = spec.sample_cards(proc, uniforms)
+    np.testing.assert_array_equal(got, _reference_outcomes(spec, proc, uniforms))
+    # columns run qutrit (locations 1, 3), then photon (location 2); every
+    # outcome of a three-outcome action is drawn (the polariser at 0 degrees
+    # never absorbs the first preparation)
+    for col, loc in enumerate((1, 3, 2)):
+        if spec.family(loc).n_outcomes(proc.action_at(loc)) == 3:
+            assert set(got[:, col]) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 2), (5, 4), (1, 5, 3)])
+def test_sample_cards_rejects_wrongly_shaped_uniforms(shape):
+    spec = _two_chain_quantum_spec()
+    with pytest.raises(ValueError, match=r"uniforms must have shape \(runs, 3\)"):
+        spec.sample_cards(ProcedureSpec({1: 0, 2: 0, 3: 0}), np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, 1.0, 1.5, np.nan, -np.inf])
+def test_sample_cards_rejects_uniforms_outside_the_unit_interval(bad):
+    spec = _two_chain_quantum_spec()
+    uniforms = np.full((4, 3), 0.5)
+    uniforms[2, 1] = bad
+    with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+        spec.sample_cards(ProcedureSpec({1: 0, 2: 0, 3: 0}), uniforms)
 
 
 def test_sampled_outcome_tuples_track_joint_prob():

@@ -1,6 +1,7 @@
 """First-level compression: fiducial sets, expansion matrices, state vectors."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import causaloid.backends
+import causaloid.tomographic
 from causaloid import (
     CompositionalLambda,
     MeasurementMatrix,
@@ -23,6 +26,7 @@ from causaloid import (
     find_fiducial_set,
     fold_to_exterior,
     r_vector,
+    run_pipeline,
     solve_expansion,
     state_vector,
 )
@@ -34,6 +38,8 @@ from causaloid.errors import (
 )
 from causaloid.compositional import product_rows
 from causaloid.tables import greedy_independent_rows
+
+from conftest import SCENARIO_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +107,70 @@ def test_greedy_scan_keeps_at_most_one_row_per_column(values, tol):
     chosen = greedy_independent_rows(values, tol)
     assert len(chosen) <= values.shape[1]
     assert list(chosen) == sorted(set(chosen))
+
+
+def _reference_greedy(values, tol):
+    """The scan with its basis re-stacked on every kept row."""
+    rows = np.asarray(values, dtype=float)
+    chosen = []
+    basis = np.zeros((0, rows.shape[1]))
+    for i in range(rows.shape[0]):
+        if len(chosen) == rows.shape[1]:
+            break
+        v = rows[i]
+        r = v - basis.T @ (basis @ v)
+        r -= basis.T @ (basis @ r)
+        norm = math.sqrt(r @ r)
+        if norm > tol * max(1.0, math.sqrt(v @ v)):
+            chosen.append(i)
+            basis = np.vstack([basis, r / norm])
+    return tuple(chosen)
+
+
+@st.composite
+def _planted_rank_matrices(draw):
+    """Rows drawn from a planted low-rank span, with exact duplicates,
+    scaled copies and rows that tie an earlier row's residual."""
+    n_cols, rank = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rank = min(rank, n_cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(rank, n_cols))
+    rows = list(rng.normal(size=(draw(st.integers(1, 10)), rank)) @ base)
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "scaled", "tie"]), max_size=8)):
+        j = draw(st.integers(0, len(rows) - 1))
+        if kind == "duplicate":
+            rows.insert(draw(st.integers(j + 1, len(rows))), rows[j].copy())
+        elif kind == "scaled":
+            rows.append(rows[j] * draw(st.sampled_from([-1.0, 0.5, 2.0, 1e-8, 1e8])))
+        else:
+            # row j plus row 0: once row 0 is kept, its residual ties row j's
+            rows.append(rows[j] + rows[0])
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_planted_rank_matrices(), st.sampled_from([1e-17, 1e-9, 1e-3, 0.5, 2.0]))
+def test_greedy_scan_matches_the_restacking_reference(values, tol):
+    assert greedy_independent_rows(values, tol) == _reference_greedy(values, tol)
+
+
+def test_greedy_scan_matches_the_reference_on_every_bundled_scan(scenarios, monkeypatch):
+    # every matrix the pipeline scans on the bundled scenarios (regions,
+    # composites and span checks), across the tolerance grid, 0.5 included
+    scanned = []
+
+    def recorded(values, tol):
+        scanned.append(np.array(values, dtype=float))
+        return greedy_independent_rows(values, tol)
+
+    for module in (causaloid.backends, causaloid.tomographic):
+        monkeypatch.setattr(module, "greedy_independent_rows", recorded)
+    for name in SCENARIO_NAMES:
+        run_pipeline(scenarios(name))
+    assert len(scanned) >= 40
+    for m in scanned:
+        for tol in (1e-17, 1e-9, 1e-3, 0.5, 2.0):
+            assert greedy_independent_rows(m, tol) == _reference_greedy(m, tol), (m.shape, tol)
 
 
 def test_fiducial_set_is_deterministic(polariser_table):

@@ -182,3 +182,22 @@ def test_one_json_writer_one_json_reader_one_file_opener():
         ("errors.py", "read_text", "open"),
         ("errors.py", "write_text", "open"),
     }
+
+
+def test_src_never_grows_an_array_by_restacking():
+    # np.vstack, np.hstack and np.append copy the whole array on every call,
+    # so growing an array with them in a loop is quadratic; preallocate
+    restacking = {"vstack", "hstack", "append"}
+    found = []
+    for path in sorted((ROOT / "src" / "causaloid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in restacking
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                found.append((path.name, node.lineno, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name in restacking]
+    assert found == []
