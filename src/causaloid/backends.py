@@ -137,9 +137,15 @@ class InstrumentFamily:
     @cached_property
     def stacked(self) -> np.ndarray:
         """All per-label transfer matrices as one (n_labels, D, D) array."""
-        stack = np.stack([self.actions[a][s] for a, s in self.labels()])
+        stack = np.stack([T for group in self.actions for T in group])
         stack.setflags(write=False)
         return stack
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Where each action's outcome maps start in ``stacked`` (labels run
+        action by action), then the label count."""
+        return tuple(itertools.accumulate(map(len, self.actions), initial=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +228,8 @@ class TheorySpec:
     def _check_total_probability(self, fam: InstrumentFamily) -> None:
         t = self.total_covector(self.chain_of(fam.location))
         stack = fam.stacked
-        # labels run action by action, so one reduceat sums every action's
-        # outcome maps (in outcome order) at once
-        starts = np.cumsum([0] + [len(group) for group in fam.actions[:-1]])
+        # one reduceat sums every action's outcome maps (in outcome order)
+        starts = fam.offsets[:-1]
         totals = np.add.reduceat(stack, starts, axis=0)
         leaks = ~np.isclose(t @ totals, t, atol=1e-10).all(axis=1)
         if self.kind == "classical":
@@ -255,7 +260,9 @@ class TheorySpec:
         in spec order, then each chain's locations in order. Every chain
         starts from its first declared preparation, and each outcome is
         picked by inverting the cumulative outcome weights at that run's
-        uniform, as ``Generator.choice`` does. Returns the
+        uniform, as ``Generator.choice`` does; a weight at or below 1e-12
+        of its run's total counts as 0, so that no run, not even at a
+        uniform of 0, draws an outcome of probability 0. Returns the
         ``(runs, n_locations)`` integer outcome array in the same column
         order.
 
@@ -287,13 +294,11 @@ class TheorySpec:
                 a = procedure.action_at(loc)
                 if not 0 <= a < fam.n_actions:
                     raise UnknownProcedure(f"location {loc} has no action {a}")
-                # labels run action by action: action a's outcome maps are
-                # one slice of the stacked labels
-                start = sum(len(group) for group in fam.actions[:a])
-                n_out = len(fam.actions[a])
-                A = fam.stacked[start:start + n_out]  # (outcomes, D, D)
+                start, stop = fam.offsets[a], fam.offsets[a + 1]
+                n_out = stop - start
+                A = fam.stacked[start:stop]  # (outcomes, D, D)
                 cdf = (t @ A) @ v.T  # every run's outcome weights: (outcomes, runs)
-                np.maximum(cdf, 0.0, out=cdf)
+                cdf[cdf <= 1e-12 * cdf.sum(axis=0)] = 0.0
                 np.cumsum(cdf, axis=0, out=cdf)
                 total = cdf[-1]
                 if (total <= 0).any():
@@ -328,14 +333,8 @@ def polariser_family(location: int, angles_deg: Sequence[float]) -> InstrumentFa
     """
     if not angles_deg:
         raise BackendError("a polariser needs at least one angle")
-    actions = []
-    for angle in angles_deg:
-        P = ops.projector_at_angle(float(angle))
-        Q = np.eye(2) - P
-        actions.append(
-            (ops.kraus_to_transfer([P], 2), ops.kraus_to_transfer([Q], 2))
-        )
-    return InstrumentFamily(location, tuple(actions))
+    projectors = [ops.projector_at_angle(float(angle)) for angle in angles_deg]
+    return kraus_family(location, 2, [([P], [np.eye(2) - P]) for P in projectors])
 
 
 def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
@@ -346,28 +345,19 @@ def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
     The per-outcome maps are rho -> Tr[P_m rho] sigma_j and
     rho -> Tr[(I - P_m) rho] sigma_j, whose transfer matrices are rank-1.
     """
-    coords = [
-        ops.operator_coords(ops.density_from_ket(ket), dim)
-        for ket in ops.ic_pure_kets(dim)
-    ]
+    coords = _spanning_vectors("quantum", dim)[0]
     t = ops.trace_covector(dim)
     actions = []
     for w in coords:
         for v in coords:
-            T_hit = np.outer(v, w)
-            T_miss = np.outer(v, t - w)
-            actions.append((T_miss, T_hit))
+            actions.append((np.outer(v, t - w), np.outer(v, w)))
     return InstrumentFamily(location, tuple(actions))
 
 
 def unitary_family(location: int, dim: int, names: Sequence[str]) -> InstrumentFamily:
     if not names:
         raise BackendError("a unitary family needs at least one gate name")
-    actions = []
-    for name in names:
-        U = ops.named_unitary(name, dim)
-        actions.append((ops.kraus_to_transfer([U], dim),))
-    return InstrumentFamily(location, tuple(actions))
+    return kraus_family(location, dim, [[[ops.named_unitary(n, dim)]] for n in names])
 
 
 def kraus_family(
@@ -390,15 +380,10 @@ def kraus_family(
 
 def probe_reset_family(location: int, alphabet: int) -> InstrumentFamily:
     """Classical read-and-reset family: observe the symbol, emit a fixed one."""
-    actions = []
-    for j in range(alphabet):
-        group = []
-        for s in range(alphabet):
-            T = np.zeros((alphabet, alphabet))
-            T[j, s] = 1.0
-            group.append(T)
-        actions.append(tuple(group))
-    return InstrumentFamily(location, tuple(actions))
+    e = np.eye(alphabet)
+    return kernel_family(
+        location, alphabet, [[np.outer(e[j], e[s]) for s in range(alphabet)] for j in range(alphabet)]
+    )
 
 
 def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> InstrumentFamily:
@@ -422,7 +407,7 @@ def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> I
         else:
             raise BackendError(f"unknown classical map {name!r}")
         actions.append((T,))
-    return InstrumentFamily(location, tuple(actions))
+    return kernel_family(location, alphabet, actions)
 
 
 def kernel_family(
@@ -447,29 +432,49 @@ def kernel_family(
 # preparations and effects
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _spanning_vectors(kind: str, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One wire's spanning sets, each as read-only rows: its informationally
+    complete vectors (preparations and effects alike), then the span check's
+    extra preparations and extra effects, a second independent family.
+
+    Classical: the point masses; then the uniform distribution and every
+    even mixture of two symbols, as preparations, and the constant 1/2 and
+    every two-symbol indicator, as effects. Quantum: the projectors of
+    ``ic_pure_kets``; then those of ``extra_pure_kets`` followed by the
+    maximally mixed state (preparations) or I/2 (effects).
+    """
+    if kind == "classical":
+        ic = np.eye(size)
+        pairs = np.array([ic[j] + ic[k] for j, k in itertools.combinations(range(size), 2)])
+        preps = np.concatenate([np.full((1, size), 1.0 / size), pairs / 2])
+        effs = np.concatenate([np.full((1, size), 0.5), pairs])
+    else:
+        def coords(mats):
+            return np.array([ops.operator_coords(m, size) for m in mats])
+
+        ic = coords(map(ops.density_from_ket, ops.ic_pure_kets(size)))
+        pairs = coords(map(ops.density_from_ket, ops.extra_pure_kets(size)))
+        eye = np.eye(size, dtype=complex)
+        preps = np.concatenate([pairs, coords([eye / size])])
+        effs = np.concatenate([pairs, coords([eye / 2])])
+    for vectors in (ic, preps, effs):
+        vectors.setflags(write=False)
+    return ic, preps, effs
+
+
 # Each set is built once per (kind, size) and shared: Preparation and
-# TerminalEffect are frozen and their vectors read-only.
+# TerminalEffect are frozen and their vectors read-only rows of
+# _spanning_vectors.
 
 @lru_cache(maxsize=None)
 def ic_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
-    if kind == "classical":
-        return tuple(Preparation(np.eye(size)[j].copy()) for j in range(size))
-    return tuple(
-        Preparation(ops.operator_coords(ops.density_from_ket(ket), size))
-        for ket in ops.ic_pure_kets(size)
-    )
+    return tuple(Preparation(v) for v in _spanning_vectors(kind, size)[0])
 
 
 @lru_cache(maxsize=None)
 def ic_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
-    if kind == "classical":
-        return tuple(
-            TerminalEffect(np.eye(size)[j].copy(), False) for j in range(size)
-        )
-    return tuple(
-        TerminalEffect(ops.operator_coords(ops.density_from_ket(ket), size), False)
-        for ket in ops.ic_pure_kets(size)
-    )
+    return tuple(TerminalEffect(v, False) for v in _spanning_vectors(kind, size)[0])
 
 
 def complete_effect(kind: str, size: int) -> TerminalEffect:
@@ -482,70 +487,35 @@ def complete_effect(kind: str, size: int) -> TerminalEffect:
 
 @lru_cache(maxsize=None)
 def _extra_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
-    if kind == "classical":
-        out = [Preparation(np.full(size, 1.0 / size))]
-        for j in range(size):
-            for k in range(j + 1, size):
-                v = np.zeros(size)
-                v[j] = v[k] = 0.5
-                out.append(Preparation(v))
-        return tuple(out)
-    out = [
-        Preparation(ops.operator_coords(ops.density_from_ket(ket), size))
-        for ket in ops.extra_pure_kets(size)
-    ]
-    out.append(
-        Preparation(ops.operator_coords(np.eye(size, dtype=complex) / size, size))
-    )
-    return tuple(out)
+    return tuple(Preparation(v) for v in _spanning_vectors(kind, size)[1])
 
 
 @lru_cache(maxsize=None)
 def _extra_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
-    if kind == "classical":
-        out = [TerminalEffect(np.full(size, 0.5), False)]
-        for j in range(size):
-            for k in range(j + 1, size):
-                v = np.zeros(size)
-                v[j] = v[k] = 1.0
-                out.append(TerminalEffect(v, False))
-        return tuple(out)
-    out = [
-        TerminalEffect(ops.operator_coords(ops.density_from_ket(ket), size), False)
-        for ket in ops.extra_pure_kets(size)
-    ]
-    out.append(
-        TerminalEffect(
-            ops.operator_coords(np.eye(size, dtype=complex) / 2, size), False
-        )
-    )
-    return tuple(out)
+    return tuple(TerminalEffect(v, False) for v in _spanning_vectors(kind, size)[2])
 
 
 # ---------------------------------------------------------------------------
 # label enumeration and exact probabilities
 # ---------------------------------------------------------------------------
 
-def _row_major_labels(spec: TheorySpec, region: Region) -> list[Label]:
-    """A region's labels with each location's (action, outcome) index
-    varying row-major, the last location fastest."""
-    return [
+def _label_order(spec: TheorySpec, region: Region) -> tuple[GammaSet, list[int]]:
+    """A region's label set, sorted by (action tuple, outcome tuple), and
+    the row-major position of each of its labels: each location's labels
+    in family order, the last location fastest."""
+    row_major = [
         (tuple(a for a, _ in combo), tuple(s for _, s in combo))
         for combo in itertools.product(
             *(spec.family(x).labels() for x in region.locations)
         )
     ]
-
-
-def _sorted_gather(spec: TheorySpec, region: Region) -> list[int]:
-    """Row-major label positions in GammaSet (sorted) order."""
-    labels = _row_major_labels(spec, region)
-    return sorted(range(len(labels)), key=labels.__getitem__)
+    gather = sorted(range(len(row_major)), key=row_major.__getitem__)
+    return GammaSet(region, tuple(row_major[i] for i in gather)), gather
 
 
 def enumerate_labels(spec: TheorySpec, region: Region) -> GammaSet:
     """All measurement labels of a region, sorted by (action tuple, outcome tuple)."""
-    return GammaSet(region, tuple(sorted(_row_major_labels(spec, region))))
+    return _label_order(spec, region)[0]
 
 
 def enumerate_exteriors(spec: TheorySpec, probed: Iterable[int]) -> ExteriorAxis:
@@ -631,7 +601,8 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
         raise UnknownRegion("table regions must be pairwise disjoint") from exc
     for loc in probed:
         spec.family(loc)  # raises UnknownRegion if not instrumented
-    gammas = tuple(enumerate_labels(spec, r) for r in regions)
+    orders = [_label_order(spec, r) for r in regions]
+    gammas = tuple(gamma for gamma, _ in orders)
     exteriors = enumerate_exteriors(spec, probed)
     n_entries = len(exteriors)
     for g in gammas:
@@ -666,8 +637,7 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     values = np.transpose(full, region_axes + prep_axes + unprobed + eff_axes)
     values = values.reshape(tuple(g.size for g in gammas) + (len(exteriors),))
     # per region: row-major per-location order -> GammaSet (sorted) order
-    for axis, r in enumerate(regions):
-        gather = _sorted_gather(spec, r)
+    for axis, (_, gather) in enumerate(orders):
         if gather != list(range(len(gather))):
             values = np.take(values, gather, axis=axis)
     return ProbTable(regions, gammas, exteriors, np.ascontiguousarray(values))
@@ -792,7 +762,7 @@ def _extended_rows(spec: TheorySpec, region: Region, slots: dict) -> np.ndarray:
     order = sorted(range(len(wire)), key=wire.__getitem__)
     sizes = [len(spec.family(x).labels()) for x in wire]
     rows = rows.reshape(sizes + [-1]).transpose(order + [len(order)])
-    return rows.reshape(math.prod(sizes), -1)[_sorted_gather(spec, region)]
+    return rows.reshape(math.prod(sizes), -1)[_label_order(spec, region)[1]]
 
 
 def validate_table_spans(

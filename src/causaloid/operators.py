@@ -105,44 +105,31 @@ def density_from_ket(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
+def _pair_kets(d: int, phases: tuple[complex, complex]) -> list[np.ndarray]:
+    """(|j> + c|k>)/sqrt2 for every pair j < k and each phase c in turn."""
+    out = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            for c in phases:
+                v = np.zeros(d, complex)
+                v[j] = 1
+                v[k] = c
+                out.append(v / np.sqrt(2))
+    return out
+
+
 def ic_pure_kets(d: int) -> list[np.ndarray]:
     """d^2 pure states whose projectors span the Hermitian operators.
 
     Basis kets |j>, balanced superpositions (|j>+|k>)/sqrt2, and phased ones
     (|j>+i|k>)/sqrt2. For d=2 these are |0>, |1>, |+>, |+i>.
     """
-    out = []
-    for j in range(d):
-        v = np.zeros(d, complex)
-        v[j] = 1
-        out.append(v)
-    for j in range(d):
-        for k in range(j + 1, d):
-            v = np.zeros(d, complex)
-            v[j] = 1
-            v[k] = 1
-            out.append(v / np.sqrt(2))
-            v = np.zeros(d, complex)
-            v[j] = 1
-            v[k] = 1j
-            out.append(v / np.sqrt(2))
-    return out
+    return list(np.eye(d, dtype=complex)) + _pair_kets(d, (1, 1j))
 
 
 def extra_pure_kets(d: int) -> list[np.ndarray]:
     """A second spanning family, disjoint from ic_pure_kets, for span audits."""
-    out = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            v = np.zeros(d, complex)
-            v[j] = 1
-            v[k] = -1
-            out.append(v / np.sqrt(2))
-            v = np.zeros(d, complex)
-            v[j] = 1
-            v[k] = -1j
-            out.append(v / np.sqrt(2))
-    return out
+    return _pair_kets(d, (-1, -1j))
 
 
 def named_unitary(name: str, d: int) -> np.ndarray:

@@ -33,11 +33,17 @@ from causaloid import (
     polariser_family,
     probe_reprepare_family,
     probe_reset_family,
+    unitary_family,
     validate_exterior_span,
     validate_table_spans,
 )
 from causaloid import operators as ops
-from causaloid.backends import _extended_rows, _extra_effects, _extra_preparations
+from causaloid.backends import (
+    _extended_rows,
+    _extra_effects,
+    _extra_preparations,
+    _label_order,
+)
 from causaloid.errors import SpanDeficient, UnknownProcedure, UnknownRegion
 from causaloid.tables import ExteriorConfiguration, ProbTable, greedy_independent_rows
 
@@ -203,6 +209,153 @@ def test_deterministic_family_maps():
     assert fam.n_actions == 4
     with pytest.raises(BackendError):
         deterministic_family(1, 3, ["spin"])
+
+
+# -- the per-kind and per-family loops that the shared builders replaced --
+
+def _loop_kets(d):
+    """(ic_pure_kets, extra_pure_kets), each from its own loop."""
+    ic, extra = [], []
+    for j in range(d):
+        v = np.zeros(d, complex)
+        v[j] = 1
+        ic.append(v)
+    for j in range(d):
+        for k in range(j + 1, d):
+            for out, phases in ((ic, (1, 1j)), (extra, (-1, -1j))):
+                for c in phases:
+                    v = np.zeros(d, complex)
+                    v[j] = 1
+                    v[k] = c
+                    out.append(v / np.sqrt(2))
+    return ic, extra
+
+
+def _loop_spanning_sets(kind, size):
+    """The vectors of ic_preparations, ic_effects, _extra_preparations and
+    _extra_effects, each built on its own for its kind."""
+    if kind == "classical":
+        ic = [np.eye(size)[j].copy() for j in range(size)]
+        preps, effs = [np.full(size, 1.0 / size)], [np.full(size, 0.5)]
+        for j in range(size):
+            for k in range(j + 1, size):
+                for out, weight in ((preps, 0.5), (effs, 1.0)):
+                    v = np.zeros(size)
+                    v[j] = v[k] = weight
+                    out.append(v)
+        return ic, ic, preps, effs
+    ic_kets, extra_kets = _loop_kets(size)
+    ic = [ops.operator_coords(ops.density_from_ket(k), size) for k in ic_kets]
+    extra = [ops.operator_coords(ops.density_from_ket(k), size) for k in extra_kets]
+    eye = np.eye(size, dtype=complex)
+    preps = extra + [ops.operator_coords(eye / size, size)]
+    effs = extra + [ops.operator_coords(eye / 2, size)]
+    return ic, ic, preps, effs
+
+
+def _all_equal(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_pure_kets_match_their_loops():
+    for d in range(2, 9):
+        ic, extra = _loop_kets(d)
+        assert _all_equal(ops.ic_pure_kets(d), ic)
+        assert _all_equal(ops.extra_pure_kets(d), extra)
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [("classical", n) for n in range(2, 7)] + [("quantum", d) for d in range(2, 9)],
+)
+def test_spanning_sets_match_their_loops(kind, size):
+    built = (ic_preparations, ic_effects, _extra_preparations, _extra_effects)
+    for build, want in zip(built, _loop_spanning_sets(kind, size)):
+        assert _all_equal([item.vector for item in build(kind, size)], want)
+
+
+def _loop_polariser(angles):
+    actions = []
+    for angle in angles:
+        P = ops.projector_at_angle(float(angle))
+        Q = np.eye(2) - P
+        actions.append((ops.kraus_to_transfer([P], 2), ops.kraus_to_transfer([Q], 2)))
+    return actions
+
+
+def _loop_unitary(dim, names):
+    return [(ops.kraus_to_transfer([ops.named_unitary(n, dim)], dim),) for n in names]
+
+
+def _loop_probe_reset(alphabet):
+    actions = []
+    for j in range(alphabet):
+        group = []
+        for s in range(alphabet):
+            T = np.zeros((alphabet, alphabet))
+            T[j, s] = 1.0
+            group.append(T)
+        actions.append(tuple(group))
+    return actions
+
+
+def _loop_deterministic(alphabet, maps):
+    kernels = {
+        "identity": ops.permutation_kernel(alphabet, 0),
+        "cycle": ops.permutation_kernel(alphabet, 1),
+        "uniform": ops.uniform_kernel(alphabet),
+    }
+    return [
+        (kernels[m] if m in kernels else ops.reset_kernel(alphabet, int(m[6:])),)
+        for m in maps
+    ]
+
+
+def test_rerouted_families_match_their_loops():
+    cases = []
+    for angles in ([0], [0, 30, 60, 90], [12.5, 45.0, 77.7]):
+        cases.append((polariser_family(1, angles), _loop_polariser(angles)))
+    for dim, names in ((2, ["identity", "hadamard", "phase", "cycle", "fourier"]),
+                       (3, ["cycle", "fourier"]), (5, ["fourier", "identity"])):
+        cases.append((unitary_family(1, dim, names), _loop_unitary(dim, names)))
+    for alphabet in (2, 3, 5):
+        maps = ["identity", "cycle", "uniform", "reset:0", f"reset:{alphabet - 1}"]
+        cases.append((probe_reset_family(1, alphabet), _loop_probe_reset(alphabet)))
+        cases.append((deterministic_family(1, alphabet, maps), _loop_deterministic(alphabet, maps)))
+    for fam, want in cases:
+        assert len(fam.actions) == len(want)
+        for got_group, want_group in zip(fam.actions, want):
+            assert _all_equal(got_group, want_group)
+        # each action's outcome maps are one slice of the stacked labels
+        for a, group in enumerate(fam.actions):
+            lo, hi = fam.offsets[a], fam.offsets[a + 1]
+            assert _all_equal(fam.stacked[lo:hi], group)
+        assert fam.offsets[-1] == len(fam.labels())
+
+
+def test_label_order_gathers_the_row_major_labels():
+    # uneven outcome counts make the sorted order differ from the row-major
+    # one; regions span both chains and skip locations
+    def family(location, outcomes):
+        return kernel_family(location, 2, [[np.full((2, 2), 0.5 / n)] * n for n in outcomes])
+
+    spec = ClassicalSpec(
+        chains=(Chain("a", 2, (1, 3)), Chain("b", 2, (2, 4))),
+        instruments=(family(1, (3, 1)), family(2, (1, 2)), family(3, (2, 2, 1)), family(4, (1, 2))),
+        preparations=(ic_preparations("classical", 2),) * 2,
+        effects=(ic_effects("classical", 2),) * 2,
+    )
+    for locations in ((1, 2), (1, 2, 3), (2, 3), (1, 4), (1, 2, 3, 4)):
+        region = Region(locations)
+        row_major = [
+            (tuple(a for a, _ in combo), tuple(s for _, s in combo))
+            for combo in itertools.product(*(spec.family(x).labels() for x in locations))
+        ]
+        gamma, gather = _label_order(spec, region)
+        assert gather == sorted(range(len(row_major)), key=row_major.__getitem__)
+        assert gather != list(range(len(row_major)))
+        assert gamma.labels == tuple(sorted(row_major))
+        assert enumerate_labels(spec, region) == gamma
 
 
 def test_label_enumeration_is_sorted():

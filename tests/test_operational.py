@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import random
 
 import numpy as np
@@ -33,6 +34,8 @@ from causaloid import (
 from causaloid.errors import SchemaError, UnknownProcedure, UnknownRegion
 from causaloid.operational import _distinct_rows, _write_stacks
 from causaloid.tables import ExteriorConfiguration
+
+from conftest import SCENARIO_NAMES
 
 
 def test_region_is_sorted_and_set_like():
@@ -191,7 +194,8 @@ def _two_chain_kernel_spec():
 
 
 def _reference_outcomes(spec, procedure, uniforms):
-    """Run by run, location by location inverse-CDF draw."""
+    """Run by run, location by location inverse-CDF draw; a weight at or
+    below 1e-12 of the location's total counts as 0."""
     out = np.empty(uniforms.shape, dtype=int)
     for r, row in enumerate(uniforms):
         col = 0
@@ -200,7 +204,8 @@ def _reference_outcomes(spec, procedure, uniforms):
             t = spec.total_covector(chain)
             for loc in chain.locations:
                 mats = spec.family(loc).actions[procedure.action_at(loc)]
-                cdf = np.cumsum(np.clip([t @ (T @ v) for T in mats], 0.0, None))
+                weights = np.array([t @ (T @ v) for T in mats])
+                cdf = np.cumsum(np.where(weights <= 1e-12 * weights.sum(), 0.0, weights))
                 s = int(np.searchsorted(cdf / cdf[-1], row[col], side="right"))
                 out[r, col] = s
                 v = mats[s] @ v
@@ -259,6 +264,27 @@ def test_batched_quantum_draw_matches_the_per_run_reference(actions):
     for col, loc in enumerate((1, 3, 2)):
         if spec.family(loc).n_outcomes(proc.action_at(loc)) == 3:
             assert set(got[:, col]) == {0, 1, 2}
+
+
+def test_a_zero_uniform_never_draws_an_impossible_outcome(scenarios):
+    # a uniform of 0 picks the first outcome whose weight counts; one whose
+    # weight is rounding residue (about 1e-16 of the total) must not be it
+    for name in SCENARIO_NAMES:
+        spec = scenarios(name).spec
+        locs = spec.locations()
+        procedures = itertools.product(*(range(spec.family(x).n_actions) for x in locs))
+        for actions in itertools.islice(procedures, 200):
+            proc = ProcedureSpec(dict(zip(locs, actions)))
+            drawn = iter(spec.sample_cards(proc, np.zeros((1, len(locs))))[0])
+            for ci, chain in enumerate(spec.chains):
+                v = spec.preparations[ci][0].vector
+                t = spec.total_covector(chain)
+                for loc in chain.locations:
+                    mats = spec.family(loc).actions[proc.action_at(loc)]
+                    weights = [t @ (T @ v) for T in mats]
+                    s = next(drawn)
+                    assert weights[s] > 1e-12 * sum(weights), (name, actions, loc)
+                    v = mats[s] @ v
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 2), (5, 4), (1, 5, 3)])

@@ -7,7 +7,8 @@ arrangement is compressed and checked against the exact oracle
 direct conditionals, and its expansions for order symmetry and basis-change
 invariance. The span check's cut ranks are checked against the
 extended-exterior table on those chains and on two-location qubit chains of
-random Kraus instruments (``kraus_family``). The documents are the bundled
+random Kraus instruments (``kraus_family``), which the reconstruction check
+draws as well. The documents are the bundled
 scenarios with random edits; parsing one either succeeds or raises a
 ``CausaloidError``. Examples are derandomized, so every run checks the same
 cases.
@@ -145,19 +146,49 @@ def arrangements(
     return spec, regions, int(rng.integers(2**32))
 
 
+@st.composite
+def kraus_chains(draw, actions=2):
+    """A two-location qubit chain of random Kraus instruments (up to
+    ``actions`` actions of up to three outcomes each per location), probed
+    on one location, on both as two regions, or as one region, with a seed
+    as ``arrangements`` draws one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instruments = tuple(
+        kraus_family(x, 2, [
+            _random_instrument(rng, 2, n)
+            for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=actions))
+        ])
+        for x in (1, 2)
+    )
+    complete = (complete_effect("quantum", 2),) if draw(st.booleans()) else ()
+    spec = QuantumSpec(
+        chains=(Chain("qubit", 2, (1, 2)),),
+        instruments=instruments,
+        preparations=(ic_preparations("quantum", 2),),
+        effects=(ic_effects("quantum", 2) + complete,),
+    )
+    regions = draw(st.sampled_from([
+        [Region((1,))], [Region((2,))], [Region((1,)), Region((2,))], [Region((1, 2))],
+    ]))
+    return spec, regions, int(rng.integers(2**32))
+
+
 def _compressed(arrangement):
     spec, regions, seed = arrangement
     table = build_prob_table(spec, regions)
     return spec, table, build_causaloid(table), np.random.default_rng(seed)
 
 
-@_settings(25)
-@given(arrangements(labels=3))
+@_settings(35)
+@given(st.one_of(arrangements(labels=3), kraus_chains(actions=4)))
 def test_reconstruction_matches_the_oracle(arrangement):
-    # up to nine labels per location make some region compress; identity
-    # expansions would reconstruct trivially
+    # classical chains with up to nine labels per location, and qubit
+    # chains with up to twelve, whose two locations together exceed the
+    # rank of 16; some entry must compress, since identity expansions
+    # would reconstruct trivially
     spec, table, c, rng = _compressed(arrangement)
-    assume(any(c.omega_of(r).size < c.omega_of(r).parent_size for r in c.regions))
+    omegas = [c.omega_of(r) for r in c.regions] + [e.omega for _, e in c.composites]
+    assume(any(omega.size < omega.parent_size for omega in omegas))
     for region in c.regions:
         entry = c.tomographic(region)
         m = build_measurement_matrix(table, region)
@@ -308,31 +339,6 @@ def test_basis_change_invariance():
     assert sum(changed) > len(changed) / 2
 
 
-@st.composite
-def kraus_chains(draw):
-    """A two-location qubit chain of random Kraus instruments, probed on
-    one location, on both as two regions, or as one region."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    instruments = tuple(
-        kraus_family(x, 2, [
-            _random_instrument(rng, 2, n)
-            for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
-        ])
-        for x in (1, 2)
-    )
-    complete = (complete_effect("quantum", 2),) if draw(st.booleans()) else ()
-    spec = QuantumSpec(
-        chains=(Chain("qubit", 2, (1, 2)),),
-        instruments=instruments,
-        preparations=(ic_preparations("quantum", 2),),
-        effects=(ic_effects("quantum", 2) + complete,),
-    )
-    regions = draw(st.sampled_from([
-        [Region((1,))], [Region((2,))], [Region((1,)), Region((2,))], [Region((1, 2))],
-    ]))
-    return spec, regions
-
-
 @_settings(40)
 @given(arrangements(), st.data())
 def test_cut_spans_match_the_extended_table(arrangement, data):
@@ -346,7 +352,7 @@ def test_cut_spans_match_the_extended_table(arrangement, data):
 @_settings(20)
 @given(kraus_chains())
 def test_cut_spans_match_the_extended_table_on_kraus_chains(chain):
-    spec, regions = chain
+    spec, regions, _ = chain
     assert_cut_spans_match_the_table(spec, regions, (1e-9, 0.5))
 
 

@@ -201,3 +201,55 @@ def test_src_never_grows_an_array_by_restacking():
             if isinstance(node, ast.ImportFrom) and node.module == "numpy":
                 found += [(path.name, node.lineno, a.name) for a in node.names if a.name in restacking]
     assert found == []
+
+
+def _referenced_names(path: pathlib.Path) -> set[str]:
+    """Every name a Python file uses: bare names, attribute names and the
+    dotted words of its non-docstring string constants (the traced
+    benchmark names its targets as strings). Import statements and
+    ``__all__`` entries are not uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skip.add(node)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skip.add(node.value)
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                skip.add(body[0])
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_definition_in_src_is_used():
+    # a function, class or method that nothing in src/, tests/, bench/ or
+    # the README refers to is dead weight; its own def line, __all__ and
+    # imports do not count as uses
+    defined = set()
+    for path in sorted((ROOT / "src" / "causaloid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add((path.name, node.name))
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _referenced_names(path)
+    assert len(defined) > 200
+    assert sorted(d for d in defined if d[1] not in used) == []
