@@ -2,9 +2,11 @@
 
 Scenes are layered left to right: circles are vectors, rectangles are
 expansion matrices, filled dots are inner-product contractions, and the
-hybrid glyph is the registry-mediated product. Wires carry an index name
-and cardinality; a scene only validates when both endpoints of every wire
-expose that index set. Output is pure string assembly, so the same scene
+hybrid glyph is the registry-mediated product. Each scene is written as
+its layers; a wire joins nodes of adjacent layers that share an index name
+and carries that name and cardinality, and a scene only validates when both
+endpoints of every wire expose that index. One glyph table draws each node
+kind in DOT and in SVG. Output is pure string assembly, so the same scene
 always renders to identical bytes.
 """
 from __future__ import annotations
@@ -25,7 +27,17 @@ __all__ = [
     "emit_diagram",
 ]
 
-_NODE_KINDS = ("circle", "rectangle", "dot", "hybrid")
+_STROKE = 'stroke="currentColor" fill="none" stroke-width="1.5"'
+_RING = '<circle cx="{x}" cy="{y}" r="%d" {stroke}/>'
+
+# Each node kind's glyph: its DOT attributes, and the SVG elements drawn
+# centred on (x, y), as templates for str.format.
+_GLYPHS = {
+    "circle": ("shape=circle", (_RING % 24,)),
+    "rectangle": ("shape=box", ('<rect x="{left}" y="{top}" width="68" height="40" {stroke}/>',)),
+    "dot": ("shape=point, width=0.1", ('<circle cx="{x}" cy="{y}" r="4" fill="currentColor"/>',)),
+    "hybrid": ("shape=doublecircle", (_RING % 24, _RING % 19)),
+}
 
 
 @dataclass(frozen=True)
@@ -37,7 +49,7 @@ class DiagramNode:
     ports: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if self.kind not in _NODE_KINDS:
+        if self.kind not in _GLYPHS:
             raise ValueError(f"unknown node kind {self.kind!r}")
         if self.layer < 0:
             raise ValueError("layers start at zero")
@@ -79,40 +91,48 @@ def _entry_or_unknown(causaloid: Causaloid, region: Region):
         raise UnknownEntry(f"the causaloid has no entry for {region}") from None
 
 
+def _layered(*layers) -> DiagramScene:
+    """The scene of ``layers``, left to right, each a list of (kind, text, ports).
+
+    Nodes are named n0, n1, ... in order. Each node is wired to every node
+    of the next layer that exposes an index of the same name, at the source
+    node's size, so the scene check rejects an index whose sizes disagree.
+    """
+    nodes = []
+    for layer, row in enumerate(layers):
+        for kind, text, ports in row:
+            nodes.append(DiagramNode(f"n{len(nodes)}", kind, text, layer, tuple(ports)))
+    wires = tuple(
+        DiagramWire(a.ident, b.ident, name, size)
+        for a in nodes
+        for b in nodes
+        if b.layer == a.layer + 1
+        for name, size in a.ports
+        if name in dict(b.ports)
+    )
+    return DiagramScene(tuple(nodes), wires)
+
+
 def born_scene(causaloid: Causaloid, region: Region) -> DiagramScene:
     """Measurement vector paired with a state: circle, dot, circle."""
-    entry = _entry_or_unknown(causaloid, region)
-    m = entry.omega.size
-    ports = (("alpha", m),)
-    nodes = (
-        DiagramNode("n0", "circle", f"r[{region}]", 0, ports),
-        DiagramNode("n1", "dot", "", 1, ports),
-        DiagramNode("n2", "circle", f"p[{region}]", 2, ports),
+    alpha = [("alpha", _entry_or_unknown(causaloid, region).omega.size)]
+    return _layered(
+        [("circle", f"r[{region}]", alpha)],
+        [("dot", "", alpha)],
+        [("circle", f"p[{region}]", alpha)],
     )
-    wires = (
-        DiagramWire("n0", "n1", "alpha", m),
-        DiagramWire("n1", "n2", "alpha", m),
-    )
-    return DiagramScene(nodes, wires)
 
 
 def expansion_scene(causaloid: Causaloid, region: Region) -> DiagramScene:
     """Full-list probability through the expansion matrix: box feeds circle."""
     entry = _entry_or_unknown(causaloid, region)
-    g = entry.gamma.size
-    m = entry.omega.size
-    nodes = (
-        DiagramNode("n0", "circle", f"r[{region}]", 0, (("alpha", g),)),
-        DiagramNode("n1", "rectangle", f"Lambda[{region}]", 1, (("alpha", g), ("l", m))),
-        DiagramNode("n2", "dot", "", 2, (("l", m),)),
-        DiagramNode("n3", "circle", f"p[{region}]", 3, (("l", m),)),
+    full, fiducial = ("alpha", entry.gamma.size), ("l", entry.omega.size)
+    return _layered(
+        [("circle", f"r[{region}]", [full])],
+        [("rectangle", f"Lambda[{region}]", [full, fiducial])],
+        [("dot", "", [fiducial])],
+        [("circle", f"p[{region}]", [fiducial])],
     )
-    wires = (
-        DiagramWire("n0", "n1", "alpha", g),
-        DiagramWire("n1", "n2", "l", m),
-        DiagramWire("n2", "n3", "l", m),
-    )
-    return DiagramScene(nodes, wires)
 
 
 def product_scene(
@@ -132,40 +152,18 @@ def product_scene(
         raise UnknownEntry(
             f"the causaloid has no grouping entry for ({first}, {second})"
         ) from None
-    m1, m2, k = e1.omega.size, e2.omega.size, pair.omega.size
-    nodes = (
-        DiagramNode("n0", "circle", f"r[{first}]", 0, (("l1", m1),)),
-        DiagramNode("n1", "circle", f"r[{second}]", 0, (("l2", m2),)),
-        DiagramNode(
-            "n2",
-            "hybrid",
-            "(x)^Lambda",
-            1,
-            (("l1", m1), ("l2", m2), ("k", k)),
-        ),
-        DiagramNode("n3", "dot", "", 2, (("k", k),)),
-        DiagramNode("n4", "circle", f"p[{pair.region}]", 3, (("k", k),)),
+    l1, l2, k = ("l1", e1.omega.size), ("l2", e2.omega.size), ("k", pair.omega.size)
+    return _layered(
+        [("circle", f"r[{first}]", [l1]), ("circle", f"r[{second}]", [l2])],
+        [("hybrid", "(x)^Lambda", [l1, l2, k])],
+        [("dot", "", [k])],
+        [("circle", f"p[{pair.region}]", [k])],
     )
-    wires = (
-        DiagramWire("n0", "n2", "l1", m1),
-        DiagramWire("n1", "n2", "l2", m2),
-        DiagramWire("n2", "n3", "k", k),
-        DiagramWire("n3", "n4", "k", k),
-    )
-    return DiagramScene(nodes, wires)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-
-_DOT_SHAPES = {
-    "circle": "circle",
-    "rectangle": "box",
-    "dot": "point",
-    "hybrid": "doublecircle",
-}
-
 
 def _emit_dot(scene: DiagramScene) -> str:
     lines = [
@@ -175,11 +173,7 @@ def _emit_dot(scene: DiagramScene) -> str:
         '  edge [dir=none, fontname="Helvetica"];',
     ]
     for node in sorted(scene.nodes, key=lambda n: (n.layer, n.ident)):
-        shape = _DOT_SHAPES[node.kind]
-        extra = ", width=0.1" if node.kind == "dot" else ""
-        lines.append(
-            f'  {node.ident} [label="{node.text}", shape={shape}{extra}];'
-        )
+        lines.append(f'  {node.ident} [label="{node.text}", {_GLYPHS[node.kind][0]}];')
     for w in scene.wires:
         lines.append(
             f'  {w.source} -> {w.target} [label="{w.index_name}:{w.index_size}"];'
@@ -210,28 +204,6 @@ def _positions(scene: DiagramScene) -> dict[str, tuple[int, int]]:
     return pos
 
 
-def _svg_node(node: DiagramNode, x: int, y: int) -> list[str]:
-    stroke = 'stroke="currentColor" fill="none" stroke-width="1.5"'
-    out = []
-    if node.kind == "circle":
-        out.append(f'  <circle cx="{x}" cy="{y}" r="24" {stroke}/>')
-    elif node.kind == "rectangle":
-        out.append(
-            f'  <rect x="{x - 34}" y="{y - 20}" width="68" height="40" {stroke}/>'
-        )
-    elif node.kind == "dot":
-        out.append(f'  <circle cx="{x}" cy="{y}" r="4" fill="currentColor"/>')
-    else:
-        out.append(f'  <circle cx="{x}" cy="{y}" r="24" {stroke}/>')
-        out.append(f'  <circle cx="{x}" cy="{y}" r="19" {stroke}/>')
-    if node.text:
-        out.append(
-            f'  <text x="{x}" y="{y + 4}" text-anchor="middle" '
-            f'font-size="11">{node.text}</text>'
-        )
-    return out
-
-
 def _emit_svg(scene: DiagramScene) -> str:
     pos = _positions(scene)
     width = max(x for x, _ in pos.values()) + _MARGIN
@@ -254,7 +226,15 @@ def _emit_svg(scene: DiagramScene) -> str:
         )
     for node in sorted(scene.nodes, key=lambda n: (n.layer, n.ident)):
         x, y = pos[node.ident]
-        out.extend(_svg_node(node, x, y))
+        out += [
+            "  " + shape.format(x=x, y=y, left=x - 34, top=y - 20, stroke=_STROKE)
+            for shape in _GLYPHS[node.kind][1]
+        ]
+        if node.text:
+            out.append(
+                f'  <text x="{x}" y="{y + 4}" text-anchor="middle" '
+                f'font-size="11">{node.text}</text>'
+            )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -264,7 +264,8 @@ def parse_stacks(text: str) -> list[Stack]:
     ``x,a,s`` card lines; a blank line or the next header ends it. A card
     line outside a stack is a ``SchemaError`` naming its line, and so is
     one with a negative field, a location or action its tag does not give,
-    or another card's location in its stack (a repeated card counts once).
+    or another card's location in its stack (a repeated card included), and
+    a header whose tag names one location twice.
     The text is cut at its empty lines, and each distinct piece is parsed
     and validated once; equal pieces share their ``Stack`` objects. A piece
     that opens with a header is told apart only by its text from the
@@ -314,6 +315,12 @@ def _parse_piece(piece: str, text: str, offset: int) -> list[Stack]:
                 tag = ProcedureSpec(dict((x, a) for x, a in pairs))
             except (ValueError, TypeError) as exc:
                 raise SchemaError(f"bad procedure tag: {exc}", where(i)) from exc
+            if len(tag.assignment) < len(pairs):
+                locations = [x for x, _ in pairs]
+                twice = next(x for j, x in enumerate(locations) if x in locations[:j])
+                raise SchemaError(
+                    f"location {twice} appears twice in the procedure tag", where(i)
+                )
             cards = {}
             actions = dict(tag.assignment)
             continue

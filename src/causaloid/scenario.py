@@ -125,6 +125,8 @@ def _build_family(item: dict, location: int, size: int, path: str):
         raise SchemaError(f"unknown instrument family {family!r}", f"{path}.family")
     _check_keys(item, {"location", "family"} | _FAMILY_PARAMS[family], path)
     if family == "polariser":
+        if size != 2:
+            raise SchemaError(f"the polariser family needs a size-2 chain, not size {size}", path)
         angles = _require(item, "angles_deg", path)
         if not isinstance(angles, list) or not all(
             isinstance(a, (int, float)) and not isinstance(a, bool) for a in angles

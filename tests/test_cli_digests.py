@@ -3,8 +3,9 @@
 The digests are sha256 sums of the stdout bytes of ``causaloid compress``
 and ``causaloid validate`` on each bundled scenario, with and without the
 tolerance and seed flags and, with the exit code, over a grid of
-``--tol-rank`` values; of ``causaloid herald`` queries and of the
-README's ``causaloid diagram`` commands. They pin the report format, every
+``--tol-rank`` values; of ``causaloid herald`` queries, of the
+README's ``causaloid diagram`` commands and of the DOT and SVG text of
+every scene the bundled scenarios can draw. They pin the report format, every
 span rank and exterior count, every fiducial choice, every
 ``lambda_sha256``, the witness exteriors of an ill-defined herald and the
 rendered scenes; a change that is meant to keep behaviour must keep them.
@@ -12,10 +13,14 @@ rendered scenes; a change that is meant to keep behaviour must keep them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
 from causaloid.cli import main
+from causaloid.diagram import born_scene, emit_diagram, expansion_scene, product_scene
+from causaloid.errors import UnknownEntry
+from causaloid.report import checked_causaloid
 
 from conftest import SCENARIO_NAMES, scenario_path
 
@@ -292,3 +297,180 @@ def test_diagram_runs_the_span_checks(monkeypatch, capsys):
             "--expr", "born:R1"]
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: forced deficiency\n"
+
+
+# (scenario, scene expression) -> sha256 of the DOT and of the SVG text of
+# every scene the bundled scenarios can draw: born and expand for each
+# region, product for each pair with a grouping entry; recorded before the
+# scene builders were rewritten as layer lists
+SCENE_DIGESTS = {
+    ("classical_bit", "born:R1"): (
+        "25746e111b4b2ce53cf038c4761ea883d3b659716263e2fe0afe6fe8ea4e3c67",
+        "fbb943a9b486bf51235d56278b2dc1e0f5896dd466d6b26ca3a328c28c308979",
+    ),
+    ("classical_bit", "expand:R1"): (
+        "b7f8512e7e47be36fa4254a325d8a1b5a098740e7a1cc3aa32a3c9327ae25d50",
+        "1349d437a95494390acb4b78a9ff23759285712b0501a194ddd283434a63af84",
+    ),
+    ("classical_trit", "born:R1"): (
+        "2f4369bafa3d7baadeb432c6bd76497722f349fdd4cb3719c6fd7e5abc0f1d6f",
+        "bb1b4b0c5a468f162c5a412dcf717752abecb7af6b092b551d696c41b3598dfc",
+    ),
+    ("classical_trit", "expand:R1"): (
+        "a4ea11e99ad3afa920c714b7e3f9b11170ab410a1514036363c0f20816d45171",
+        "d18ac2b9ff7c5704ed54c66f5f44d0ccc030ac445aafc7b23f94ce4bea5647d0",
+    ),
+    ("qubit_channel", "born:R1"): (
+        "9fb2a10a496972a72c6737794df4ed116bf5228b0fcd3bcaa077670250034ea2",
+        "e950e21bfbe962969036eeec51d3f03c310ca5f5ad7500a2a65c7dd801809b46",
+    ),
+    ("qubit_channel", "expand:R1"): (
+        "87f732968f6d1f924f67f5825328c3b1ac0fa999268e0014cac380c10c13af85",
+        "4c353f9c34c1ffda1e0237a7f1da120ff74d8019310da56c95d6d5d8aad134b2",
+    ),
+    ("qutrit_channel", "born:R1"): (
+        "a062ae0f1170ee85841528c0f0ae3c487cb2db9770753318c635b448220e26aa",
+        "f7ff6e5e946a8bde89662270953ac741638f90620a5c38df9615b4162520f1df",
+    ),
+    ("qutrit_channel", "expand:R1"): (
+        "e81d50c19c7069817d6597d0205a3c567d4b1f642644bbde1f421bb6c8bdad23",
+        "2c30195d55f7b206f4f014b21c00b2025527a708a2baff26def7287a67e9780f",
+    ),
+    ("adjacent_gates", "born:R1"): (
+        "9fb2a10a496972a72c6737794df4ed116bf5228b0fcd3bcaa077670250034ea2",
+        "e950e21bfbe962969036eeec51d3f03c310ca5f5ad7500a2a65c7dd801809b46",
+    ),
+    ("adjacent_gates", "expand:R1"): (
+        "87f732968f6d1f924f67f5825328c3b1ac0fa999268e0014cac380c10c13af85",
+        "4c353f9c34c1ffda1e0237a7f1da120ff74d8019310da56c95d6d5d8aad134b2",
+    ),
+    ("adjacent_gates", "born:R2"): (
+        "894f1f1b1c86b8db3e98f881c8db8412bc9fa3bc3e161a97ea104c28ef980c4e",
+        "c9a637c741b7e112eef4834ead0779cf11d40219d03df0d7d9dad7d0b1a42241",
+    ),
+    ("adjacent_gates", "expand:R2"): (
+        "298e5cd46a6d984a3d09b9cef45a7b5706a07fc566b993076f371026af3e4d0d",
+        "443da5d9a8f4c6ff0d06f11f74b64c8420857de2c5662c09dbc2c8807de031d8",
+    ),
+    ("adjacent_gates", "product:R1,R2"): (
+        "46de39aebd1185977b0e49e910cb396457e55f7294a3e23a73a3a1cf68826f0f",
+        "5dc388dfb6152afef8a9f50162938ed93ae169143a3c680d2de5e08ea319c0a9",
+    ),
+    ("spacelike_bits", "born:R1"): (
+        "25746e111b4b2ce53cf038c4761ea883d3b659716263e2fe0afe6fe8ea4e3c67",
+        "fbb943a9b486bf51235d56278b2dc1e0f5896dd466d6b26ca3a328c28c308979",
+    ),
+    ("spacelike_bits", "expand:R1"): (
+        "b7f8512e7e47be36fa4254a325d8a1b5a098740e7a1cc3aa32a3c9327ae25d50",
+        "1349d437a95494390acb4b78a9ff23759285712b0501a194ddd283434a63af84",
+    ),
+    ("spacelike_bits", "born:R2"): (
+        "56c8f26663509312cb33901ecbe3a53d2a48c4cbaf041d6d0bd1d3d4c7b58b45",
+        "cfb9ea60630dfc56cdbfcf4c294e2241c1ef1295ff0c977880403e6c4d10c690",
+    ),
+    ("spacelike_bits", "expand:R2"): (
+        "340136365bdb4b777934a672a01df95c88b1fa028b3667931d8b1301d2cd148e",
+        "e9ead13dbf7387975ea14b26663ef0d0c96e8db1ce9a689246c17f3bd71a7e39",
+    ),
+    ("spacelike_bits", "product:R1,R2"): (
+        "cee338066d76b38e81b20fa02095fcb847896205dc11754d688ddeece9e4793d",
+        "e1852c3c17c365636baabc12bd15e6b9873875da7b1e4a00ac7521d50ea51605",
+    ),
+    ("polariser_chain", "born:R1"): (
+        "8ff95006be01ac78d8c93774b2f7e946434bad8c1d33ab258a780403e2c33e9c",
+        "b3961818adafa53bd6f8cf19e03be7394cf28277d244f6a350385862ec3db333",
+    ),
+    ("polariser_chain", "expand:R1"): (
+        "6ea85ef9804cf4dd68af68f94e6e72bc6f244cc4c2abe69b58406873ed3390d7",
+        "feed555f68f2cc33834e7c4c7ed05fee5f3e4168118f7fe18d16a62aa4f2ff21",
+    ),
+    ("polariser_chain", "born:R2"): (
+        "0d95fd936bb02a816ea1c1ee3e0959b00fede22d02981d82edd273d62017d372",
+        "3193eb2162dc70a86ae907f14bcbe1fb1ac25df1b272f848c25fb375236bc200",
+    ),
+    ("polariser_chain", "expand:R2"): (
+        "b281eb7305b21f1884ef3e1f7deaf1ee6371120f70324bc32ef3bda2391253cd",
+        "cc99f44916ddb860e5af0f7246c4b88b9a8ba5a6be73d5418a17ad9e2e8d17bb",
+    ),
+    ("polariser_chain", "born:R3"): (
+        "610e3ee15170ff4ff93d55b1e03b46478367d06f2870ffa2617de0a0883eb357",
+        "0bd02bf27fba312a8a063ce9b8836b76e109b78e46eff40715ed95280e54db30",
+    ),
+    ("polariser_chain", "expand:R3"): (
+        "bc0e03aa980ffb170428f0bb5b4bbc4e518c3dc36185638b4c5ab5636861a626",
+        "b40d8d7d3da31ca33af8931b96b3c1d5a9d38adb133888e78756f35d568fb7f7",
+    ),
+    ("polariser_chain", "product:R1,R2"): (
+        "9a87d45c7a19bfe48f19ab539a4f5a076848beb8035e4092b868207b22310195",
+        "f17eaba102666975d78fcbd4cc8fac413eb88dd3f3c8b4bf38b1c0f401a96bc2",
+    ),
+    ("polariser_chain", "product:R1,R3"): (
+        "a1473732d8d3c34a99ef5f160d23ed06f9e5c32c948570bc753013bd473d886c",
+        "80a929e8b061bd97d617fd4f51d424609208055008e5299d2403f8661b7ae6d9",
+    ),
+    ("polariser_chain", "product:R2,R3"): (
+        "5ea2178311e8776410980618f7b66d3831a6c42ff436b046a4f36c920fdf98be",
+        "fb9a508716757c57e57e6c1314143cba5b5211e486add419e2e1a23c1ae2f7b0",
+    ),
+    ("classical_chain3", "born:R1"): (
+        "25746e111b4b2ce53cf038c4761ea883d3b659716263e2fe0afe6fe8ea4e3c67",
+        "fbb943a9b486bf51235d56278b2dc1e0f5896dd466d6b26ca3a328c28c308979",
+    ),
+    ("classical_chain3", "expand:R1"): (
+        "b7f8512e7e47be36fa4254a325d8a1b5a098740e7a1cc3aa32a3c9327ae25d50",
+        "1349d437a95494390acb4b78a9ff23759285712b0501a194ddd283434a63af84",
+    ),
+    ("classical_chain3", "born:R2"): (
+        "56c8f26663509312cb33901ecbe3a53d2a48c4cbaf041d6d0bd1d3d4c7b58b45",
+        "cfb9ea60630dfc56cdbfcf4c294e2241c1ef1295ff0c977880403e6c4d10c690",
+    ),
+    ("classical_chain3", "expand:R2"): (
+        "340136365bdb4b777934a672a01df95c88b1fa028b3667931d8b1301d2cd148e",
+        "e9ead13dbf7387975ea14b26663ef0d0c96e8db1ce9a689246c17f3bd71a7e39",
+    ),
+    ("classical_chain3", "born:R3"): (
+        "9c916faf74a94c40626d0d5b4a61801771b732c498b7f2b6172b7a19f59bcac4",
+        "757498c968c1d085d4438df12d8d153e96a2e7e68af388d2c9217fddf40c6aa9",
+    ),
+    ("classical_chain3", "expand:R3"): (
+        "9e3f8ba00c7bebb744eafc946fb6a8e657e7b318cd1a33b8e8f8f973cc22dfae",
+        "2a3b02d9a1d2f392931c049016a05426b84842f95dcc4867b84c30ffbb89d6d4",
+    ),
+    ("classical_chain3", "product:R1,R2"): (
+        "b56db5bd627ec57528b836530fe37573e10b664731c1e704aad65a0d372d4ddb",
+        "68a4213ee56bdcb40faec645bee4953a44166af7d6b916dcf4fa2b0d5bca42ab",
+    ),
+    ("classical_chain3", "product:R1,R3"): (
+        "1872fe15acb81ddb387e510a61092874a75aa2d5fe70978127a96750e54f1e50",
+        "78be8b284d9b0cddf79c619e073e33ee1099c8ba860bb05783845a9cc30d476b",
+    ),
+    ("classical_chain3", "product:R2,R3"): (
+        "d624b8af3752fc874057e6a415769fe0e1dadf3190a01b1ef351eaeba7ca2a99",
+        "04e77314197229694d4e51436598f995866032c6d46c8f762b3b8e6dd7eb5f00",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_scene_is_pinned(scenarios, name):
+    scenario = scenarios(name)
+    _, _, causaloid = checked_causaloid(scenario)
+    declared = dict(zip(scenario.region_names, scenario.regions))
+    scenes = {}
+    for region in scenario.region_names:
+        scenes[f"born:{region}"] = born_scene(causaloid, declared[region])
+        scenes[f"expand:{region}"] = expansion_scene(causaloid, declared[region])
+    for first, second in itertools.combinations(scenario.region_names, 2):
+        try:
+            scene = product_scene(causaloid, declared[first], declared[second])
+        except UnknownEntry:
+            continue
+        scenes[f"product:{first},{second}"] = scene
+    pinned = {expr: pins for (n, expr), pins in SCENE_DIGESTS.items() if n == name}
+    assert sorted(scenes) == sorted(pinned)
+    for expr, scene in scenes.items():
+        got = tuple(
+            hashlib.sha256(emit_diagram(scene, fmt).encode("utf-8")).hexdigest()
+            for fmt in ("dot", "svg")
+        )
+        assert got == pinned[expr], (name, expr)

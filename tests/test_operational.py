@@ -387,8 +387,13 @@ def test_cards_outside_a_stack_are_rejected(text, line):
          "card '1,0,0' is a second card at its location"),
         ("# stack 0 procedure 1:0\n1,0,0\n2,0,0\n", 3,
          "card '2,0,0' has no action in the procedure tag"),
+        ("# stack 0 procedure 1:0 1:1\n1,1,0\n\n", 1,
+         "location 1 appears twice in the procedure tag"),
+        ("# stack 0 procedure 1:0\n1,0,0\n\n# stack 1 procedure 2:0 3:1 3:1 2:1\n", 4,
+         "location 3 appears twice in the procedure tag"),
     ],
-    ids=["negative-field", "other-action", "second-card", "unnamed-location"],
+    ids=["negative-field", "other-action", "second-card", "unnamed-location",
+         "location-twice-in-tag", "first-repeat-is-named"],
 )
 def test_malformed_cards_name_their_line(text, line, message):
     with pytest.raises(SchemaError) as info:
@@ -441,6 +446,12 @@ def _line_parse_stacks(text):
                     tags[tag_text] = ProcedureSpec(dict((x, a) for x, a in pairs))
                 except (ValueError, TypeError) as exc:
                     raise SchemaError(f"bad procedure tag: {exc}", f"line {lineno}") from exc
+                seen = set()
+                for x, _ in pairs:
+                    if x in seen:
+                        raise SchemaError(f"location {x} appears twice in the procedure tag",
+                                          f"line {lineno}")
+                    seen.add(x)
             continue
         if tag_text is None:
             raise SchemaError("cards appear before any stack header", f"line {lineno}")

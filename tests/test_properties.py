@@ -350,7 +350,7 @@ def test_cut_spans_match_the_extended_table(arrangement, data):
 
 
 @_settings(20)
-@given(kraus_chains())
+@given(kraus_chains(actions=4))
 def test_cut_spans_match_the_extended_table_on_kraus_chains(chain):
     spec, regions, _ = chain
     assert_cut_spans_match_the_table(spec, regions, (1e-9, 0.5))

@@ -28,6 +28,7 @@ from causaloid import (
 )
 from causaloid.causaloid import load_causaloid, matrix_hex
 from causaloid.cli import main
+from causaloid.diagram import DiagramNode, DiagramScene, DiagramWire, _layered
 from causaloid.report import _matrix_digest
 from causaloid.errors import IoError, SchemaError, UnknownEntry
 from causaloid.operational import load_stacks
@@ -290,6 +291,36 @@ def test_diagram_emission_is_deterministic(small_causaloid):
         emit_diagram(born_scene(c, r1), "png")
 
 
+def test_scene_check_rejects_a_wire_its_endpoints_do_not_expose():
+    r = DiagramNode("r", "circle", "r[R1]", 0, (("k", 3),))
+    dot = DiagramNode("d", "dot", "", 1, (("k", 3),))
+    wide = DiagramNode("w", "dot", "", 1, (("k", 4),))
+    assert DiagramScene((r, dot), (DiagramWire("r", "d", "k", 3),)).wires
+    with pytest.raises(ValueError, match="node 'r' does not expose index j:3"):
+        DiagramScene((r, dot), (DiagramWire("r", "d", "j", 3),))
+    with pytest.raises(ValueError, match="node 'w' does not expose index k:3"):
+        DiagramScene((r, wide), (DiagramWire("r", "w", "k", 3),))
+    with pytest.raises(ValueError, match="wire endpoint 'x' is not a node"):
+        DiagramScene((r, dot), (DiagramWire("r", "x", "k", 3),))
+
+
+def test_layers_are_wired_on_shared_index_names():
+    scene = _layered(
+        [("circle", "a", [("i", 2)]), ("circle", "b", [("j", 3)])],
+        [("hybrid", "", [("i", 2), ("j", 3), ("k", 6)])],
+        [("dot", "", [("k", 6)]), ("dot", "", [("i", 2)])],
+    )
+    assert [(n.ident, n.layer) for n in scene.nodes] == [
+        ("n0", 0), ("n1", 0), ("n2", 1), ("n3", 2), ("n4", 2)
+    ]
+    assert [(w.source, w.target, w.index_name, w.index_size) for w in scene.wires] == [
+        ("n0", "n2", "i", 2), ("n1", "n2", "j", 3), ("n2", "n3", "k", 6), ("n2", "n4", "i", 2)
+    ]
+    # the wire takes the source's size, which the target must expose too
+    with pytest.raises(ValueError, match="node 'n1' does not expose index k:6"):
+        _layered([("circle", "a", [("k", 6)])], [("dot", "", [("k", 4)])])
+
+
 def test_product_scene_needs_an_entry(small_causaloid):
     s, _ = small_causaloid
     table = build_prob_table(s.spec, s.regions)
@@ -469,6 +500,9 @@ MALFORMED = {
     "classical-size-above-the-limit": (
         "classical_chain3", lambda d: d["theory"]["chains"][0].update(size=65), ["compress"],
         "error: $.theory.chains[0].size: a classical chain size must be at most 64"),
+    "polariser-on-a-qutrit-chain": (
+        "polariser_chain", lambda d: d["theory"]["chains"][0].update(size=3), ["compress"],
+        "error: $.theory.instruments[0]: the polariser family needs a size-2 chain, not size 3"),
 }
 
 

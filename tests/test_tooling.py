@@ -204,10 +204,10 @@ def test_src_never_grows_an_array_by_restacking():
 
 
 def _referenced_names(path: pathlib.Path) -> set[str]:
-    """Every name a Python file uses: bare names, attribute names and the
-    dotted words of its non-docstring string constants (the traced
-    benchmark names its targets as strings). Import statements and
-    ``__all__`` entries are not uses."""
+    """Every name a Python file uses: bare names it reads, attribute names
+    and the dotted words of its non-docstring string constants (the traced
+    benchmark names its targets as strings). Import statements, ``__all__``
+    entries and the names an assignment binds are not uses."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     skip = set()
     for node in ast.walk(tree):
@@ -227,7 +227,7 @@ def _referenced_names(path: pathlib.Path) -> set[str]:
         node = stack.pop()
         if node in skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -238,18 +238,28 @@ def _referenced_names(path: pathlib.Path) -> set[str]:
 
 
 def test_every_definition_in_src_is_used():
-    # a function, class or method that nothing in src/, tests/, bench/ or
-    # the README refers to is dead weight; its own def line, __all__ and
-    # imports do not count as uses
-    defined = set()
+    # a function, class, method or module-level constant that nothing in
+    # src/, tests/, bench/ or the README reads is dead weight; its own def
+    # line or assignment, __all__ and imports do not count as uses
+    defined, constants = set(), set()
     for path in sorted((ROOT / "src" / "causaloid").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.add((path.name, node.name))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants |= {
+                    (path.name, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and name.id != "__all__"
+                }
     used = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     for folder in ("src", "tests", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             used |= _referenced_names(path)
-    assert len(defined) > 200
-    assert sorted(d for d in defined if d[1] not in used) == []
+    assert len(defined) > 200 and len(constants) > 30
+    assert sorted(d for d in defined | constants if d[1] not in used) == []
