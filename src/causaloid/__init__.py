@@ -15,10 +15,8 @@ from .backends import (
     Chain,
     ClassicalSpec,
     InstrumentFamily,
-    Preparation,
     QuantumSpec,
     SpanValidation,
-    TerminalEffect,
     TheorySpec,
     build_prob_table,
     complete_effect,

@@ -40,8 +40,6 @@ from .tomographic import DEFAULT_RANK_TOL
 
 __all__ = [
     "Chain",
-    "Preparation",
-    "TerminalEffect",
     "InstrumentFamily",
     "TheorySpec",
     "ClassicalSpec",
@@ -82,23 +80,6 @@ class Chain:
             raise BackendError(f"chain {self.name!r} needs size >= 2")
         if not self.locations or len(set(self.locations)) != len(self.locations):
             raise BackendError(f"chain {self.name!r} needs distinct locations")
-
-
-@dataclass(frozen=True, eq=False)
-class Preparation:
-    vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class TerminalEffect:
-    vector: np.ndarray
-    complete: bool
-
-    def __post_init__(self):
-        self.vector.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +131,19 @@ class InstrumentFamily:
 
 @dataclass(frozen=True, eq=False)
 class TheorySpec:
-    """A full experimental arrangement, ready for exact evaluation."""
+    """A full experimental arrangement, ready for exact evaluation.
+
+    Per chain, each preparation is a state vector and each terminal effect
+    a covector, both 1-d arrays of the chain's ``vec_dim``; they are made
+    read-only here.
+    """
 
     kind = "abstract"
 
     chains: tuple[Chain, ...]
     instruments: tuple[InstrumentFamily, ...]  # sorted by location
-    preparations: tuple[tuple[Preparation, ...], ...]  # per chain
-    effects: tuple[tuple[TerminalEffect, ...], ...]  # per chain
+    preparations: tuple[tuple[np.ndarray, ...], ...]  # per chain
+    effects: tuple[tuple[np.ndarray, ...], ...]  # per chain
     # only the empty value is accepted: every action at an unprobed
     # location is swept into the exterior
     conditioning_actions: tuple = ()
@@ -176,17 +162,19 @@ class TheorySpec:
         for chain, preps, effs in zip(self.chains, self.preparations, self.effects):
             d = self.vec_dim(chain)
             for i, p in enumerate(preps):
-                if p.vector.shape != (d,):
+                if not isinstance(p, np.ndarray) or p.shape != (d,):
                     raise DimensionMismatch(
                         f"preparation {i} does not fit chain {chain.name!r}"
                     )
             if not preps or not effs:
                 raise BackendError(f"chain {chain.name!r} needs preparations and effects")
             for i, e in enumerate(effs):
-                if e.vector.shape != (d,):
+                if not isinstance(e, np.ndarray) or e.shape != (d,):
                     raise DimensionMismatch(
                         f"effect {i} does not fit chain {chain.name!r}"
                     )
+            for v in preps + effs:
+                v.setflags(write=False)
         for fam in self.instruments:
             d = self.vec_dim(self.chain_of(fam.location))
             for group in fam.actions:
@@ -206,9 +194,7 @@ class TheorySpec:
         return chain.size if self.kind == "classical" else chain.size * chain.size
 
     def total_covector(self, chain: Chain) -> np.ndarray:
-        if self.kind == "classical":
-            return np.ones(chain.size)
-        return ops.trace_covector(chain.size)
+        return complete_effect(self.kind, chain.size)
 
     def chain_of(self, location: int) -> Chain:
         for c in self.chains:
@@ -287,7 +273,7 @@ class TheorySpec:
         col = 0
         for ci, chain in enumerate(self.chains):
             d = self.vec_dim(chain)
-            v = np.broadcast_to(self.preparations[ci][0].vector, (runs, d))
+            v = np.broadcast_to(self.preparations[ci][0], (runs, d))
             t = self.total_covector(chain)
             for loc in chain.locations:
                 fam = self.family(loc)
@@ -437,6 +423,7 @@ def _spanning_vectors(kind: str, size: int) -> tuple[np.ndarray, np.ndarray, np.
     """One wire's spanning sets, each as read-only rows: its informationally
     complete vectors (preparations and effects alike), then the span check's
     extra preparations and extra effects, a second independent family.
+    Built once per (kind, size) and shared.
 
     Classical: the point masses; then the uniform distribution and every
     even mixture of two symbols, as preparations, and the constant 1/2 and
@@ -463,36 +450,23 @@ def _spanning_vectors(kind: str, size: int) -> tuple[np.ndarray, np.ndarray, np.
     return ic, preps, effs
 
 
-# Each set is built once per (kind, size) and shared: Preparation and
-# TerminalEffect are frozen and their vectors read-only rows of
-# _spanning_vectors.
-
 @lru_cache(maxsize=None)
-def ic_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
-    return tuple(Preparation(v) for v in _spanning_vectors(kind, size)[0])
+def ic_preparations(kind: str, size: int) -> tuple[np.ndarray, ...]:
+    """The informationally complete vectors of one wire, as the read-only
+    rows of ``_spanning_vectors``; one tuple per (kind, size), shared."""
+    return tuple(_spanning_vectors(kind, size)[0])
 
 
-@lru_cache(maxsize=None)
-def ic_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
-    return tuple(TerminalEffect(v, False) for v in _spanning_vectors(kind, size)[0])
+# the same set read out as covectors
+ic_effects = ic_preparations
 
 
-def complete_effect(kind: str, size: int) -> TerminalEffect:
+def complete_effect(kind: str, size: int) -> np.ndarray:
+    """The total covector of a wire: the effect that reads out 1 on every
+    normalised state. An effect is complete exactly when it equals this."""
     if kind == "classical":
-        return TerminalEffect(np.ones(size), True)
-    return TerminalEffect(
-        ops.operator_coords(np.eye(size, dtype=complex), size), True
-    )
-
-
-@lru_cache(maxsize=None)
-def _extra_preparations(kind: str, size: int) -> tuple[Preparation, ...]:
-    return tuple(Preparation(v) for v in _spanning_vectors(kind, size)[1])
-
-
-@lru_cache(maxsize=None)
-def _extra_effects(kind: str, size: int) -> tuple[TerminalEffect, ...]:
-    return tuple(TerminalEffect(v, False) for v in _spanning_vectors(kind, size)[2])
+        return np.ones(size)
+    return ops.trace_covector(size)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +503,11 @@ def enumerate_exteriors(spec: TheorySpec, probed: Iterable[int]) -> ExteriorAxis
             for x in spec.locations()
             if x not in probed
         ),
-        effects=tuple(tuple(e.complete for e in effs) for effs in spec.effects),
+        # an effect is complete where it is the chain's total covector
+        effects=tuple(
+            tuple(np.array_equal(e, t) for e in effs)
+            for effs, t in zip(spec.effects, map(spec.total_covector, spec.chains))
+        ),
     )
 
 
@@ -557,7 +535,7 @@ def joint_prob(
             raise UnknownExterior(f"chain {chain.name!r} has no preparation {pi}")
         if not 0 <= ei < len(spec.effects[ci]):
             raise UnknownExterior(f"chain {chain.name!r} has no effect {ei}")
-        v = spec.preparations[ci][pi].vector
+        v = spec.preparations[ci][pi]
         for loc in chain.locations:
             if loc in loc_card:
                 a, s = loc_card.pop(loc)
@@ -575,7 +553,7 @@ def joint_prob(
                     f"action {a} at location {loc} has no outcome {s}"
                 )
             v = fam.actions[a][s] @ v
-        p *= float(spec.effects[ci][ei].vector @ v)
+        p *= float(spec.effects[ci][ei] @ v)
     if loc_card:
         raise UnknownRegion(f"labels assigned outside any chain: {sorted(loc_card)}")
     if conditioned:
@@ -617,7 +595,7 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     full = np.ones(())
     prep_axes, eff_axes, loc_axes = [], [], {}
     for ci, chain in enumerate(spec.chains):
-        acc = np.stack([p.vector for p in spec.preparations[ci]])
+        acc = np.stack(spec.preparations[ci])
         shape = [len(acc)]
         for loc in chain.locations:
             stack = spec.family(loc).stacked  # (n_labels, D, D)
@@ -628,7 +606,7 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
         # sums some entries in another order (last-bit changes on
         # 9-dimensional wires)
         flat = acc.reshape(-1, acc.shape[-1])
-        t = np.stack([flat @ e.vector for e in spec.effects[ci]], axis=-1)
+        t = np.stack([flat @ e for e in spec.effects[ci]], axis=-1)
         prep_axes.append(full.ndim)
         eff_axes.append(full.ndim + len(shape))
         full = np.multiply.outer(full, t.reshape(shape + [t.shape[-1]]))
@@ -688,14 +666,13 @@ def _cut_slots(
     """
     chain = spec.chains[ci]
     d = spec.vec_dim(chain)
-    preps = spec.preparations[ci] + _extra_preparations(spec.kind, chain.size)
-    effs = spec.effects[ci] + _extra_effects(spec.kind, chain.size)
+    _, extra_preps, extra_effs = _spanning_vectors(spec.kind, chain.size)
     stacks = [spec.family(x).stacked for x in chain.locations]
-    inputs = [_span_factor(np.stack([p.vector for p in preps]))]
+    inputs = [_span_factor(np.concatenate([spec.preparations[ci], extra_preps]))]
     for stack in stacks:
         pushed = inputs[-1] @ stack.transpose(0, 2, 1)  # rows (T v)
         inputs.append(_span_factor(pushed.reshape(-1, d)))
-    outputs = [_span_factor(np.stack([e.vector for e in effs]))]
+    outputs = [_span_factor(np.concatenate([spec.effects[ci], extra_effs]))]
     for stack in reversed(stacks):
         outputs.append(_span_factor((outputs[-1] @ stack).reshape(-1, d)))
     return inputs, outputs[::-1]
@@ -791,14 +768,11 @@ def validate_table_spans(
     could not be trusted.
     """
     # the extra preparations and effects widen every region's columns alike
-    widen = math.prod(
-        (len(preps) + len(_extra_preparations(spec.kind, chain.size)))
-        * (len(effs) + len(_extra_effects(spec.kind, chain.size)))
-        for chain, preps, effs in zip(spec.chains, spec.preparations, spec.effects)
-    )
-    declared = math.prod(
-        len(preps) * len(effs) for preps, effs in zip(spec.preparations, spec.effects)
-    )
+    widen = declared = 1
+    for chain, preps, effs in zip(spec.chains, spec.preparations, spec.effects):
+        _, extra_preps, extra_effs = _spanning_vectors(spec.kind, chain.size)
+        widen *= (len(preps) + len(extra_preps)) * (len(effs) + len(extra_effs))
+        declared *= len(preps) * len(effs)
     slots: dict = {}
     out = []
     for axis, (region, rank) in enumerate(zip(table.regions, ranks, strict=True)):

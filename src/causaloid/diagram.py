@@ -172,7 +172,7 @@ def _emit_dot(scene: DiagramScene) -> str:
         '  node [fontname="Helvetica"];',
         '  edge [dir=none, fontname="Helvetica"];',
     ]
-    for node in sorted(scene.nodes, key=lambda n: (n.layer, n.ident)):
+    for node in sorted(scene.nodes, key=lambda n: n.layer):
         lines.append(f'  {node.ident} [label="{node.text}", {_GLYPHS[node.kind][0]}];')
     for w in scene.wires:
         lines.append(
@@ -194,7 +194,6 @@ def _positions(scene: DiagramScene) -> dict[str, tuple[int, int]]:
     pos = {}
     max_rows = max(len(v) for v in layers.values())
     for layer, nodes in sorted(layers.items()):
-        nodes.sort(key=lambda n: n.ident)
         offset = (max_rows - len(nodes)) * _Y_STEP // 2
         for i, node in enumerate(nodes):
             pos[node.ident] = (
@@ -224,7 +223,7 @@ def _emit_svg(scene: DiagramScene) -> str:
             f'  <text x="{mx}" y="{my - 8}" text-anchor="middle" '
             f'font-size="10">{w.index_name}:{w.index_size}</text>'
         )
-    for node in sorted(scene.nodes, key=lambda n: (n.layer, n.ident)):
+    for node in sorted(scene.nodes, key=lambda n: n.layer):
         x, y = pos[node.ident]
         out += [
             "  " + shape.format(x=x, y=y, left=x - 34, top=y - 20, stroke=_STROKE)

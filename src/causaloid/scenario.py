@@ -45,19 +45,19 @@ _THEORY_KEYS = {"kind", "chains", "instruments"}
 _CHAIN_KEYS = {"name", "size", "locations"}
 _TOL_KEYS = {"rank", "residual", "herald"}
 _HERALD_KEYS = {"name", "target", "given"}
-_FAMILY_PARAMS = {
-    "polariser": {"angles_deg"},
-    "probe_reprepare": set(),
-    "unitaries": {"names"},
-    "probe_reset": set(),
-    "deterministic": {"maps"},
-}
-_FAMILY_KINDS = {
-    "polariser": "quantum",
-    "probe_reprepare": "quantum",
-    "unitaries": "quantum",
-    "probe_reset": "classical",
-    "deterministic": "classical",
+# Each instrument family: the theory kind it needs, its list parameters as
+# (key, element types, what the list holds), and its builder, called with
+# the location, the chain size and each parameter's list in turn.
+_FAMILIES = {
+    "polariser": (
+        "quantum",
+        (("angles_deg", (int, float), "numbers"),),
+        lambda location, size, angles: backends.polariser_family(location, angles),
+    ),
+    "probe_reprepare": ("quantum", (), backends.probe_reprepare_family),
+    "unitaries": ("quantum", (("names", str, "names"),), backends.unitary_family),
+    "probe_reset": ("classical", (), backends.probe_reset_family),
+    "deterministic": ("classical", (("maps", str, "map names"),), backends.deterministic_family),
 }
 
 
@@ -121,31 +121,21 @@ def _int_list(value, path: str) -> list[int]:
 
 def _build_family(item: dict, location: int, size: int, path: str):
     family = _require(item, "family", path)
-    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise SchemaError(f"unknown instrument family {family!r}", f"{path}.family")
-    _check_keys(item, {"location", "family"} | _FAMILY_PARAMS[family], path)
-    if family == "polariser":
-        if size != 2:
-            raise SchemaError(f"the polariser family needs a size-2 chain, not size {size}", path)
-        angles = _require(item, "angles_deg", path)
-        if not isinstance(angles, list) or not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) for a in angles
+    _, params, build = _FAMILIES[family]
+    _check_keys(item, {"location", "family", *(key for key, _, _ in params)}, path)
+    if family == "polariser" and size != 2:
+        raise SchemaError(f"the polariser family needs a size-2 chain, not size {size}", path)
+    lists = []
+    for key, types, wording in params:
+        value = _require(item, key, path)
+        if not isinstance(value, list) or not all(
+            isinstance(v, types) and not isinstance(v, bool) for v in value
         ):
-            raise SchemaError("expected a list of numbers", f"{path}.angles_deg")
-        return backends.polariser_family(location, angles)
-    if family == "probe_reprepare":
-        return backends.probe_reprepare_family(location, size)
-    if family == "unitaries":
-        names = _require(item, "names", path)
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise SchemaError("expected a list of names", f"{path}.names")
-        return backends.unitary_family(location, size, names)
-    if family == "probe_reset":
-        return backends.probe_reset_family(location, size)
-    maps = _require(item, "maps", path)
-    if not isinstance(maps, list) or not all(isinstance(n, str) for n in maps):
-        raise SchemaError("expected a list of map names", f"{path}.maps")
-    return backends.deterministic_family(location, size, maps)
+            raise SchemaError(f"expected a list of {wording}", f"{path}.{key}")
+        lists.append(value)
+    return build(location, size, *lists)
 
 
 def _build_theory(doc: dict, path: str) -> TheorySpec:
@@ -191,11 +181,11 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
         if not isinstance(item, dict):
             raise SchemaError("expected an object", ip)
         family_name = item.get("family")
-        if isinstance(family_name, str) and family_name in _FAMILY_KINDS:
-            if _FAMILY_KINDS[family_name] != kind:
+        if isinstance(family_name, str) and family_name in _FAMILIES:
+            needed = _FAMILIES[family_name][0]
+            if needed != kind:
                 raise SchemaError(
-                    f"family {family_name!r} needs a {_FAMILY_KINDS[family_name]} theory",
-                    f"{ip}.family",
+                    f"family {family_name!r} needs a {needed} theory", f"{ip}.family"
                 )
         loc = _require(item, "location", ip)
         if not isinstance(loc, int) or isinstance(loc, bool):

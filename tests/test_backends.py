@@ -40,11 +40,10 @@ from causaloid import (
 from causaloid import operators as ops
 from causaloid.backends import (
     _extended_rows,
-    _extra_effects,
-    _extra_preparations,
     _label_order,
+    _spanning_vectors,
 )
-from causaloid.errors import SpanDeficient, UnknownProcedure, UnknownRegion
+from causaloid.errors import DimensionMismatch, SpanDeficient, UnknownProcedure, UnknownRegion
 from causaloid.tables import ExteriorConfiguration, ProbTable, greedy_independent_rows
 
 from conftest import SCENARIO_NAMES
@@ -193,15 +192,75 @@ def test_classical_kernels_must_be_stochastic():
 def test_constant_sets_are_shared_and_read_only():
     # one set per (kind, size) for the whole process: the same objects on
     # every call, no vector writable, and the kind part of the key
-    for build in (ic_preparations, ic_effects, _extra_preparations, _extra_effects):
+    extras = [lambda kind, size, j=j: _spanning_vectors(kind, size)[j] for j in (1, 2)]
+    for build in (ic_preparations, ic_effects, *extras):
         first = build("quantum", 3)
         assert build("quantum", 3) is first
         with pytest.raises(ValueError):
-            first[0].vector[0] = 1.0
+            first[0][0] = 1.0
         classical = build("classical", 2)
         assert classical is not build("quantum", 2)
-        assert all(item.vector.shape == (2,) for item in classical)
-        assert all(item.vector.shape == (4,) for item in build("quantum", 2))
+        assert all(item.shape == (2,) for item in classical)
+        assert all(item.shape == (4,) for item in build("quantum", 2))
+
+
+def _one_wire_spec(kind, size, effects):
+    """A one-location wire under the identity map, with the IC preparations."""
+    if kind == "classical":
+        cls, family = ClassicalSpec, kernel_family(1, size, [[np.eye(size)]])
+    else:
+        cls, family = QuantumSpec, kraus_family(1, size, [[[np.eye(size)]]])
+    return cls(
+        chains=(Chain("wire", size, (1,)),),
+        instruments=(family,),
+        preparations=(ic_preparations(kind, size),),
+        effects=(tuple(effects),),
+    )
+
+
+WIRES = [("classical", n) for n in range(2, 5)] + [("quantum", d) for d in range(2, 9)]
+
+
+@pytest.mark.parametrize("kind, size", WIRES)
+def test_an_effect_is_complete_exactly_when_it_is_the_total_covector(kind, size):
+    total = complete_effect(kind, size)
+    # the caller's own copy of the covector counts; one ulp off does not
+    own = np.ones(size) if kind == "classical" else ops.trace_covector(size)
+    nudged = np.nextafter(total, np.inf)
+    ic = ic_effects(kind, size)
+    spec = _one_wire_spec(kind, size, ic + (total, nudged, own))
+    flags = (False,) * len(ic) + (True, False, True)
+    assert enumerate_exteriors(spec, [1]).effects == (flags,)
+    table = build_prob_table(spec, [Region((1,))])
+    assert table.exteriors.unit_sum_mask().tolist() == list(flags) * len(ic)
+    table.validate()
+
+
+@pytest.mark.parametrize("kind, size", WIRES)
+def test_complete_effect_is_the_total_covector(kind, size):
+    spec = _one_wire_spec(kind, size, ic_effects(kind, size))
+    total = complete_effect(kind, size)
+    got = spec.total_covector(spec.chains[0])
+    assert total.dtype == got.dtype and total.tobytes() == got.tobytes()
+    # the covector this once was: ones, or the coordinates of the identity
+    if kind == "classical":
+        assert np.array_equal(total, np.ones(size))
+    else:
+        old = ops.operator_coords(np.eye(size, dtype=complex), size)
+        assert np.abs(total - old).max() <= 5e-16
+
+
+def test_a_callers_vectors_are_read_only_once_the_spec_is_built():
+    prep, effect = np.array([0.25, 0.75]), np.ones(2)
+    spec = _one_wire_spec("classical", 2, [effect])
+    spec = dataclasses.replace(spec, preparations=((prep,),))
+    assert spec.preparations[0][0] is prep and spec.effects[0][0] is effect
+    for vector in (prep, effect):
+        with pytest.raises(ValueError):
+            vector[0] = 0.5
+    # a vector is an array: a plain list is a typed error, not a traceback
+    with pytest.raises(DimensionMismatch, match="effect 0 does not fit"):
+        _one_wire_spec("classical", 2, [[1.0, 1.0]])
 
 
 def test_deterministic_family_maps():
@@ -232,8 +291,8 @@ def _loop_kets(d):
 
 
 def _loop_spanning_sets(kind, size):
-    """The vectors of ic_preparations, ic_effects, _extra_preparations and
-    _extra_effects, each built on its own for its kind."""
+    """The vectors of ic_preparations, ic_effects and the extra preparations
+    and effects of _spanning_vectors, each built on its own for its kind."""
     if kind == "classical":
         ic = [np.eye(size)[j].copy() for j in range(size)]
         preps, effs = [np.full(size, 1.0 / size)], [np.full(size, 0.5)]
@@ -269,9 +328,9 @@ def test_pure_kets_match_their_loops():
     [("classical", n) for n in range(2, 7)] + [("quantum", d) for d in range(2, 9)],
 )
 def test_spanning_sets_match_their_loops(kind, size):
-    built = (ic_preparations, ic_effects, _extra_preparations, _extra_effects)
-    for build, want in zip(built, _loop_spanning_sets(kind, size)):
-        assert _all_equal([item.vector for item in build(kind, size)], want)
+    built = (ic_preparations(kind, size), ic_effects(kind, size), *_spanning_vectors(kind, size)[1:])
+    for vectors, want in zip(built, _loop_spanning_sets(kind, size)):
+        assert _all_equal(vectors, want)
 
 
 def _loop_polariser(angles):
@@ -488,7 +547,10 @@ def _reference_exteriors(spec, probed):
     for preps in itertools.product(*(range(len(p)) for p in spec.preparations)):
         for conds in itertools.product(*(spec.family(x).labels() for x in cond_locs)):
             for effs in itertools.product(*(range(len(e)) for e in spec.effects)):
-                complete = all(spec.effects[c][e].complete for c, e in enumerate(effs))
+                complete = all(
+                    np.array_equal(spec.effects[c][e], spec.total_covector(spec.chains[c]))
+                    for c, e in enumerate(effs)
+                )
                 cond = tuple(zip(cond_locs, conds))
                 out.append(ExteriorConfiguration(preps, effs, cond, complete))
     return out
@@ -754,11 +816,11 @@ def _extended_table(spec, regions):
         chains=spec.chains,
         instruments=spec.instruments,
         preparations=tuple(
-            base + _extra_preparations(spec.kind, chain.size)
+            base + tuple(_spanning_vectors(spec.kind, chain.size)[1])
             for base, chain in zip(spec.preparations, spec.chains)
         ),
         effects=tuple(
-            base + _extra_effects(spec.kind, chain.size)
+            base + tuple(_spanning_vectors(spec.kind, chain.size)[2])
             for base, chain in zip(spec.effects, spec.chains)
         ),
     )

@@ -15,12 +15,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from causaloid.cli import main
 from causaloid.diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from causaloid.errors import UnknownEntry
 from causaloid.report import checked_causaloid
+from causaloid.tomographic import fold_to_exterior
 
 from conftest import SCENARIO_NAMES, scenario_path
 
@@ -474,3 +476,62 @@ def test_every_scene_is_pinned(scenarios, name):
             for fmt in ("dot", "svg")
         )
         assert got == pinned[expr], (name, expr)
+
+
+def _contract(scene, tensors):
+    """Contract a scene over its port names: each non-dot node's tensor,
+    looked up by its text, carries one axis per port; a dot only marks the
+    index its neighbours share."""
+    labels: dict[str, int] = {}
+    operands = []
+    for node in scene.nodes:
+        if node.kind == "dot":
+            continue
+        tensor = tensors[node.text]
+        assert tensor.shape == tuple(size for _, size in node.ports), node.text
+        operands += [tensor, [labels.setdefault(name, len(labels)) for name, _ in node.ports]]
+    return float(np.einsum(*operands, []))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_pinned_scene_contracts_to_its_table_entry(scenarios, name):
+    # r[R] is a label's row of Lambda[R] (a one-hot over the labels when
+    # Lambda[R] is drawn), the hybrid glyph the grouping's Lambda as
+    # (|Omega1|, |Omega2|, |K|), and p[...] the fiducial rows of one column
+    # of the table folded to the drawn regions
+    scenario = scenarios(name)
+    table, _, causaloid = checked_causaloid(scenario)
+    declared = dict(zip(scenario.region_names, scenario.regions))
+    rng = np.random.default_rng(SCENARIO_NAMES.index(name))
+    exprs = [expr for n, expr in SCENE_DIGESTS if n == name]
+    assert exprs
+    for expr in exprs:
+        kind, _, names = expr.partition(":")
+        regions = sorted(declared[n] for n in names.split(","))
+        entries = [causaloid.tomographic(r) for r in regions]
+        vals = fold_to_exterior(table, regions)[0]
+        for _ in range(3):
+            labels = [int(rng.integers(e.gamma.size)) for e in entries]
+            column = int(rng.integers(vals.shape[-1]))
+            want = vals[(*labels, column)]
+            rows = [e.matrix[g] for e, g in zip(entries, labels)]
+            if kind == "product":
+                scene = product_scene(causaloid, *regions)
+                pair = causaloid.product_entry([e.omega for e in entries])
+                picks = np.unravel_index(np.array(pair.omega.indices), pair.omega.dims)
+                fiducial = [np.array(e.omega.indices)[q] for e, q in zip(entries, picks)]
+                tensors = {
+                    "(x)^Lambda": pair.matrix.reshape(pair.omega.dims + (-1,)),
+                    f"p[{pair.region}]": vals[(*fiducial, column)],
+                }
+            else:
+                (region,), (entry,), (label,) = regions, entries, labels
+                tensors = {f"p[{region}]": vals[list(entry.omega.indices), column]}
+                if kind == "born":
+                    scene = born_scene(causaloid, region)
+                else:
+                    scene = expansion_scene(causaloid, region)
+                    tensors[f"Lambda[{region}]"] = entry.matrix
+                    rows = [np.eye(entry.gamma.size)[label]]
+            tensors.update((f"r[{r}]", row) for r, row in zip(regions, rows))
+            assert abs(_contract(scene, tensors) - want) <= 1e-13, (expr, labels, column)

@@ -200,7 +200,7 @@ def _reference_outcomes(spec, procedure, uniforms):
     for r, row in enumerate(uniforms):
         col = 0
         for ci, chain in enumerate(spec.chains):
-            v = spec.preparations[ci][0].vector
+            v = spec.preparations[ci][0]
             t = spec.total_covector(chain)
             for loc in chain.locations:
                 mats = spec.family(loc).actions[procedure.action_at(loc)]
@@ -277,7 +277,7 @@ def test_a_zero_uniform_never_draws_an_impossible_outcome(scenarios):
             proc = ProcedureSpec(dict(zip(locs, actions)))
             drawn = iter(spec.sample_cards(proc, np.zeros((1, len(locs))))[0])
             for ci, chain in enumerate(spec.chains):
-                v = spec.preparations[ci][0].vector
+                v = spec.preparations[ci][0]
                 t = spec.total_covector(chain)
                 for loc in chain.locations:
                     mats = spec.family(loc).actions[proc.action_at(loc)]

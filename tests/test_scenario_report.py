@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,20 @@ def test_layers_are_wired_on_shared_index_names():
     # the wire takes the source's size, which the target must expose too
     with pytest.raises(ValueError, match="node 'n1' does not expose index k:6"):
         _layered([("circle", "a", [("k", 6)])], [("dot", "", [("k", 4)])])
+
+
+def test_a_layer_keeps_its_listed_order_past_ten_nodes():
+    # sorting by ident string would put n10 between n1 and n2
+    scene = _layered(
+        [("circle", f"r{i}", [("k", 2)]) for i in range(11)], [("dot", "", [("k", 2)])]
+    )
+    dot = emit_diagram(scene, "dot").splitlines()
+    assert [line.split()[0] for line in dot[4:16]] == [f"n{i}" for i in range(12)]
+    svg = emit_diagram(scene, "svg")
+    drawn = re.findall(r'<text x="\d+" y="(\d+)" text-anchor="middle" font-size="11">(r\d+)<', svg)
+    assert [label for _, label in drawn] == [f"r{i}" for i in range(11)]
+    ys = [int(y) for y, _ in drawn]
+    assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
 def test_product_scene_needs_an_entry(small_causaloid):
