@@ -45,7 +45,6 @@ __all__ = [
     "ClassicalSpec",
     "QuantumSpec",
     "SpanValidation",
-    "TABLE_CAP",
     "polariser_family",
     "probe_reprepare_family",
     "unitary_family",
@@ -57,6 +56,7 @@ __all__ = [
     "ic_effects",
     "complete_effect",
     "enumerate_labels",
+    "enumerate_exteriors",
     "joint_prob",
     "build_prob_table",
     "validate_exterior_span",
@@ -95,6 +95,8 @@ class InstrumentFamily:
     actions: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
+        if not self.actions:
+            raise BackendError("an instrument needs at least one action")
         for fam in self.actions:
             if not fam:
                 raise BackendError("every action needs an outcome")
@@ -352,8 +354,6 @@ def kraus_family(
     actions: Sequence[Sequence[Sequence[np.ndarray]]],
 ) -> InstrumentFamily:
     """Explicit instruments: per action, per outcome, a list of Kraus operators."""
-    if not actions:
-        raise BackendError("an instrument needs at least one action")
     mats = []
     for idx, outcome_kraus in enumerate(actions):
         if not outcome_kraus:
@@ -473,10 +473,20 @@ def complete_effect(kind: str, size: int) -> np.ndarray:
 # label enumeration and exact probabilities
 # ---------------------------------------------------------------------------
 
+def _label_count(spec: TheorySpec, region: Region) -> int:
+    return math.prod(spec.family(x).offsets[-1] for x in region.locations)
+
+
 def _label_order(spec: TheorySpec, region: Region) -> tuple[GammaSet, list[int]]:
     """A region's label set, sorted by (action tuple, outcome tuple), and
     the row-major position of each of its labels: each location's labels
-    in family order, the last location fastest."""
+    in family order, the last location fastest. A set above ``TABLE_CAP``
+    is refused before it is built."""
+    n_labels = _label_count(spec, region)
+    if n_labels > TABLE_CAP:
+        raise TableTooLarge(
+            f"region {region} would have {n_labels} labels, above the cap of {TABLE_CAP}"
+        )
     row_major = [
         (tuple(a for a, _ in combo), tuple(s for _, s in combo))
         for combo in itertools.product(
@@ -579,16 +589,14 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
         raise UnknownRegion("table regions must be pairwise disjoint") from exc
     for loc in probed:
         spec.family(loc)  # raises UnknownRegion if not instrumented
-    orders = [_label_order(spec, r) for r in regions]
-    gammas = tuple(gamma for gamma, _ in orders)
     exteriors = enumerate_exteriors(spec, probed)
-    n_entries = len(exteriors)
-    for g in gammas:
-        n_entries *= g.size
+    n_entries = len(exteriors) * math.prod(_label_count(spec, r) for r in regions)
     if n_entries > TABLE_CAP:
         raise TableTooLarge(f"table would hold {n_entries} entries, above the cap of {TABLE_CAP}")
     if not exteriors:
         raise UnknownExterior("the scenario declares no exterior configurations")
+    orders = [_label_order(spec, r) for r in regions]
+    gammas = tuple(gamma for gamma, _ in orders)
 
     # axes of the product tensor, per chain: (preparation, label at each
     # location in wire order, effect)

@@ -60,7 +60,8 @@ __all__ = [
     "expand",
     "causaloid_to_dict",
     "causaloid_from_dict",
-    "json_text",
+    "key_to_str",
+    "key_union",
     "save_causaloid",
     "load_causaloid",
 ]

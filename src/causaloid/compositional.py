@@ -34,10 +34,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CompositionalLambda",
-    "product_rows",
-    "product_leaf_rows",
     "joint_fiducial_matrix",
-    "fiducial_rows_matrix",
     "PairCompression",
     "AdjacencyGraph",
     "adjacency_graph",

@@ -5,9 +5,9 @@ expansion matrices, filled dots are inner-product contractions, and the
 hybrid glyph is the registry-mediated product. Each scene is written as
 its layers; a wire joins nodes of adjacent layers that share an index name
 and carries that name and cardinality, and a scene only validates when both
-endpoints of every wire expose that index. One glyph table draws each node
-kind in DOT and in SVG. Output is pure string assembly, so the same scene
-always renders to identical bytes.
+endpoints of every wire expose that index and every index of a node meets
+a wire. One glyph table draws each node kind in DOT and in SVG. Output is
+pure string assembly, so the same scene always renders to identical bytes.
 """
 from __future__ import annotations
 
@@ -82,6 +82,13 @@ class DiagramScene:
                         f"node {end!r} does not expose index "
                         f"{w.index_name}:{w.index_size}"
                     )
+        met = {
+            (end, w.index_name, w.index_size) for w in self.wires for end in (w.source, w.target)
+        }
+        for n in self.nodes:
+            for name, size in n.ports:
+                if (n.ident, name, size) not in met:
+                    raise ValueError(f"index {name}:{size} of node {n.ident!r} meets no wire")
 
 
 def _entry_or_unknown(causaloid: Causaloid, region: Region):

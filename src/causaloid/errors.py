@@ -11,6 +11,31 @@ from __future__ import annotations
 
 import json
 
+__all__ = [
+    "CausaloidError",
+    "SchemaError",
+    "IoError",
+    "BackendError",
+    "DimensionMismatch",
+    "UnknownRegion",
+    "UnknownLabel",
+    "UnknownExterior",
+    "UnknownProcedure",
+    "UnknownEntry",
+    "MissingEntry",
+    "ContextMismatch",
+    "IncompleteTable",
+    "TableTooLarge",
+    "ResidualTooLarge",
+    "SingularTransform",
+    "SpanDeficient",
+    "DegenerateExterior",
+    "ZeroConditionCount",
+    "ZeroDenominator",
+    "ZeroDenominatorVector",
+    "RuleInapplicable",
+]
+
 
 class CausaloidError(Exception):
     """Base class for all package-specific errors."""

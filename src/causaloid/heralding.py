@@ -27,7 +27,6 @@ from .tables import ExteriorAxis, ExteriorConfiguration, Label, ProbTable
 from .tomographic import RVector, fold_to_exterior, r_vector
 
 __all__ = [
-    "DEFAULT_HERALD_TOL",
     "HeraldQuery",
     "HeraldResult",
     "herald",

@@ -19,7 +19,6 @@ from .errors import SchemaError, UnknownRegion, ZeroConditionCount, read_text, w
 __all__ = [
     "Card",
     "Region",
-    "disjoint_union",
     "ProcedureSpec",
     "Stack",
     "EstimateResult",
@@ -27,6 +26,7 @@ __all__ = [
     "sample_stacks",
     "dump_stacks",
     "load_stacks",
+    "parse_stacks",
 ]
 
 

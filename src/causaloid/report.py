@@ -31,7 +31,6 @@ from .tables import ProbTable
 from .tomographic import CLAMP_TOL, clamp_probability
 
 __all__ = [
-    "REPORT_FORMAT_VERSION",
     "CompressionReport",
     "run_pipeline",
     "report_json",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import backends
 from .backends import ClassicalSpec, QuantumSpec, TheorySpec, enumerate_labels
-from .causaloid import key_union
+from .causaloid import key_union, normalize_key
 from .errors import BackendError, SchemaError, read_json
 from .heralding import DEFAULT_HERALD_TOL, HeraldQuery
 from .operational import Region
@@ -20,11 +20,8 @@ from .operators import MAX_QUANTUM_DIM
 from .tomographic import DEFAULT_RANK_TOL, DEFAULT_RESIDUAL_TOL
 
 __all__ = [
-    "SCENARIO_FORMAT_VERSION",
     "HeraldSpec",
     "ScenarioFile",
-    "check_tolerance",
-    "label_ref",
     "parse_scenario",
     "parse_scenario_dict",
 ]
@@ -154,6 +151,8 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
         name = _require(item, "name", cp)
         size = _require(item, "size", cp)
         locations = _int_list(_require(item, "locations", cp), f"{cp}.locations")
+        if not locations:
+            raise SchemaError("a chain needs at least one location", f"{cp}.locations")
         if not isinstance(name, str):
             raise SchemaError("chain name must be a string", f"{cp}.name")
         if not isinstance(size, int) or isinstance(size, bool) or size < 2:
@@ -245,12 +244,19 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
             return key
         raise SchemaError("expected a region name or a nested grouping", npath)
 
-    out = []
+    out, listed = [], set()
     for i, node in enumerate(raw):
         key = resolve(node, f"{path}[{i}]", 1)
         if isinstance(key, Region):
             raise SchemaError("a grouping needs at least two factors", f"{path}[{i}]")
+        for j, child in enumerate(key):
+            if isinstance(child, tuple) and normalize_key(child) not in listed:
+                raise SchemaError(
+                    "an inner grouping must be listed before the grouping it is nested in",
+                    f"{path}[{i}][{j}]",
+                )
         out.append(key)
+        listed.add(normalize_key(key))
     return tuple(out)
 
 

@@ -25,13 +25,11 @@ if TYPE_CHECKING:
     from .tomographic import OmegaSet
 
 __all__ = [
-    "Label",
     "GammaSet",
     "ExteriorConfiguration",
     "ExteriorAxis",
     "ProbTable",
     "MeasurementMatrix",
-    "greedy_independent_rows",
 ]
 
 # (action per location, outcome per location), aligned with the region's

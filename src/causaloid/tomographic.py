@@ -38,11 +38,9 @@ __all__ = [
     "RVector",
     "StateVector",
     "fold_to_exterior",
-    "label_rows",
     "build_measurement_matrix",
     "find_fiducial_set",
     "solve_expansion",
-    "check_expansion",
     "r_vector",
     "state_vector",
     "born_rule",

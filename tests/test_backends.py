@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -43,7 +44,13 @@ from causaloid.backends import (
     _label_order,
     _spanning_vectors,
 )
-from causaloid.errors import DimensionMismatch, SpanDeficient, UnknownProcedure, UnknownRegion
+from causaloid.errors import (
+    DimensionMismatch,
+    SpanDeficient,
+    TableTooLarge,
+    UnknownProcedure,
+    UnknownRegion,
+)
 from causaloid.tables import ExteriorConfiguration, ProbTable, greedy_independent_rows
 
 from conftest import SCENARIO_NAMES
@@ -187,6 +194,46 @@ def test_classical_kernels_must_be_stochastic():
             preparations=(ic_preparations("classical", 2),),
             effects=(ic_effects("classical", 2),),
             )
+
+
+def test_an_instrument_needs_an_action():
+    # numpy would otherwise fail on stacking no transfer matrices
+    for build in (
+        lambda: InstrumentFamily(1, ()),
+        lambda: kernel_family(1, 2, []),
+        lambda: kraus_family(1, 2, []),
+    ):
+        with pytest.raises(BackendError, match="^an instrument needs at least one action$"):
+            build()
+
+
+def _probe_reset_tape(size: int, n_locations: int) -> ClassicalSpec:
+    locations = tuple(range(1, n_locations + 1))
+    return ClassicalSpec(
+        chains=(Chain("tape", size, locations),),
+        instruments=tuple(probe_reset_family(x, size) for x in locations),
+        preparations=(ic_preparations("classical", size),),
+        effects=(ic_effects("classical", size),),
+    )
+
+
+@pytest.mark.parametrize(
+    "size, call, message",
+    [
+        (16, enumerate_labels, "region {1,2,3} would have 16777216 labels"),
+        (16, lambda spec, region: build_prob_table(spec, [region]), "table would hold"),
+        # 262,144 labels fit under the cap, their 16,777,216 entries do not
+        (8, lambda spec, region: build_prob_table(spec, [region]),
+         "table would hold 16777216 entries"),
+    ],
+)
+def test_an_oversized_region_is_refused_before_its_labels_are_built(size, call, message):
+    # size**2 labels per probe_reset location, three locations in one region
+    spec = _probe_reset_tape(size, 3)
+    started = time.perf_counter()
+    with pytest.raises(TableTooLarge, match=message):
+        call(spec, Region((1, 2, 3)))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_constant_sets_are_shared_and_read_only():

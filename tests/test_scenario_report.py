@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +103,11 @@ def test_cli_unreadable_scenario_exits_2(tmp_path, capsys, make):
 
 
 def test_composites_nest_no_deeper_than_the_regions_allow():
-    # three regions allow one nested grouping: ((R1 x R2) x R3)
+    # three regions allow one nested grouping: ((R1 x R2) x R3), listed after
+    # its inner grouping in either factor order
     doc = _doc("polariser_chain")
-    doc["composites"] = [["R3", ["R1", "R2"]]]
-    assert len(parse_scenario_dict(doc).composites) == 1
+    doc["composites"] = [["R2", "R1"], ["R3", ["R1", "R2"]]]
+    assert len(parse_scenario_dict(doc).composites) == 2
     node = ["R1", "R2"]
     for _ in range(500):
         node = ["R3", node]
@@ -303,6 +305,19 @@ def test_scene_check_rejects_a_wire_its_endpoints_do_not_expose():
         DiagramScene((r, wide), (DiagramWire("r", "w", "k", 3),))
     with pytest.raises(ValueError, match="wire endpoint 'x' is not a node"):
         DiagramScene((r, dot), (DiagramWire("r", "x", "k", 3),))
+
+
+def test_scene_check_rejects_an_index_that_meets_no_wire():
+    # a born scene whose p[R] circle exposes beta where the dot has alpha
+    with pytest.raises(ValueError, match="index beta:2 of node 'n2' meets no wire"):
+        _layered(
+            [("circle", "r[R]", [("alpha", 2)])],
+            [("dot", "", [("alpha", 2)])],
+            [("circle", "p[R]", [("beta", 2)])],
+        )
+    r = DiagramNode("r", "circle", "r[R1]", 0, (("k", 3),))
+    with pytest.raises(ValueError, match="index k:3 of node 'r' meets no wire"):
+        DiagramScene((r,), ())
 
 
 def test_layers_are_wired_on_shared_index_names():
@@ -518,6 +533,14 @@ MALFORMED = {
     "polariser-on-a-qutrit-chain": (
         "polariser_chain", lambda d: d["theory"]["chains"][0].update(size=3), ["compress"],
         "error: $.theory.instruments[0]: the polariser family needs a size-2 chain, not size 3"),
+    "chain-without-locations": (
+        "classical_chain3", lambda d: d["theory"]["chains"][0].update(locations=[]),
+        ["compress"],
+        "error: $.theory.chains[0].locations: a chain needs at least one location"),
+    "inner-grouping-listed-after-its-outer": (
+        "classical_chain3",
+        lambda d: d.update(composites=[[["R1", "R2"], "R3"], ["R1", "R2"]]), ["compress"],
+        "error: $.composites[0][0]: an inner grouping must be listed before the grouping"),
 }
 
 
@@ -529,6 +552,27 @@ def test_cli_rejects_malformed_scenarios(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith(err)
     assert captured.out == ""
+
+
+def _wide_region(doc, heralds):
+    # 256 labels per size-16 probe_reset location: 16,777,216 in one region
+    doc["theory"]["chains"][0]["size"] = 16
+    doc.update(regions={"R": [1, 2, 3]}, composites=[], heralds=heralds)
+
+
+@pytest.mark.parametrize(
+    "heralds, err",
+    [
+        ([], "error: table would hold "),
+        ([{"name": "h", "target": ["R", 0]}], "error: region {1,2,3} would have 16777216 labels"),
+    ],
+)
+def test_cli_refuses_an_oversized_region_at_once(tmp_path, capsys, heralds, err):
+    path = _with_edit(tmp_path, "classical_chain3", lambda d: _wide_region(d, heralds))
+    started = time.perf_counter()
+    assert main(["compress", "--scenario", path]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_cli_numerical_failures(capsys):

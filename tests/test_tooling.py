@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import __future__
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -145,6 +146,45 @@ def test_star_import_binds_only_public_names():
         value = getattr(causaloid, name)
         assert not isinstance(value, (types.ModuleType, __future__._Feature)), name
     assert "Causaloid" in causaloid.__all__ and "annotations" not in causaloid.__all__
+
+
+# the package's 115 public names, sorted and space-joined, as a digest: a
+# list of them here would count as uses of every one for the unused
+# definition guard below
+PUBLIC_NAMES_SHA256 = "d803f7421794fef9b5c604beafc103064dfd0d11f035b403fa2eb5b26120c176"
+
+
+def test_the_package_exports_a_fixed_set_of_names():
+    names = " ".join(sorted(causaloid.__all__))
+    assert len(causaloid.__all__) == 115
+    assert hashlib.sha256(names.encode()).hexdigest() == PUBLIC_NAMES_SHA256, names
+
+
+def test_each_exported_name_is_defined_in_the_one_module_listing_it():
+    # the package names nothing itself: it star-imports its modules. A name
+    # a module lists but only imports, or a name two modules list, would let
+    # one star import silently shadow another
+    package = (ROOT / "src" / "causaloid" / "__init__.py").read_text(encoding="utf-8")
+    imports = [n for n in ast.parse(package).body if isinstance(n, ast.ImportFrom) and n.level == 1]
+    assert all([a.name for a in n.names] == ["*"] for n in imports)
+    owner = {}
+    for module in (n.module for n in imports):
+        tree = ast.parse((ROOT / "src" / "causaloid" / f"{module}.py").read_text(encoding="utf-8"))
+        defined, listed = set(), None
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                if "__all__" in bound:
+                    listed = ast.literal_eval(node.value)
+                defined |= bound
+        assert listed, module
+        assert sorted(set(listed) - defined) == [], module
+        for name in listed:
+            assert owner.setdefault(name, module) == module, name
+    assert sorted(owner) == sorted(causaloid.__all__)
 
 
 def _uses(names: set[str]) -> set[tuple[str, str, str]]:
