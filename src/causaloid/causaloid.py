@@ -154,7 +154,8 @@ class Causaloid:
     """Immutable registry of expansion entries for one scenario.
 
     Every lookup reads one index from key to entry, built at construction
-    in ``keys()`` order: regions, composites, then stubs. A stub stands in
+    in ``keys()`` order: regions, composites, then stubs; a product reads
+    one index from factor fiducial sets to grouped key. A stub stands in
     for its entry until first use, when the deduced entry replaces it.
     """
 
@@ -179,6 +180,12 @@ class Causaloid:
         if len(index) != len(self.regions) + len(grouped):
             raise ValueError("registry keys must be unique")
         object.__setattr__(self, "_index", index)
+        # a product reads the grouped entry over its factors' fiducial sets;
+        # the first key listed with those sets answers it
+        by_factors: dict = {}
+        for key, entry in grouped:
+            by_factors.setdefault(entry.factor_omegas, key)
+        object.__setattr__(self, "_by_factors", by_factors)
         for key, _ in grouped:
             for child in key:
                 if child not in index:
@@ -229,9 +236,9 @@ class Causaloid:
     def product_entry(self, contexts: Sequence[OmegaSet]) -> CompositionalLambda:
         """The grouped entry whose factor fiducial sets are ``contexts``."""
         contexts = tuple(contexts)
-        for key, entry in self._index.items():
-            if isinstance(key, tuple) and entry.factor_omegas == contexts:
-                return self.entry(key)
+        key = self._by_factors.get(contexts)
+        if key is not None:
+            return self.entry(key)
         names = ", ".join(str(o.region) for o in contexts)
         raise MissingEntry(
             f"no stored entry or rule covers the grouping ({names})"

@@ -36,14 +36,14 @@ from .errors import (
     ZeroDenominatorVector,
     write_text,
 )
-from .heralding import HeraldQuery, herald
+from .heralding import herald
 from .report import (
     checked_causaloid,
     report_json,
     run_pipeline,
     span_rows,
 )
-from .scenario import ScenarioFile, check_tolerance, label_ref, parse_scenario
+from .scenario import ScenarioFile, check_tolerance, herald_query, label_ref, parse_scenario
 
 __all__ = ["main"]
 
@@ -165,11 +165,7 @@ def _cmd_herald(args) -> int:
         for part in args.given.split(",")
         if part
     )
-    try:
-        query = HeraldQuery.from_labels(target, given)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "--given") from exc
-
+    query = herald_query(target, given, scenario.composites, "--given")
     table, _, causaloid = checked_causaloid(scenario)
     result = herald(causaloid, query, tol=scenario.tol_herald, table=table)
 

@@ -22,11 +22,11 @@ from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
     OmegaSet,
+    _label_row_set,
     _row_set,
     check_expansion,
     find_fiducial_set,
     fold_to_exterior,
-    label_rows,
 )
 
 if TYPE_CHECKING:
@@ -153,7 +153,7 @@ def joint_fiducial_matrix(
         raise ValueError("a joint matrix needs at least two factors")
     for o in omegas:
         gamma = table.gammas[table.region_axis(o.region)]
-        if _row_set(o) != _row_set(label_rows(gamma)):
+        if _row_set(o) != _label_row_set(gamma):
             raise ContextMismatch(
                 f"fiducial set of {o.region} does not index this table"
             )

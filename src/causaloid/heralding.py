@@ -24,7 +24,7 @@ from .errors import (
 )
 from .operational import Region, disjoint_union
 from .tables import ExteriorAxis, ExteriorConfiguration, Label, ProbTable
-from .tomographic import RVector, fold_to_exterior, r_vector
+from .tomographic import RVector, r_vector
 
 __all__ = [
     "HeraldQuery",
@@ -165,23 +165,26 @@ def _conditional_parts(
 ) -> tuple[np.ndarray, np.ndarray, ExteriorAxis]:
     """Numerator and denominator of the direct conditional at every column.
 
-    The table is folded down to the query's regions. Numerator: joint
-    weight of all named labels. Denominator: the same with the target
-    summed over outcome-consistent labels.
+    Numerator: joint weight of all named labels. Denominator: the same with
+    the target summed over outcome-consistent labels. Each is read from the
+    table at the named labels; every other region folds into the exterior
+    axis, in table order, with the original exterior fastest.
     """
     named = query.named_regions
-    vals, exteriors = fold_to_exterior(table, named)
+    axes = [table.region_axis(r) for r in named]
     fixed = dict(query.conditions)
     fixed[query.target[0]] = query.target[1]
-    sel = [table.gammas[table.region_axis(r)].index_of(fixed[r]) for r in named]
-    t_axis = named.index(query.target[0])
-    t_gamma = table.gammas[table.region_axis(query.target[0])]
-    num = vals[tuple(sel)]
+    sel: list = [slice(None)] * table.values.ndim
+    for r, axis in zip(named, axes):
+        sel[axis] = table.gammas[axis].index_of(fixed[r])
+    t_axis = axes[named.index(query.target[0])]
+    num = table.values[tuple(sel)].reshape(-1)
     den = np.zeros_like(num)
-    for row in t_gamma.labels_for_action(query.target[1][0]):
+    for row in table.gammas[t_axis].labels_for_action(query.target[1][0]):
         sel[t_axis] = row
-        den = den + vals[tuple(sel)]
-    return num, den, exteriors
+        den = den + table.values[tuple(sel)].reshape(-1)
+    folded = [g for i, g in enumerate(table.gammas) if i not in axes]
+    return num, den, table.exteriors.fold(folded)
 
 
 def conditional_from_table(

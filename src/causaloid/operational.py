@@ -63,6 +63,11 @@ class Region:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise ValueError(f"region locations must be non-negative ints, got {x!r}")
         object.__setattr__(self, "locations", locs)
+        # every registry lookup hashes regions: compute the dataclass hash once
+        object.__setattr__(self, "_hash", hash((locs,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, location: int) -> bool:
         return location in self.locations

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import backends
 from .backends import ClassicalSpec, QuantumSpec, TheorySpec, enumerate_labels
-from .causaloid import key_union, normalize_key
+from .causaloid import key_to_str, key_union, normalize_key
 from .errors import BackendError, SchemaError, read_json
 from .heralding import DEFAULT_HERALD_TOL, HeraldQuery
 from .operational import Region
@@ -291,7 +291,25 @@ def _parse_label_ref(node, names: dict[str, Region], spec: TheorySpec, path: str
     return label_ref(spec, names, node[0], node[1], path)
 
 
-def _parse_heralds(raw, names, spec, path: str) -> tuple[HeraldSpec, ...]:
+def herald_query(target, given, composites: tuple[tuple, ...], path: str) -> HeraldQuery:
+    """The query of ``target`` given ``given``, checked against ``composites``.
+
+    A herald over two or more regions reads the registry entry of their
+    flat grouping, so that grouping must be listed. Scenario heralds and
+    the CLI's ``herald`` build their queries here; ``path`` is the JSON
+    path or flag an error names.
+    """
+    try:
+        query = HeraldQuery.from_labels(target, given)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
+    named = query.named_regions
+    if len(named) > 1 and named not in {normalize_key(key) for key in composites}:
+        raise SchemaError(f"the grouping {key_to_str(named)} is not listed in composites", path)
+    return query
+
+
+def _parse_heralds(raw, names, spec, composites, path: str) -> tuple[HeraldSpec, ...]:
     if not isinstance(raw, list):
         raise SchemaError("expected a list of herald queries", path)
     out = []
@@ -311,11 +329,7 @@ def _parse_heralds(raw, names, spec, path: str) -> tuple[HeraldSpec, ...]:
             _parse_label_ref(node, names, spec, f"{hp}.given[{j}]")
             for j, node in enumerate(raw_given)
         )
-        try:
-            query = HeraldQuery.from_labels(target, given)
-        except ValueError as exc:
-            raise SchemaError(str(exc), hp) from exc
-        out.append(HeraldSpec(name, query))
+        out.append(HeraldSpec(name, herald_query(target, given, composites, hp)))
     return tuple(out)
 
 
@@ -352,7 +366,7 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
             used.add(x)
         names[rname] = Region(tuple(locations))
     composites = _parse_composites(doc.get("composites", []), names, "$.composites")
-    heralds = _parse_heralds(doc.get("heralds", []), names, spec, "$.heralds")
+    heralds = _parse_heralds(doc.get("heralds", []), names, spec, composites, "$.heralds")
     tols = doc.get("tolerances", {})
     _check_keys(tols, _TOL_KEYS, "$.tolerances")
     for key, value in tols.items():

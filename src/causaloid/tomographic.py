@@ -11,6 +11,7 @@ with r-vectors.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -75,7 +76,7 @@ class OmegaSet:
     def __post_init__(self):
         if self.row_kind not in ("gamma", "omega-product"):
             raise ValueError(f"unknown row kind {self.row_kind!r}")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+        if any(map(operator.le, self.indices[1:], self.indices)):
             raise ValueError("fiducial indices must be strictly increasing")
         if self.indices and not (0 <= self.indices[0] and self.indices[-1] < self.parent_size):
             raise ValueError("fiducial indices out of parent range")
@@ -88,6 +89,14 @@ class OmegaSet:
                 raise ValueError("dims do not multiply out to the parent size")
         elif self.factors is not None or self.dims is not None:
             raise ValueError("gamma-kind sets carry no factors or dims")
+        # registry lookups hash fiducial sets on every product: compute the
+        # dataclass hash once
+        object.__setattr__(self, "_hash", hash(
+            (self.region, self.indices, self.parent_size, self.row_kind, self.factors, self.dims)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -102,7 +111,14 @@ def _row_set(omega: OmegaSet) -> OmegaSet:
     # the parent row set described by region, size, kind, factors and dims,
     # with no row listed: comparing these costs nothing per parent row, so
     # a parent size read from a file allocates nothing before it is refused
-    return replace(omega, indices=())
+    return OmegaSet(
+        omega.region, (), omega.parent_size, omega.row_kind, omega.factors, omega.dims
+    )
+
+
+def _label_row_set(gamma: GammaSet) -> OmegaSet:
+    # label_rows with no row listed, as _row_set describes it
+    return OmegaSet(gamma.region, (), gamma.size)
 
 
 def label_rows(gamma: GammaSet) -> OmegaSet:
@@ -119,7 +135,10 @@ def check_expansion(omega: OmegaSet, matrix: np.ndarray) -> None:
     shape = (omega.parent_size, omega.size)
     if matrix.shape != shape:
         raise ValueError(f"matrix shape {matrix.shape} != {shape}")
-    if not np.allclose(matrix[list(omega.indices)], np.eye(omega.size), atol=1e-9):
+    # np.allclose(sub, eye, atol=1e-9) without its overhead: eye is finite,
+    # so isclose is exactly this (NaN and +-inf fail)
+    eye = np.eye(omega.size)
+    if not (np.abs(matrix[list(omega.indices)] - eye) <= 1e-9 + 1e-5 * eye).all():
         raise ValueError("fiducial rows must form the identity")
     matrix.setflags(write=False)
 
@@ -137,7 +156,7 @@ class TomographicLambda:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if _row_set(self.omega) != _row_set(label_rows(self.gamma)):
+        if _row_set(self.omega) != _label_row_set(self.gamma):
             raise ValueError("fiducial set must index the labels of its region")
         check_expansion(self.omega, self.matrix)
 

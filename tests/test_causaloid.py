@@ -1,6 +1,7 @@
 """The registry: construction, products, basis changes, meta rules, storage."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -84,18 +85,40 @@ def test_region_order_is_the_canonical_order(scenarios):
         )
 
 
-def test_every_grouped_key_resolves_to_one_entry(scenarios):
-    # a stub is deduced once; entry and product_entry give the same object
-    stubs = 0
+def _registries(scenarios):
+    # every bundled registry, meta-compressed too, and a nested one whose
+    # inner grouping is a stub
     for name in SCENARIO_NAMES:
         built = checked_causaloid(scenarios(name))[2]
-        for c in (built, meta_compress(built, ["tensor-factorization"])):
-            stubs += len(c.deduced)
-            for key in c.keys():
-                entry = c.entry(key)
-                assert c.entry(key) is entry
-                if isinstance(key, tuple):
-                    assert c.product_entry(entry.factor_omegas) is entry
+        yield built
+        yield meta_compress(built, ["tensor-factorization"])
+    s = scenarios("classical_chain3")
+    r1, r2, r3 = s.regions
+    nested = build_causaloid(build_prob_table(s.spec, s.regions), [(r1, r2), ((r1, r2), r3)])
+    yield meta_compress(nested, ["tensor-factorization"])
+
+
+def test_every_grouped_key_resolves_to_one_entry(scenarios):
+    # a stub is deduced once; entry and product_entry give the same object,
+    # and the product lookup by factor fiducial sets finds it before it is
+    # deduced; a different fiducial set on the same regions finds nothing
+    stubs = 0
+    for c in _registries(scenarios):
+        stubs += len(c.deduced)
+        for key in c.keys():
+            if not isinstance(key, tuple):
+                assert c.entry(key) is c.entry(key)
+                continue
+            contexts = tuple(c.omega_of(child) for child in key)
+            entry = c.product_entry(contexts)
+            assert c.entry(key) is entry
+            assert c.product_entry(entry.factor_omegas) is entry
+            first = contexts[0]
+            other = (dataclasses.replace(first, indices=first.indices[:-1]),) + contexts[1:]
+            names = ", ".join(str(o.region) for o in contexts)
+            with pytest.raises(MissingEntry) as err:
+                c.product_entry(other)
+            assert str(err.value) == f"no stored entry or rule covers the grouping ({names})"
     assert stubs
 
 

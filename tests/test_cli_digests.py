@@ -18,10 +18,12 @@ import itertools
 import numpy as np
 import pytest
 
+from causaloid import cli, compositional, heralding, tomographic
 from causaloid.cli import main
 from causaloid.diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from causaloid.errors import UnknownEntry
 from causaloid.report import checked_causaloid
+from causaloid.scenario import parse_scenario
 from causaloid.tomographic import fold_to_exterior
 
 from conftest import SCENARIO_NAMES, scenario_path
@@ -231,6 +233,23 @@ def test_herald_output_bytes_are_pinned(capsys, target, given):
     argv = ["herald", "--scenario", scenario_path("polariser_chain"),
             "--target", target, "--given", given]
     assert _digest(capsys, argv) == HERALD_DIGESTS[(target, given)]
+
+
+def test_herald_witness_folds_no_table(monkeypatch, capsys):
+    # the witness is read from table slices: with the registry built
+    # beforehand and every whole-table fold refused, the ill-defined herald
+    # prints its pinned bytes
+    built = checked_causaloid(parse_scenario(scenario_path("polariser_chain")))
+    monkeypatch.setattr(cli, "checked_causaloid", lambda scenario: built)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a herald folded the whole table")
+
+    for module in (heralding, tomographic, compositional):
+        monkeypatch.setattr(module, "fold_to_exterior", refuse, raising=False)
+    argv = ["herald", "--scenario", scenario_path("polariser_chain"),
+            "--target", "R3:6", "--given", "R1:0"]
+    assert _digest(capsys, argv) == HERALD_DIGESTS[("R3:6", "R1:0")]
 
 
 # stdout of ``compress`` with every tolerance and seed flag set, per scenario

@@ -1,8 +1,11 @@
 """Conditional-probability heralding: queries, the parallelism test, witnesses."""
 from __future__ import annotations
 
+import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 
 from causaloid import (
@@ -14,13 +17,19 @@ from causaloid import (
     conditional_from_table,
     conditional_sweep,
     herald,
+    joint_prob,
+    parse_scenario_dict,
 )
+from causaloid.heralding import MIN_DENOMINATOR, _conditional_parts
+from causaloid.tomographic import fold_to_exterior
 from causaloid.errors import (
     UnknownExterior,
     UnknownProcedure,
     ZeroDenominator,
     ZeroDenominatorVector,
 )
+
+from conftest import scenario_path
 
 
 def cos2(deg):
@@ -157,3 +166,93 @@ def test_result_invariants():
         HeraldResult(well_defined=True, p=None, residual=0.0, witness=None)
     with pytest.raises(ValueError):
         HeraldResult(well_defined=False, p=0.5, residual=1.0, witness=None)
+
+
+def _folded_parts(table, query):
+    """Reference: the conditional's parts from a fold of the whole table."""
+    named = query.named_regions
+    vals, exteriors = fold_to_exterior(table, named)
+    fixed = dict(query.conditions)
+    fixed[query.target[0]] = query.target[1]
+    sel = [table.gammas[table.region_axis(r)].index_of(fixed[r]) for r in named]
+    t_axis = named.index(query.target[0])
+    t_gamma = table.gammas[table.region_axis(query.target[0])]
+    num = vals[tuple(sel)]
+    den = np.zeros_like(num)
+    for row in t_gamma.labels_for_action(query.target[1][0]):
+        sel[t_axis] = row
+        den = den + vals[tuple(sel)]
+    return num, den, exteriors
+
+
+def _chain4_tables():
+    # a 4-location polariser chain; one table holds every region in a
+    # shuffled axis order, one leaves location 2 unprobed
+    with open(scenario_path("polariser_chain"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["theory"]["chains"][0]["locations"] = [1, 2, 3, 4]
+    doc["theory"]["instruments"] = [
+        {"location": x, "family": "polariser", "angles_deg": angles}
+        for x, angles in zip((1, 2, 3, 4), ([0, 45], [30, 60], [0, 90], [45, 60]))
+    ]
+    doc["regions"] = {f"R{x}": [x] for x in (1, 2, 3, 4)}
+    doc["composites"], doc["heralds"] = [], []
+    s = parse_scenario_dict(doc)
+    r1, r2, r3, r4 = s.regions
+    return s.spec, [build_prob_table(s.spec, (r3, r1, r4, r2)), build_prob_table(s.spec, (r4, r1, r3))]
+
+
+def _chain4_queries(table):
+    # the target at every axis position, given every subset of the others
+    labels = [g.labels for g in table.gammas]
+    for t, target in enumerate(table.regions):
+        others = [i for i in range(len(table.regions)) if i != t]
+        for n in range(len(others) + 1):
+            for k, given in enumerate(itertools.combinations(others, n)):
+                yield HeraldQuery.from_labels(
+                    (target, labels[t][(t + k) % len(labels[t])]),
+                    [(table.regions[i], labels[i][(i + k + 1) % len(labels[i])]) for i in given],
+                )
+
+
+def _herald_cases(pipelines):
+    run = pipelines("polariser_chain")
+    cases = [(run.scenario.spec, run.table, h.query) for h in run.scenario.heralds]
+    spec, tables = _chain4_tables()
+    cases += [(spec, table, q) for table in tables for q in _chain4_queries(table)]
+    return cases
+
+
+def test_conditional_parts_match_the_full_table_fold(pipelines):
+    # table slices give the fold's numerator and denominator bit for bit,
+    # over the same exterior axis
+    cases = _herald_cases(pipelines)
+    assert len(cases) == 2 + 4 * 8 + 3 * 4
+    for _, table, query in cases:
+        num, den, exteriors = _conditional_parts(table, query)
+        want_num, want_den, want_exteriors = _folded_parts(table, query)
+        assert num.dtype == want_num.dtype and num.tobytes() == want_num.tobytes()
+        assert den.tobytes() == want_den.tobytes()
+        assert exteriors == want_exteriors
+
+
+def test_table_conditional_is_the_ratio_of_joint_probabilities(pipelines):
+    checked = 0
+    for spec, table, query in _herald_cases(pipelines):
+        _, den, exteriors = _conditional_parts(table, query)
+        target, (actions, _) = query.target
+        consistent = table.gammas[table.region_axis(target)].labels_for_action(actions)
+        assignment = dict(query.conditions)
+        for j in range(0, len(exteriors), max(1, len(exteriors) // 8)):
+            if den[j] <= MIN_DENOMINATOR:
+                continue
+            ext = exteriors[j]
+            want_den = 0.0
+            for row in consistent:
+                assignment[target] = table.gammas[table.region_axis(target)].labels[row]
+                want_den += joint_prob(spec, assignment, ext)
+            assignment[target] = query.target[1]
+            want = joint_prob(spec, assignment, ext) / want_den
+            assert conditional_from_table(table, query, j) == pytest.approx(want, abs=1e-9)
+            checked += 1
+    assert checked > 100

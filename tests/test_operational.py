@@ -54,6 +54,12 @@ def test_region_deduplicates_and_rejects_empty():
         Region((-1,))
 
 
+def test_equal_regions_hash_alike():
+    a, b = Region((3, 1, 2)), Region([1, 2, 2, 3, 1])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Region((1, 2)), Region((2, 1))}) == 2
+
+
 def test_procedure_sorts_and_restricts():
     p = ProcedureSpec({3: 0, 1: 2})
     assert p.assignment == ((1, 2), (3, 0))

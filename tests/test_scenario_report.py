@@ -106,6 +106,8 @@ def test_composites_nest_no_deeper_than_the_regions_allow():
     # three regions allow one nested grouping: ((R1 x R2) x R3), listed after
     # its inner grouping in either factor order
     doc = _doc("polariser_chain")
+    # its heralds need flat groupings that these composites leave out
+    doc["heralds"] = []
     doc["composites"] = [["R2", "R1"], ["R3", ["R1", "R2"]]]
     assert len(parse_scenario_dict(doc).composites) == 2
     node = ["R1", "R2"]
@@ -541,6 +543,9 @@ MALFORMED = {
         "classical_chain3",
         lambda d: d.update(composites=[[["R1", "R2"], "R3"], ["R1", "R2"]]), ["compress"],
         "error: $.composites[0][0]: an inner grouping must be listed before the grouping"),
+    "herald-grouping-not-listed": (
+        "polariser_chain", lambda d: d.update(composites=[["R1", "R2"]]), ["compress"],
+        "error: $.heralds[0]: the grouping ({1} x {2} x {3}) is not listed in composites"),
 }
 
 
@@ -551,6 +556,35 @@ def test_cli_rejects_malformed_scenarios(tmp_path, capsys, case):
     assert main([argv[0], "--scenario", path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(err)
+    assert captured.out == ""
+
+
+def _nest_r1_r2(doc):
+    # every herald needs a flat grouping; ((R1 x R2) x R3) is not one
+    doc["composites"] = [["R1", "R2"], [["R1", "R2"], "R3"], ["R2", "R3"]]
+
+
+@pytest.mark.parametrize(
+    "edit, argv, err",
+    [
+        (_nest_r1_r2, ["compress"],
+         "error: $.heralds[0]: the grouping ({1} x {2} x {3}) is not listed in composites"),
+        (lambda d: d.update(heralds=[], composites=[["R1", "R2"], ["R1", "R2", "R3"]]),
+         ["herald", "--target", "R3:6", "--given", "R1:0"],
+         "error: --given: the grouping ({1} x {3}) is not listed in composites"),
+    ],
+)
+def test_a_herald_needs_its_grouping_before_any_table(
+    tmp_path, capsys, monkeypatch, edit, argv, err
+):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("causaloid.report.build_prob_table", refuse)
+    path = _with_edit(tmp_path, "polariser_chain", edit)
+    assert main([argv[0], "--scenario", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n"
     assert captured.out == ""
 
 

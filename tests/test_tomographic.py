@@ -331,3 +331,57 @@ def test_fold_column_layout(scenarios):
             assert vals[0, j * n_ext + e] == pytest.approx(
                 float(table.values[0, j, e]), abs=0
             )
+
+
+def _edge_matrices():
+    # (fiducial indices, matrix): each matrix's fiducial rows are the 2 x 2
+    # identity with one entry moved to an edge value
+    tol_off = 1e-9
+    tol_diag = 1e-9 + 1e-5
+    edges = [
+        (0, 1, math.nan), (0, 0, math.nan), (1, 0, math.inf), (1, 1, -math.inf),
+        (0, 1, -0.0), (0, 0, -0.0),
+        (0, 1, tol_off), (0, 1, np.nextafter(tol_off, 1.0)),
+        (1, 0, -tol_off), (1, 0, np.nextafter(-tol_off, -1.0)),
+        (0, 0, 1 + tol_diag), (0, 0, np.nextafter(1 + tol_diag, 2.0)),
+        (1, 1, np.nextafter(1 - tol_diag, 1.0)), (1, 1, 1 - tol_diag),
+        (1, 1, np.nextafter(1 - tol_diag, 0.0)),
+    ]
+    for i, j, value in edges:
+        m = np.vstack([np.eye(2), [[0.5, 0.5]]])
+        m[i, j] = value
+        yield (0, 1), m
+        # the same rows at non-leading fiducial indices
+        yield (1, 2), m[[2, 0, 1]]
+    yield (), np.empty((3, 0))
+
+
+def test_expansion_check_agrees_with_allclose():
+    # the check accepts exactly what np.allclose(sub, eye, atol=1e-9) does
+    verdicts = set()
+    for indices, m in _edge_matrices():
+        omega = OmegaSet(Region((1,)), indices, 3)
+        want = bool(np.allclose(m[list(indices)], np.eye(len(indices)), atol=1e-9))
+        try:
+            causaloid.tomographic.check_expansion(omega, m.copy())
+            got = True
+        except ValueError as exc:
+            assert str(exc) == "fiducial rows must form the identity"
+            got = False
+        assert got == want, (indices, m)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_omega_sets_order_and_hash_as_built():
+    # a set built by replace hashes as a freshly built one; fiducial
+    # indices must increase strictly
+    for o in (_A, _B, _AB):
+        for indices in ((), (0,), tuple(range(o.parent_size))):
+            moved = replace(o, indices=indices)
+            fresh = OmegaSet(o.region, indices, o.parent_size, o.row_kind, o.factors, o.dims)
+            assert moved == fresh and hash(moved) == hash(fresh)
+    assert len({_A, replace(_A, indices=(0, 1)), _A.every_row()}) == 2
+    for bad in ((1, 1), (0, 2, 1), (2, 0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            OmegaSet(Region((1,)), bad, 3)
