@@ -219,7 +219,9 @@ class TheorySpec:
         # one reduceat sums every action's outcome maps (in outcome order)
         starts = fam.offsets[:-1]
         totals = np.add.reduceat(stack, starts, axis=0)
-        leaks = ~np.isclose(t @ totals, t, atol=1e-10).all(axis=1)
+        # np.isclose(t @ totals, t, atol=1e-10) for a finite t; NaN and inf
+        # still leak
+        leaks = ~(np.abs(t @ totals - t) <= 1e-10 + 1e-5 * np.abs(t)).all(axis=1)
         if self.kind == "classical":
             negative = np.minimum.reduceat(stack.min(axis=(1, 2)), starts) < -1e-12
         else:

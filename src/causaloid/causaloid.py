@@ -8,6 +8,7 @@ downstream (products, joint evaluation, heralding) reads from here.
 from __future__ import annotations
 
 import base64
+import functools
 import itertools
 import json
 from collections.abc import Callable, Sequence
@@ -437,14 +438,84 @@ def expand(causaloid: Causaloid) -> Causaloid:
 # serialization
 # ---------------------------------------------------------------------------
 
+# what comes before an entry's opening quote: nothing, a comma, or the
+# end of the previous row and the start of this one
+_HEX_SEPARATORS = (b"", b",", b"],[")
+
+
+def _word(text: bytes) -> int:
+    # up to 8 bytes as one little-endian word, NUL-padded
+    return int.from_bytes(text, "little")
+
+
+@functools.cache
+def _hex_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the words an entry's record is built from, made on first use rather
+    # than at import: its lead (separator, quote, sign, "0") indexed by
+    # 2 * separator + sign bit, "x0." or "x1." by whether the exponent
+    # field is nonzero, and its tail ("p-1022" for field 0, then the
+    # closing quote) by the exponent field
+    leads = np.array(
+        [_word(sep + b'"' + sign + b"0") for sep in _HEX_SEPARATORS for sign in (b"", b"-")],
+        dtype="<u8",
+    )
+    points = np.array([_word(b"x0."), _word(b"x1.")], dtype="<u8")
+    tails = np.array(
+        [_word(b'p-1022"')] + [_word(b'p%+d"' % (e - 1023)) for e in range(1, 2048)],
+        dtype="<u8",
+    )
+    return leads, points, tails
+
+
+def matrix_hex_text(matrix: np.ndarray) -> bytes:
+    """The compact JSON text of ``matrix_hex`` rows, ASCII encoded.
+
+    This is ``json.dumps(matrix_hex(matrix), separators=(",", ":"))``, the
+    text a report's ``lambda_sha256`` digests, except that a matrix with
+    no columns writes ``[""]`` per row. It is built from the float64 bits
+    without a Python string per entry: each entry is one record of four
+    NUL-padded words (lead, the 16 hex digits of the mantissa field with
+    "x0." or "x1." over their 3 leading zeros, tail), and the NULs are
+    dropped at the end.
+    """
+    values = np.ascontiguousarray(matrix, dtype="<f8")
+    m, w = values.shape
+    if values.size == 0:
+        return b"[" + b",".join([b'[""]'] * m) + b"]"
+    bits = values.reshape(-1).view("<u8")
+    sign = bits >> np.uint64(63)
+    field = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    leads, points, tails = _hex_words()
+    words = np.empty((bits.size, 4), dtype="<u8")
+    words[:, 0] = leads[2 + sign]
+    words[::w, 0] = leads[4 + sign[::w]]
+    words[0, 0] = leads[sign[0]]
+    digits = (bits & np.uint64((1 << 52) - 1)).astype(">u8").tobytes().hex()
+    words[:, 1:3] = np.frombuffer(digits.encode("ascii"), dtype="<u8").reshape(-1, 2)
+    words[:, 1] &= np.uint64(0xFFFF_FFFF_FF00_0000)
+    words[:, 1] |= points[(field != 0).view(np.uint8)]
+    words[:, 3] = tails[field]
+    # float.hex writes a zero as 0x0.0p+0
+    words[(bits << np.uint64(1)) == 0, 1:] = (_word(b"x0.0"), 0, _word(b'p+0"'))
+    # inf and nan take float.hex's own text
+    for i in np.flatnonzero(field == 0x7FF):
+        sep = _HEX_SEPARATORS[0 if i == 0 else 2 if i % w == 0 else 1]
+        text = sep + b'"' + float(values.flat[i]).hex().encode("ascii")
+        words[i] = (_word(text), 0, 0, _word(b'"'))
+    return b"[[" + words.tobytes().translate(None, b"\0") + b"]]"
+
+
 def matrix_hex(matrix: np.ndarray) -> list[list[str]]:
     """Exact float hex strings, row by row.
 
-    Each string is ``float.hex`` of the entry as a Python float; the
-    report digests the compact JSON text of these rows.
+    Each string is ``float.hex`` of the entry as a Python float, read back
+    from ``matrix_hex_text``.
     """
-    rows = np.asarray(matrix, dtype=float).tolist()
-    return [list(map(float.hex, row)) for row in rows]
+    m, w = np.shape(matrix)
+    if m == 0 or w == 0:
+        return [[] for _ in range(m)]
+    text = matrix_hex_text(matrix).decode("ascii")
+    return [row.split('","') for row in text[3:-3].split('"],["')]
 
 
 def _matrix_to_b64(matrix: np.ndarray) -> str:

@@ -21,7 +21,7 @@ from .backends import (
     conditioning_span,
     validate_table_spans,
 )
-from .causaloid import Causaloid, build_causaloid, json_text, matrix_hex
+from .causaloid import Causaloid, build_causaloid, json_text, matrix_hex, matrix_hex_text
 from .compositional import adjacency_graph
 from .errors import write_text
 from .heralding import HeraldResult, herald
@@ -51,21 +51,20 @@ class CompressionReport:
     heralds: tuple[tuple[str, HeraldResult], ...]
 
 
-def _matrix_digest(rows: list[list[str]]) -> str:
+def _matrix_digest(matrix) -> str:
     """sha256 of the compact JSON text of ``matrix_hex`` rows.
 
-    The text is what ``json.dumps(rows, separators=(",", ":"))`` writes;
-    hex float strings need no escaping, so it is joined directly.
+    The text is what ``json.dumps(matrix_hex(matrix), separators=(",", ":"))``
+    writes (``[""]`` per row for a matrix with no columns), built by
+    ``matrix_hex_text`` from the float64 bits.
     """
-    text = "[" + ",".join('["' + '","'.join(row) + '"]' for row in rows) + "]"
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return hashlib.sha256(matrix_hex_text(matrix)).hexdigest()
 
 
 def _lambda_fields(matrix, full_matrices: bool) -> dict:
-    rows = matrix_hex(matrix)
-    fields = {"lambda_shape": list(matrix.shape), "lambda_sha256": _matrix_digest(rows)}
+    fields = {"lambda_shape": list(matrix.shape), "lambda_sha256": _matrix_digest(matrix)}
     if full_matrices:
-        fields["lambda_hex"] = rows
+        fields["lambda_hex"] = matrix_hex(matrix)
     return fields
 
 

@@ -9,6 +9,7 @@ consume.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -139,17 +140,26 @@ class ExteriorAxis:
         return math.prod(self.radices)
 
     def __getitem__(self, index: int) -> ExteriorConfiguration:
-        n = len(self)
+        radices = self.radices
+        n = math.prod(radices)
         j = operator.index(index)
         if j < 0:
             j += n
         if not 0 <= j < n:
             raise IndexError(f"exterior index {index} out of range")
         digits = []
-        for radix in reversed(self.radices):
+        for radix in reversed(radices):
             j, d = divmod(j, radix)
             digits.append(d)
-        it = reversed(digits)
+        return self._decode(reversed(digits))
+
+    def __iter__(self):
+        # every digit tuple in index order: the last digit runs fastest
+        return map(self._decode, itertools.product(*map(range, self.radices)))
+
+    def _decode(self, digits) -> ExteriorConfiguration:
+        """The configuration of one index's digits, slowest first."""
+        it = iter(digits)
         cards = []
         for g in self.folded:
             actions, outcomes = g.labels[next(it)]
@@ -159,9 +169,6 @@ class ExteriorAxis:
         effs = tuple(next(it) for _ in self.effects)
         complete = all(flags[e] for flags, e in zip(self.effects, effs))
         return ExteriorConfiguration(preps, effs, tuple(sorted(cards)), complete)
-
-    def __iter__(self):
-        return (self[j] for j in range(len(self)))
 
     def fold(self, gammas: Sequence[GammaSet]) -> "ExteriorAxis":
         """The axis with ``gammas``' labels as new slowest digits."""
@@ -279,15 +286,20 @@ def greedy_independent_rows(values: np.ndarray, tol: float) -> tuple[int, ...]:
     # its first len(chosen) rows
     buf = np.empty((min(m, w), w))
     basis = buf[:0]
+    basis_t = basis.T
+    # ndarray.dot makes the same BLAS calls as @ without the matmul ufunc's
+    # dispatch; a residual at or below tol fails the bound, which is at
+    # least tol, so |row| is only computed for the rows that may pass
     for i in range(m):
         if len(chosen) == w:
             break
         v = rows[i]
-        r = v - basis.T @ (basis @ v)
-        r -= basis.T @ (basis @ r)
-        norm = math.sqrt(r @ r)
-        if norm > tol * max(1.0, math.sqrt(v @ v)):
+        r = v - basis_t.dot(basis.dot(v))
+        r -= basis_t.dot(basis.dot(r))
+        norm = math.sqrt(r.dot(r))
+        if norm > tol and norm > tol * max(1.0, math.sqrt(v.dot(v))):
             buf[len(chosen)] = r / norm
             chosen.append(i)
             basis = buf[:len(chosen)]
+            basis_t = basis.T
     return tuple(chosen)

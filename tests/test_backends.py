@@ -648,6 +648,20 @@ def test_exterior_axis_decodes_like_nested_loops(scenarios, name):
     _check_exterior_axes(s.spec, s.regions)
 
 
+def test_exterior_axis_iterates_like_its_indexing(scenarios):
+    # a folded axis with conditioning: R2's labels folded, location 3 unprobed
+    s = scenarios("polariser_chain")
+    table = build_prob_table(s.spec, s.regions[:2])
+    axis = fold_to_exterior(table, s.regions[:1])[1]
+    assert axis.folded and axis.conditioning
+    n = len(axis)
+    assert list(axis) == [axis[j] for j in range(n)]
+    assert [axis[j - n] for j in range(n)] == list(axis)
+    for j in (n, -n - 1):
+        with pytest.raises(IndexError):
+            axis[j]
+
+
 def _random_instrument(rng, dim, n_outcomes, kraus_per_outcome=2):
     """Kraus operators, per outcome, cut from one random isometry."""
     m = n_outcomes * kraus_per_outcome

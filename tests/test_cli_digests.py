@@ -18,7 +18,8 @@ import itertools
 import numpy as np
 import pytest
 
-from causaloid import cli, compositional, heralding, tomographic
+import causaloid.causaloid
+from causaloid import cli, compositional, heralding, report, tomographic
 from causaloid.cli import main
 from causaloid.diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from causaloid.errors import UnknownEntry
@@ -250,6 +251,19 @@ def test_herald_witness_folds_no_table(monkeypatch, capsys):
     argv = ["herald", "--scenario", scenario_path("polariser_chain"),
             "--target", "R3:6", "--given", "R1:0"]
     assert _digest(capsys, argv) == HERALD_DIGESTS[("R3:6", "R1:0")]
+
+
+def test_default_report_builds_no_hex_strings(monkeypatch, capsys):
+    # without --full-matrices each Λ is digested from its float64 bits, so
+    # with matrix_hex refused every bundled report keeps its pinned bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default report built per-entry hex strings")
+
+    for module in (causaloid.causaloid, report):
+        monkeypatch.setattr(module, "matrix_hex", refuse)
+    for name in sorted(DIGESTS):
+        argv = ["compress", "--scenario", scenario_path(name)]
+        assert _digest(capsys, argv) == DIGESTS[name]["compress"]
 
 
 # stdout of ``compress`` with every tolerance and seed flag set, per scenario

@@ -200,6 +200,7 @@ def test_full_matrices_round_trip_digest(scenarios):
 _EDGE_FLOATS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
     1.7976931348623157e308, -1.7976931348623157e308, 1e300, 1 / 3,
+    math.inf, -math.inf, math.nan,
 ])
 _SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7)
 
@@ -218,11 +219,33 @@ def test_matrix_digest_matches_the_json_definition(matrix, transpose):
     rows = [[float(x).hex() for x in row] for row in matrix]
     blob = json.dumps(rows, separators=(",", ":")).encode("ascii")
     assert matrix_hex(matrix) == rows
-    assert _matrix_digest(matrix_hex(matrix)) == hashlib.sha256(blob).hexdigest()
+    assert _matrix_digest(matrix) == hashlib.sha256(blob).hexdigest()
     back = np.array([[float.fromhex(x) for x in row] for row in matrix_hex(matrix)])
     want = np.ascontiguousarray(matrix, dtype=float)
     assert back.shape == want.shape
     assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+
+
+def test_matrix_hex_matches_float_hex_at_every_exponent():
+    # every (sign, exponent field) pair as float64 bits, each with a zero
+    # and two seeded random mantissas: subnormals, +-0, inf and nan included
+    rng = np.random.default_rng(25)
+    top = np.arange(4096, dtype=np.uint64) << np.uint64(52)
+    mantissas = rng.integers(1, 1 << 52, size=(4096, 2), dtype=np.uint64)
+    matrix = np.column_stack([top, top | mantissas[:, 0], top | mantissas[:, 1]]).view(np.float64)
+    for m in (matrix, matrix.T):
+        rows = [[float(x).hex() for x in row] for row in m]
+        blob = json.dumps(rows, separators=(",", ":")).encode("ascii")
+        assert matrix_hex(m) == rows
+        assert _matrix_digest(m) == hashlib.sha256(blob).hexdigest()
+
+
+def test_matrix_digest_of_no_columns_is_pinned():
+    # a Λ with no columns digests '[""]' per row, as it always has
+    assert matrix_hex(np.zeros((3, 0))) == [[], [], []]
+    assert _matrix_digest(np.zeros((3, 0))) == (
+        "8f447bb86b7f17e654d568668127830260bb1c999145f899a24b5de9e58c8c80"
+    )
 
 
 def test_tolerance_overrides(scenarios):

@@ -129,13 +129,16 @@ def _reference_greedy(values, tol):
 
 @st.composite
 def _planted_rank_matrices(draw):
-    """Rows drawn from a planted low-rank span, with exact duplicates,
-    scaled copies and rows that tie an earlier row's residual."""
+    """Rows drawn from a planted low-rank span, each scaled by 10**k for k
+    in -3..3 (so rows below and above unit norm both occur), with exact
+    duplicates, scaled copies and rows that tie an earlier row's residual."""
     n_cols, rank = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rank = min(rank, n_cols)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.normal(size=(rank, n_cols))
-    rows = list(rng.normal(size=(draw(st.integers(1, 10)), rank)) @ base)
+    n_rows = draw(st.integers(1, 10))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows)))
+    rows = list(scales[:, None] * (rng.normal(size=(n_rows, rank)) @ base))
     for kind in draw(st.lists(st.sampled_from(["duplicate", "scaled", "tie"]), max_size=8)):
         j = draw(st.integers(0, len(rows) - 1))
         if kind == "duplicate":
