@@ -595,8 +595,6 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     n_entries = len(exteriors) * math.prod(_label_count(spec, r) for r in regions)
     if n_entries > TABLE_CAP:
         raise TableTooLarge(f"table would hold {n_entries} entries, above the cap of {TABLE_CAP}")
-    if not exteriors:
-        raise UnknownExterior("the scenario declares no exterior configurations")
     orders = [_label_order(spec, r) for r in regions]
     gammas = tuple(gamma for gamma, _ in orders)
 
@@ -663,16 +661,18 @@ def _span_factor(vectors: np.ndarray) -> np.ndarray:
 
 def _cut_slots(
     spec: TheorySpec, ci: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Input and output slots of chain ``ci`` at each of its cuts.
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Label stacks of chain ``ci`` and its input and output slots at each
+    of its cuts.
 
-    Cut ``c`` lies just before the chain's c-th location (cut ``n`` after
-    the last). ``inputs[c]`` factors the states that reach it: the
-    declared and extra preparations pushed through every label at each
-    earlier location. ``outputs[c]`` factors the covectors that read it
-    out: the declared and extra effects pulled back through every later
-    location. Each is a ``_span_factor`` of the whole set, rows in the
-    chain's vector space.
+    ``stacks[p]`` holds the transfer maps of the chain's p-th location
+    (``InstrumentFamily.stacked``). Cut ``c`` lies just before that
+    location (cut ``n`` after the last). ``inputs[c]`` factors the states
+    that reach it: the declared and extra preparations pushed through
+    every label at each earlier location. ``outputs[c]`` factors the
+    covectors that read it out: the declared and extra effects pulled back
+    through every later location. Each is a ``_span_factor`` of the whole
+    set, rows in the chain's vector space.
     """
     chain = spec.chains[ci]
     d = spec.vec_dim(chain)
@@ -685,7 +685,7 @@ def _cut_slots(
     outputs = [_span_factor(np.concatenate([spec.effects[ci], extra_effs]))]
     for stack in reversed(stacks):
         outputs.append(_span_factor((outputs[-1] @ stack).reshape(-1, d)))
-    return inputs, outputs[::-1]
+    return stacks, inputs, outputs[::-1]
 
 
 def _gap_slot(stacks: Sequence[np.ndarray], d: int) -> np.ndarray:
@@ -698,23 +698,17 @@ def _gap_slot(stacks: Sequence[np.ndarray], d: int) -> np.ndarray:
     return factor
 
 
-def _cut_rows(
-    spec: TheorySpec,
-    ci: int,
-    positions: Sequence[int],
-    slots: tuple[list[np.ndarray], list[np.ndarray]],
-) -> np.ndarray:
+def _cut_rows(positions: Sequence[int], slots: tuple[list[np.ndarray], ...]) -> np.ndarray:
     """One chain's factor of a region's rows at its cuts.
 
-    ``positions`` are the region's locations on the chain, as indices
-    into its wire order. Each label (one card per location, row-major in
-    wire order) gives one row: its transfer maps contracted with the input
-    slot, each gap slot and the output slot.
+    ``slots`` is the chain's ``_cut_slots``. ``positions`` are the
+    region's locations on the chain, as indices into its wire order. Each
+    label (one card per location, row-major in wire order) gives one row:
+    its transfer maps contracted with the input slot, each gap slot and
+    the output slot.
     """
-    chain = spec.chains[ci]
-    d = spec.vec_dim(chain)
-    stacks = [spec.family(x).stacked for x in chain.locations]
-    inputs, outputs = slots
+    stacks, inputs, outputs = slots
+    d = inputs[0].shape[1]
     x = inputs[positions[0]][None]  # (rows, columns, d) states
     for j, p in enumerate(positions):
         if j:
@@ -724,30 +718,31 @@ def _cut_rows(
     return np.einsum("gi,rci->rcg", outputs[positions[-1] + 1], x).reshape(len(x), -1)
 
 
-def _extended_rows(spec: TheorySpec, region: Region, slots: dict) -> np.ndarray:
+def _extended_rows(
+    spec: TheorySpec, region: Region, slots: Sequence[tuple[list[np.ndarray], ...]]
+) -> np.ndarray:
     """A region's rows of the extended-exterior table, up to an isometry
     of its columns: the same Gram matrix, in label-set order.
 
-    The table's entries multiply over chains. Each chain the region
-    touches contributes its ``_cut_rows``, and the rows are their
-    Kronecker product; every other chain is one column vector shared by
-    all rows and contributes only its norm.
+    ``slots`` holds every chain's ``_cut_slots``, in chain order. The
+    table's entries multiply over chains. Each chain the region touches
+    contributes its ``_cut_rows``, and the rows are their Kronecker
+    product; every other chain is one column vector shared by all rows
+    and contributes only its norm.
     """
     rows = np.ones((1, 1))
     wire: list[int] = []
-    for ci, chain in enumerate(spec.chains):
-        if ci not in slots:
-            slots[ci] = _cut_slots(spec, ci)
+    for chain, slot in zip(spec.chains, slots, strict=True):
         positions = [p for p, x in enumerate(chain.locations) if x in region]
         if positions:
-            rows = np.kron(rows, _cut_rows(spec, ci, positions, slots[ci]))
+            rows = np.kron(rows, _cut_rows(positions, slot))
             wire += [chain.locations[p] for p in positions]
         else:
-            inputs, outputs = slots[ci]
+            _, inputs, outputs = slot
             rows = rows * np.linalg.norm(inputs[-1] @ outputs[-1].T)
     # row-major in wire order -> row-major in sorted location order -> label set
     order = sorted(range(len(wire)), key=wire.__getitem__)
-    sizes = [len(spec.family(x).labels()) for x in wire]
+    sizes = [spec.family(x).offsets[-1] for x in wire]
     rows = rows.reshape(sizes + [-1]).transpose(order + [len(order)])
     return rows.reshape(math.prod(sizes), -1)[_label_order(spec, region)[1]]
 
@@ -783,7 +778,7 @@ def validate_table_spans(
         _, extra_preps, extra_effs = _spanning_vectors(spec.kind, chain.size)
         widen *= (len(preps) + len(extra_preps)) * (len(effs) + len(extra_effs))
         declared *= len(preps) * len(effs)
-    slots: dict = {}
+    slots = [_cut_slots(spec, ci) for ci in range(len(spec.chains))]
     out = []
     for axis, (region, rank) in enumerate(zip(table.regions, ranks, strict=True)):
         rows = _extended_rows(spec, region, slots)
@@ -824,6 +819,6 @@ def conditioning_span(spec: TheorySpec, location: int) -> tuple[int, int]:
     """
     fam = spec.family(location)
     d = spec.vec_dim(spec.chain_of(location))
-    rows = fam.stacked.reshape(len(fam.labels()), -1)
+    rows = fam.stacked.reshape(fam.offsets[-1], -1)
     dim = len(greedy_independent_rows(rows, DEFAULT_RANK_TOL))
     return dim, d * d

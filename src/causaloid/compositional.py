@@ -192,12 +192,6 @@ class AdjacencyGraph:
                 )
         return tuple(out)
 
-    def adjacent(self, first: Region, second: Region) -> bool:
-        for p in self.pairs:
-            if {p.first, p.second} == {first, second}:
-                return p.adjacent
-        raise ContextMismatch(f"no pair run covers {first} and {second}")
-
 
 def adjacency_graph(
     causaloid: Causaloid, table: ProbTable, tol: float = DEFAULT_RANK_TOL

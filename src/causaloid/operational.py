@@ -109,10 +109,6 @@ class ProcedureSpec:
                 raise ValueError("locations and actions must be non-negative")
         object.__setattr__(self, "assignment", pairs)
 
-    @property
-    def locations(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.assignment)
-
     def action_at(self, location: int) -> int:
         for x, a in self.assignment:
             if x == location:
@@ -143,12 +139,6 @@ class Stack:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def card_at(self, location: int) -> Card:
-        for c in self.cards:
-            if c.location == location:
-                return c
-        raise UnknownRegion(f"stack has no card at location {location}")
 
     def sorted_cards(self) -> tuple[Card, ...]:
         return tuple(sorted(self.cards))

@@ -34,12 +34,15 @@ from causaloid import (
     polariser_family,
     probe_reprepare_family,
     probe_reset_family,
+    run_pipeline,
     unitary_family,
     validate_exterior_span,
     validate_table_spans,
 )
+from causaloid import backends
 from causaloid import operators as ops
 from causaloid.backends import (
+    _cut_slots,
     _extended_rows,
     _label_order,
     _spanning_vectors,
@@ -905,7 +908,7 @@ def _table_extended_spans(wide, tol):
 def assert_cut_spans_match_the_table(spec, regions, tols):
     table = build_prob_table(spec, regions)
     wide = _extended_table(spec, regions)
-    slots = {}
+    slots = [_cut_slots(spec, ci) for ci in range(len(spec.chains))]
     for axis, region in enumerate(regions):
         # the cut rows are the table's rows up to an isometry of the columns
         gram = _table_rows(wide, axis) @ _table_rows(wide, axis).T
@@ -943,6 +946,24 @@ def test_cut_spans_follow_the_wire_order():
     )
     for regions in ([Region((2, 3))], [Region((1,)), Region((2, 3))], [Region((3,))]):
         assert_cut_spans_match_the_table(spec, regions, TOL_GRID)
+
+
+@pytest.mark.parametrize("name,n_chains,n_regions", [("spacelike_bits", 2, 2), ("polariser_chain", 1, 3)])
+def test_span_check_builds_each_chains_slots_once(scenarios, monkeypatch, name, n_chains, n_regions):
+    # every region reads every chain's slots (an untouched chain through its
+    # norm), so a pipeline run builds them once per chain, not per region
+    calls = []
+    build = backends._cut_slots
+
+    def counted(spec, ci):
+        calls.append(ci)
+        return build(spec, ci)
+
+    monkeypatch.setattr(backends, "_cut_slots", counted)
+    s = scenarios(name)
+    assert (len(s.spec.chains), len(s.regions)) == (n_chains, n_regions)
+    run_pipeline(s)
+    assert calls == list(range(n_chains))
 
 
 def test_conditioning_restrictions_are_rejected():

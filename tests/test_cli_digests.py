@@ -12,8 +12,16 @@ rendered scenes; a change that is meant to keep behaviour must keep them.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
+import io
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -568,3 +576,82 @@ def test_every_pinned_scene_contracts_to_its_table_entry(scenarios, name):
                     rows = [np.eye(entry.gamma.size)[label]]
             tensors.update((f"r[{r}]", row) for r, row in zip(regions, rows))
             assert abs(_contract(scene, tensors) - want) <= 1e-13, (expr, labels, column)
+
+
+# report fields that carry a float's last bits, which may differ between
+# OpenBLAS kernels: every Λ digest and the herald floats (herald p and
+# residual, a witness's p and spread)
+KERNEL_FLOAT_FIELDS = frozenset({"lambda_sha256", "residual", "p", "spread"})
+
+# 0.5 is left out: two rows of adjacent_gates lie on that threshold to the
+# last bit, so a kernel may decide them either way
+KERNEL_TOLERANCES = ("1e-9", "1e-3")
+
+# runs _kernel_decisions in a child process, with the tests and the package
+# importable from the paths given after it
+KERNEL_CHILD = (
+    "import json, sys; sys.path[:0] = sys.argv[1:]; "
+    "import test_cli_digests; print(json.dumps(test_cli_digests._kernel_decisions()))"
+)
+
+
+def _openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs in this process, or None if
+    the library or its core-name symbol is not found."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def _without_kernel_floats(value):
+    if isinstance(value, dict):
+        return {k: _without_kernel_floats(v) for k, v in value.items() if k not in KERNEL_FLOAT_FIELDS}
+    if isinstance(value, list):
+        return [_without_kernel_floats(v) for v in value]
+    return value
+
+
+def _kernel_decisions() -> dict:
+    """This process's OpenBLAS kernel, and per bundled scenario and rank
+    tolerance the exit code and report of ``compress``, kernel floats
+    dropped."""
+    runs = {}
+    for name in SCENARIO_NAMES:
+        for tol in KERNEL_TOLERANCES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["compress", "--scenario", scenario_path(name), "--tol-rank", tol])
+            text = out.getvalue()
+            runs[f"{name} {tol}"] = [code, _without_kernel_floats(json.loads(text)) if text else None]
+    return {"core": _openblas_core(), "runs": runs}
+
+
+def test_decisions_do_not_depend_on_the_blas_kernel():
+    # fiducial sets, ranks, adjacency, herald verdicts and exit codes agree
+    # on a second OpenBLAS kernel, chosen for the child process only
+    core = _openblas_core()
+    if core is None:
+        pytest.skip("numpy's bundled OpenBLAS or its core-name symbol was not found")
+    tests = pathlib.Path(__file__).resolve().parent
+    package = pathlib.Path(causaloid.__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, "-c", KERNEL_CHILD, str(tests), str(package)],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if child.returncode:
+        pytest.skip(f"the child on OPENBLAS_CORETYPE=Haswell failed: {child.stderr[-500:]}")
+    theirs = json.loads(child.stdout)
+    if theirs["core"] == core:
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell leaves the kernel at {core}")
+    ours = _kernel_decisions()
+    for run, result in ours["runs"].items():
+        assert theirs["runs"][run] == result, f"{run}: {theirs['core']} against {core}"

@@ -71,7 +71,6 @@ def test_procedure_sorts_and_restricts():
 def test_stack_consistency():
     tag = ProcedureSpec({1: 0, 2: 1})
     s = Stack([Card(1, 0, 1), Card(2, 1, 0)], tag)
-    assert s.card_at(1) == Card(1, 0, 1)
     assert s.sorted_cards() == (Card(1, 0, 1), Card(2, 1, 0))
     with pytest.raises(ValueError):
         Stack([Card(1, 0, 0), Card(1, 0, 1)], tag)  # two cards at one location
@@ -316,7 +315,7 @@ def test_sampled_outcome_tuples_track_joint_prob():
     stacks = sample_stacks(spec, proc, runs, seed=17)
     counts: dict[tuple[int, ...], int] = {}
     for stack in stacks:
-        key = tuple(stack.card_at(x).outcome for x in (1, 2, 3))
+        key = tuple(c.outcome for c in stack.sorted_cards())
         counts[key] = counts.get(key, 0) + 1
     # the sampler starts from the first preparation and marginalizes the end
     oracle = dataclasses.replace(

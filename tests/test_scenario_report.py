@@ -806,12 +806,16 @@ def test_tiny_rank_tolerance_keeps_fiducial_sets_independent(capsys, name):
 def test_noise_rows_in_a_fiducial_set_fail_the_span_check(capsys, command):
     # at 1e-16 the greedy scan keeps 8 rows of polariser_chain's R1, whose
     # extended exterior set has rank 5: more columns cannot lower a rank,
-    # so the extra rows are rounding noise and the run must not pass
+    # so the extra rows are rounding noise and the run must not pass. The
+    # extended rank is itself read below rounding noise, so it depends on
+    # the BLAS kernel (5 on one, 6 on another); only its bound is checked
     argv = [command, "--scenario", _scn("polariser_chain"), "--tol-rank", "1e-16"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "fiducial rank 8 exceeds the extended rank 5" in captured.err
+    found = re.search(r"fiducial rank 8 exceeds the extended rank (\d+);", captured.err)
+    assert found, captured.err
+    assert int(found.group(1)) < 8
 
 
 def test_pipeline_decodes_only_witness_exteriors(scenarios, monkeypatch):

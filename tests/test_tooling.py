@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import __future__
 import ast
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -16,16 +17,29 @@ import types
 import causaloid
 import causaloid.cli
 from causaloid import (
+    Card,
     Chain,
     ProcedureSpec,
     QuantumSpec,
+    dump_stacks,
+    estimate_prob,
+    expand,
     ic_effects,
     ic_preparations,
+    joint_prob,
+    load_causaloid,
+    load_stacks,
+    meta_compress,
+    parse_scenario,
     polariser_family,
     sample_stacks,
+    save_causaloid,
 )
 from causaloid.backends import TheorySpec
 from causaloid.cli import main
+from causaloid.report import checked_causaloid
+
+from conftest import SCENARIO_NAMES, scenario_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
@@ -303,3 +317,84 @@ def test_every_definition_in_src_is_used():
             used |= _referenced_names(path)
     assert len(defined) > 200 and len(constants) > 30
     assert sorted(d for d in defined | constants if d[1] not in used) == []
+
+
+# members only bench/ reaches: the name scan above counts bench/ as a
+# caller, the drive below does not run it
+BENCH_ONLY_MEMBERS = {
+    "tables.ProbTable.n_entries",  # bench/tracer.py
+}
+
+
+def _wrap_class_members(monkeypatch) -> tuple[set[str], set[str]]:
+    """Wrap every method, property and cached_property defined on a class
+    of ``causaloid``, dunders excepted, to record each call; return the
+    members and the set the wrappers fill."""
+    members, reached = set(), set()
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for path in sorted((ROOT / "src" / "causaloid").glob("*.py")):
+        module = importlib.import_module(f"causaloid.{path.stem}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            for attr, value in list(vars(cls).items()):
+                if attr.startswith("__") and attr.endswith("__"):
+                    continue
+                name = f"{path.stem}.{cls.__qualname__}.{attr}"
+                if isinstance(value, types.FunctionType):
+                    wrapped = recording(name, value)
+                elif isinstance(value, (staticmethod, classmethod)):
+                    wrapped = type(value)(recording(name, value.__func__))
+                elif isinstance(value, property):
+                    wrapped = property(recording(name, value.fget), value.fset, value.fdel)
+                elif isinstance(value, functools.cached_property):
+                    wrapped = functools.cached_property(recording(name, value.func))
+                    wrapped.__set_name__(cls, attr)
+                else:
+                    continue
+                members.add(name)
+                monkeypatch.setattr(cls, attr, wrapped)
+    return members, reached
+
+
+def test_every_class_member_is_reached_by_the_program(tmp_path, monkeypatch, capsys):
+    # the name scan above counts a same-named attribute of another class as
+    # a use, and tests as callers; here only the command line, the registry
+    # round trip, the oracle and the sampler count, run as a user runs them
+    members, reached = _wrap_class_members(monkeypatch)
+    for name in SCENARIO_NAMES:
+        scenario = parse_scenario(scenario_path(name))
+        first = scenario.region_names[0]
+        argvs = [
+            ["compress", "--full-matrices"],
+            ["validate"],
+            ["herald", "--target", f"{first}:0"],
+            ["diagram", "--expr", f"born:{first}"],
+            ["diagram", "--expr", f"expand:{first}", "--format", "svg"],
+        ]
+        if len(scenario.region_names) > 1:
+            argvs.append(["diagram", "--expr", "product:" + ",".join(scenario.region_names[:2])])
+        for argv in argvs:
+            assert main([argv[0], "--scenario", scenario_path(name), *argv[1:]]) == 0, argv
+    capsys.readouterr()
+
+    scenario = parse_scenario(scenario_path("polariser_chain"))
+    table, _, built = checked_causaloid(scenario)
+    registry = str(tmp_path / "registry.json")
+    save_causaloid(meta_compress(built, ["tensor-factorization"]), registry)
+    assert expand(load_causaloid(registry)).composites
+    labels = {region: gamma.labels[0] for region, gamma in zip(table.regions, table.gammas)}
+    joint_prob(scenario.spec, labels, table.exteriors[0])
+    stacks = str(tmp_path / "stacks.txt")
+    procedure = ProcedureSpec({1: 0, 2: 1, 3: 0})
+    dump_stacks(sample_stacks(scenario.spec, procedure, 200, seed=3), stacks)
+    estimate_prob(load_stacks(stacks), [Card(3, 0, 0)], [Card(1, 0, 0)])
+    assert sorted(members - reached - BENCH_ONLY_MEMBERS) == []
