@@ -125,6 +125,14 @@ class InstrumentFamily:
         return stack
 
     @cached_property
+    def label_digits(self) -> np.ndarray:
+        """``labels()`` as a read-only (2, n_labels) array: the action of
+        each label, then its outcome."""
+        digits = np.array(self.labels()).T
+        digits.setflags(write=False)
+        return digits
+
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Where each action's outcome maps start in ``stacked`` (labels run
         action by action), then the label count."""
@@ -337,11 +345,10 @@ def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
     """
     coords = _spanning_vectors("quantum", dim)[0]
     t = ops.trace_covector(dim)
-    actions = []
-    for w in coords:
-        for v in coords:
-            actions.append((np.outer(v, t - w), np.outer(v, w)))
-    return InstrumentFamily(location, tuple(actions))
+    # maps[m, j, s] = np.outer(v_j, t - w_m) for s = 0, np.outer(v_j, w_m) for s = 1
+    readouts = np.stack([t - coords, coords], axis=1)
+    maps = coords[None, :, None, :, None] * readouts[:, None, :, None, :]
+    return InstrumentFamily(location, tuple(map(tuple, maps.reshape((-1,) + maps.shape[2:]))))
 
 
 def unitary_family(location: int, dim: int, names: Sequence[str]) -> InstrumentFamily:
@@ -355,23 +362,25 @@ def kraus_family(
     dim: int,
     actions: Sequence[Sequence[Sequence[np.ndarray]]],
 ) -> InstrumentFamily:
-    """Explicit instruments: per action, per outcome, a list of Kraus operators."""
-    mats = []
+    """Explicit instruments: per action, per outcome, a list of Kraus operators.
+
+    Every outcome map of the family comes from one ``ops.kraus_transfers``
+    contraction, action by action in outcome order.
+    """
     for idx, outcome_kraus in enumerate(actions):
         if not outcome_kraus:
             raise BackendError(f"action {idx} needs at least one outcome")
-        mats.append(
-            tuple(ops.kraus_to_transfer(list(ks), dim) for ks in outcome_kraus)
-        )
-    return InstrumentFamily(location, tuple(mats))
+    maps = iter(ops.kraus_transfers([list(ks) for group in actions for ks in group], dim))
+    return InstrumentFamily(
+        location, tuple(tuple(itertools.islice(maps, len(group))) for group in actions)
+    )
 
 
 def probe_reset_family(location: int, alphabet: int) -> InstrumentFamily:
     """Classical read-and-reset family: observe the symbol, emit a fixed one."""
     e = np.eye(alphabet)
-    return kernel_family(
-        location, alphabet, [[np.outer(e[j], e[s]) for s in range(alphabet)] for j in range(alphabet)]
-    )
+    # maps[j, s] = np.outer(e_j, e_s)
+    return kernel_family(location, alphabet, e[:, None, :, None] * e[None, :, None, :])
 
 
 def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> InstrumentFamily:
@@ -479,24 +488,36 @@ def _label_count(spec: TheorySpec, region: Region) -> int:
     return math.prod(spec.family(x).offsets[-1] for x in region.locations)
 
 
-def _label_order(spec: TheorySpec, region: Region) -> tuple[GammaSet, list[int]]:
+def _label_sort(spec: TheorySpec, region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """A region's labels as ``(2, k, n_labels)`` digits, the action and
+    then the outcome at each of its ``k`` locations, one column per label
+    in row-major order (each location's labels in family order, the last
+    location fastest); and the gather that sorts the columns by (action
+    tuple, outcome tuple)."""
+    families = [spec.family(x) for x in region.locations]
+    k = len(families)
+    digits = np.empty((2, k) + tuple(f.offsets[-1] for f in families), dtype=np.intp)
+    for i, f in enumerate(families):
+        # location i's digits vary along its own axis of the label grid
+        digits[:, i] = f.label_digits.reshape((2,) + (1,) * i + (-1,) + (1,) * (k - 1 - i))
+    digits = digits.reshape(2, k, -1)
+    # np.lexsort's last key is its first: actions, then outcomes, in location order
+    gather = np.lexsort(digits.reshape(2 * k, -1)[::-1])
+    return digits, gather
+
+
+def _label_order(spec: TheorySpec, region: Region) -> tuple[GammaSet, np.ndarray]:
     """A region's label set, sorted by (action tuple, outcome tuple), and
-    the row-major position of each of its labels: each location's labels
-    in family order, the last location fastest. A set above ``TABLE_CAP``
-    is refused before it is built."""
+    the row-major position of each of its labels (``_label_sort``). A
+    set above ``TABLE_CAP`` is refused before it is built."""
     n_labels = _label_count(spec, region)
     if n_labels > TABLE_CAP:
         raise TableTooLarge(
             f"region {region} would have {n_labels} labels, above the cap of {TABLE_CAP}"
         )
-    row_major = [
-        (tuple(a for a, _ in combo), tuple(s for _, s in combo))
-        for combo in itertools.product(
-            *(spec.family(x).labels() for x in region.locations)
-        )
-    ]
-    gather = sorted(range(len(row_major)), key=row_major.__getitem__)
-    return GammaSet(region, tuple(row_major[i] for i in gather)), gather
+    digits, gather = _label_sort(spec, region)
+    actions, outcomes = digits[:, :, gather].transpose(0, 2, 1).tolist()
+    return GammaSet(region, tuple(zip(map(tuple, actions), map(tuple, outcomes)))), gather
 
 
 def enumerate_labels(spec: TheorySpec, region: Region) -> GammaSet:
@@ -624,7 +645,7 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     values = values.reshape(tuple(g.size for g in gammas) + (len(exteriors),))
     # per region: row-major per-location order -> GammaSet (sorted) order
     for axis, (_, gather) in enumerate(orders):
-        if gather != list(range(len(gather))):
+        if not np.array_equal(gather, np.arange(gather.size)):
             values = np.take(values, gather, axis=axis)
     return ProbTable(regions, gammas, exteriors, np.ascontiguousarray(values))
 
@@ -661,7 +682,7 @@ def _span_factor(vectors: np.ndarray) -> np.ndarray:
 
 def _cut_slots(
     spec: TheorySpec, ci: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray | None]]:
     """Label stacks of chain ``ci`` and its input and output slots at each
     of its cuts.
 
@@ -672,7 +693,9 @@ def _cut_slots(
     every label at each earlier location. ``outputs[c]`` factors the
     covectors that read it out: the declared and extra effects pulled back
     through every later location. Each is a ``_span_factor`` of the whole
-    set, rows in the chain's vector space.
+    set, rows in the chain's vector space. Every region reads its output
+    slot after one of its locations, so the slot at cut 0 is never read
+    and ``outputs[0]`` is None.
     """
     chain = spec.chains[ci]
     d = spec.vec_dim(chain)
@@ -683,9 +706,9 @@ def _cut_slots(
         pushed = inputs[-1] @ stack.transpose(0, 2, 1)  # rows (T v)
         inputs.append(_span_factor(pushed.reshape(-1, d)))
     outputs = [_span_factor(np.concatenate([spec.effects[ci], extra_effs]))]
-    for stack in reversed(stacks):
+    for stack in reversed(stacks[1:]):
         outputs.append(_span_factor((outputs[-1] @ stack).reshape(-1, d)))
-    return stacks, inputs, outputs[::-1]
+    return stacks, inputs, [None] + outputs[::-1]
 
 
 def _gap_slot(stacks: Sequence[np.ndarray], d: int) -> np.ndarray:
@@ -727,15 +750,17 @@ def _extended_rows(
     ``slots`` holds every chain's ``_cut_slots``, in chain order. The
     table's entries multiply over chains. Each chain the region touches
     contributes its ``_cut_rows``, and the rows are their Kronecker
-    product; every other chain is one column vector shared by all rows
-    and contributes only its norm.
+    product, from the first such chain on; every other chain is one column
+    vector shared by all rows and contributes only its norm, multiplied in
+    chain order.
     """
-    rows = np.ones((1, 1))
+    rows = 1.0  # a scalar until the first chain the region touches
     wire: list[int] = []
     for chain, slot in zip(spec.chains, slots, strict=True):
         positions = [p for p, x in enumerate(chain.locations) if x in region]
         if positions:
-            rows = np.kron(rows, _cut_rows(positions, slot))
+            cut = _cut_rows(positions, slot)
+            rows = np.kron(rows, cut) if np.ndim(rows) else cut * rows
             wire += [chain.locations[p] for p in positions]
         else:
             _, inputs, outputs = slot
@@ -744,7 +769,7 @@ def _extended_rows(
     order = sorted(range(len(wire)), key=wire.__getitem__)
     sizes = [spec.family(x).offsets[-1] for x in wire]
     rows = rows.reshape(sizes + [-1]).transpose(order + [len(order)])
-    return rows.reshape(math.prod(sizes), -1)[_label_order(spec, region)[1]]
+    return rows.reshape(math.prod(sizes), -1)[_label_sort(spec, region)[1]]
 
 
 def validate_table_spans(

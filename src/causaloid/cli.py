@@ -23,7 +23,7 @@ import functools
 import re
 import sys
 
-from .causaloid import json_text
+from .causaloid import json_text, normalize_key
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
 from .errors import (
     CausaloidError,
@@ -43,7 +43,7 @@ from .report import (
     run_pipeline,
     span_rows,
 )
-from .scenario import ScenarioFile, check_tolerance, herald_query, label_ref, parse_scenario
+from .scenario import ScenarioFile, check_tolerance, herald_query, label_refs, parse_scenario
 
 __all__ = ["main"]
 
@@ -145,7 +145,7 @@ def _cmd_compress(args) -> int:
     return EXIT_OK
 
 
-def _parse_ref(scenario: ScenarioFile, text: str, flag: str):
+def _parse_ref(label_ref, text: str, flag: str):
     region_name, sep, index = text.partition(":")
     if not sep or not re.fullmatch(r"-?[0-9]+", index):
         raise SchemaError(f"wants REGION:LABEL_INDEX, got {text!r}", flag)
@@ -153,19 +153,20 @@ def _parse_ref(scenario: ScenarioFile, text: str, flag: str):
         number = int(index)
     except ValueError:  # more digits than int() converts
         raise SchemaError(f"label index of {len(index)} characters", flag) from None
-    names = dict(zip(scenario.region_names, scenario.regions))
-    return label_ref(scenario.spec, names, region_name, number, flag)
+    return label_ref(region_name, number, flag)
 
 
 def _cmd_herald(args) -> int:
     scenario = _load(args)
-    target = _parse_ref(scenario, args.target, "--target")
+    label_ref = label_refs(scenario.spec, dict(zip(scenario.region_names, scenario.regions)))
+    target = _parse_ref(label_ref, args.target, "--target")
     given = tuple(
-        _parse_ref(scenario, part, "--given")
+        _parse_ref(label_ref, part, "--given")
         for part in args.given.split(",")
         if part
     )
-    query = herald_query(target, given, scenario.composites, "--given")
+    listed = {normalize_key(key) for key in scenario.composites}
+    query = herald_query(target, given, listed, "--given")
     table, _, causaloid = checked_causaloid(scenario)
     result = herald(causaloid, query, tol=scenario.tol_herald, table=table)
 

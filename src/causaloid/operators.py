@@ -75,25 +75,43 @@ def trace_covector(d: int) -> np.ndarray:
     return t
 
 
-def kraus_to_transfer(kraus: list[np.ndarray], d: int) -> np.ndarray:
-    """Real transfer matrix of the completely positive map rho -> sum K rho K+."""
-    basis = hermitian_basis(d)
-    stacked = np.stack(basis)
-    n = len(basis)
-    ks = []
-    for K in kraus:
-        K = np.asarray(K, dtype=complex)
+@lru_cache(maxsize=None)
+def _stacked_basis(d: int) -> np.ndarray:
+    """``hermitian_basis(d)`` as one read-only (d^2, d, d) array."""
+    stacked = np.stack(hermitian_basis(d))
+    stacked.setflags(write=False)
+    return stacked
+
+
+def kraus_transfers(outcomes: list[list[np.ndarray]], d: int) -> np.ndarray:
+    """Real transfer matrices of the completely positive maps
+    rho -> sum K rho K+, one per outcome's Kraus list, as (outcomes, d^2, d^2).
+
+    One basis contraction serves them all: for each Kraus index j, the j-th
+    operator of every outcome that has one maps every basis element at once,
+    added in Kraus order into a zeroed array, so each map is summed as if it
+    were built alone.
+    """
+    stacked = _stacked_basis(d)
+    ks = [[np.asarray(K, dtype=complex) for K in kraus] for kraus in outcomes]
+    for K in (K for kraus in ks for K in kraus):
         if K.shape != (d, d):
             raise DimensionMismatch(f"Kraus operator must be {d}x{d}, got {K.shape}")
-        ks.append(K)
-    T = np.zeros((n, n))
-    for q in range(n):
-        out = np.zeros((d, d), complex)
-        for K in ks:
-            out += K @ basis[q] @ K.conj().T
-        out = (out + out.conj().T) / 2  # Hermiticity guard against rounding
-        T[:, q] = np.trace(stacked @ out, axis1=1, axis2=2).real
-    return T
+    out = np.zeros((len(ks), len(stacked), d, d), complex)
+    for j in range(max(map(len, ks), default=0)):
+        have = [o for o, kraus in enumerate(ks) if len(kraus) > j]
+        K = np.stack([ks[o][j] for o in have])[:, None]
+        out[have] += K @ stacked @ K.conj().swapaxes(-1, -2)
+    out = (out + out.conj().swapaxes(-1, -2)) / 2  # Hermiticity guard against rounding
+    # T[o][m, q] = Tr[B_m out[o, q]]
+    return np.ascontiguousarray(
+        np.trace(stacked[None, :, None] @ out[:, None], axis1=-2, axis2=-1).real
+    )
+
+
+def kraus_to_transfer(kraus: list[np.ndarray], d: int) -> np.ndarray:
+    """Real transfer matrix of the completely positive map rho -> sum K rho K+."""
+    return kraus_transfers([kraus], d)[0]
 
 
 def density_from_ket(ket: np.ndarray) -> np.ndarray:

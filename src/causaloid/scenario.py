@@ -8,6 +8,7 @@ out-of-range indices are schema errors that name the offending path.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import backends
@@ -219,7 +220,8 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
     )
 
 
-def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, ...]:
+def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple[tuple, ...], set]:
+    """The groupings, and the set of their ``normalize_key``s."""
     if not isinstance(raw, list):
         raise SchemaError("expected a list of groupings", path)
 
@@ -257,29 +259,37 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, 
                 )
         out.append(key)
         listed.add(normalize_key(key))
-    return tuple(out)
+    return tuple(out), listed
 
 
-def label_ref(
-    spec: TheorySpec, names: dict[str, Region], name: str, index: int, path: str
-):
-    """The region called ``name`` and its label number ``index``.
+def label_refs(spec: TheorySpec, names: dict[str, Region]) -> Callable:
+    """A resolver ``label_ref(name, index, path)`` of label references: the
+    region called ``name`` and its label number ``index``.
 
     Scenario heralds and the CLI's ``--target``/``--given`` resolve their
-    references here; ``path`` is the JSON path or flag an error names.
+    references through one resolver per parse or command, which builds a
+    region's label set on its first reference only; ``path`` is the JSON
+    path or flag an error names.
     """
-    if name not in names:
-        raise SchemaError(f"region {name!r} is not declared", path)
-    region = names[name]
-    gamma = enumerate_labels(spec, region)
-    if not 0 <= index < gamma.size:
-        raise SchemaError(
-            f"label index {index} out of range for {name!r} (size {gamma.size})", path
-        )
-    return region, gamma.labels[index]
+    gammas = {}
+
+    def label_ref(name: str, index: int, path: str):
+        if name not in names:
+            raise SchemaError(f"region {name!r} is not declared", path)
+        region = names[name]
+        if name not in gammas:
+            gammas[name] = enumerate_labels(spec, region)
+        gamma = gammas[name]
+        if not 0 <= index < gamma.size:
+            raise SchemaError(
+                f"label index {index} out of range for {name!r} (size {gamma.size})", path
+            )
+        return region, gamma.labels[index]
+
+    return label_ref
 
 
-def _parse_label_ref(node, names: dict[str, Region], spec: TheorySpec, path: str):
+def _parse_label_ref(node, label_ref: Callable, path: str):
     if (
         not isinstance(node, list)
         or len(node) != 2
@@ -288,11 +298,12 @@ def _parse_label_ref(node, names: dict[str, Region], spec: TheorySpec, path: str
         or isinstance(node[1], bool)
     ):
         raise SchemaError("expected [region_name, label_index]", path)
-    return label_ref(spec, names, node[0], node[1], path)
+    return label_ref(node[0], node[1], path)
 
 
-def herald_query(target, given, composites: tuple[tuple, ...], path: str) -> HeraldQuery:
-    """The query of ``target`` given ``given``, checked against ``composites``.
+def herald_query(target, given, listed: set, path: str) -> HeraldQuery:
+    """The query of ``target`` given ``given``, checked against ``listed``,
+    the ``normalize_key`` of each of the scenario's composites.
 
     A herald over two or more regions reads the registry entry of their
     flat grouping, so that grouping must be listed. Scenario heralds and
@@ -304,14 +315,15 @@ def herald_query(target, given, composites: tuple[tuple, ...], path: str) -> Her
     except ValueError as exc:
         raise SchemaError(str(exc), path) from exc
     named = query.named_regions
-    if len(named) > 1 and named not in {normalize_key(key) for key in composites}:
+    if len(named) > 1 and named not in listed:
         raise SchemaError(f"the grouping {key_to_str(named)} is not listed in composites", path)
     return query
 
 
-def _parse_heralds(raw, names, spec, composites, path: str) -> tuple[HeraldSpec, ...]:
+def _parse_heralds(raw, names, spec, listed: set, path: str) -> tuple[HeraldSpec, ...]:
     if not isinstance(raw, list):
         raise SchemaError("expected a list of herald queries", path)
+    label_ref = label_refs(spec, names)
     out = []
     for i, item in enumerate(raw):
         hp = f"{path}[{i}]"
@@ -319,17 +331,15 @@ def _parse_heralds(raw, names, spec, composites, path: str) -> tuple[HeraldSpec,
         name = _require(item, "name", hp)
         if not isinstance(name, str) or not name:
             raise SchemaError("herald name must be a non-empty string", f"{hp}.name")
-        target = _parse_label_ref(
-            _require(item, "target", hp), names, spec, f"{hp}.target"
-        )
+        target = _parse_label_ref(_require(item, "target", hp), label_ref, f"{hp}.target")
         raw_given = item.get("given", [])
         if not isinstance(raw_given, list):
             raise SchemaError("expected a list of label references", f"{hp}.given")
         given = tuple(
-            _parse_label_ref(node, names, spec, f"{hp}.given[{j}]")
+            _parse_label_ref(node, label_ref, f"{hp}.given[{j}]")
             for j, node in enumerate(raw_given)
         )
-        out.append(HeraldSpec(name, herald_query(target, given, composites, hp)))
+        out.append(HeraldSpec(name, herald_query(target, given, listed, hp)))
     return tuple(out)
 
 
@@ -365,8 +375,8 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
                 raise SchemaError(f"location {x} is in two regions", rp)
             used.add(x)
         names[rname] = Region(tuple(locations))
-    composites = _parse_composites(doc.get("composites", []), names, "$.composites")
-    heralds = _parse_heralds(doc.get("heralds", []), names, spec, composites, "$.heralds")
+    composites, listed = _parse_composites(doc.get("composites", []), names, "$.composites")
+    heralds = _parse_heralds(doc.get("heralds", []), names, spec, listed, "$.heralds")
     tols = doc.get("tolerances", {})
     _check_keys(tols, _TOL_KEYS, "$.tolerances")
     for key, value in tols.items():

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -39,7 +41,7 @@ from causaloid import (
     validate_exterior_span,
     validate_table_spans,
 )
-from causaloid import backends
+from causaloid import backends, report
 from causaloid import operators as ops
 from causaloid.backends import (
     _cut_slots,
@@ -54,9 +56,11 @@ from causaloid.errors import (
     UnknownProcedure,
     UnknownRegion,
 )
-from causaloid.tables import ExteriorConfiguration, ProbTable, greedy_independent_rows
+from causaloid.scenario import parse_scenario
+from causaloid.tables import ExteriorConfiguration, GammaSet, ProbTable, greedy_independent_rows
 
-from conftest import SCENARIO_NAMES
+from conftest import SCENARIO_NAMES, scenario_path
+from test_cli_digests import _openblas_core, second_kernel_run
 
 
 def cos2(deg: float) -> float:
@@ -165,8 +169,8 @@ def test_polariser_family_shape():
         fam.n_outcomes(4)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_probe_reprepare_matrices_match_the_per_pair_construction(dim):
+def _loop_probe_reprepare(dim):
+    """probe_reprepare_family's maps, one np.outer per (probe, state) pair."""
     kets = ops.ic_pure_kets(dim)
     t = ops.trace_covector(dim)
     expected = []
@@ -175,10 +179,16 @@ def test_probe_reprepare_matrices_match_the_per_pair_construction(dim):
             w = ops.operator_coords(ops.density_from_ket(mket), dim)
             v = ops.operator_coords(ops.density_from_ket(jket), dim)
             expected.append((np.outer(v, t - w), np.outer(v, w)))
+    return expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_probe_reprepare_matrices_match_the_per_pair_construction(dim):
+    expected = _loop_probe_reprepare(dim)
     fam = probe_reprepare_family(1, dim)
     assert len(fam.actions) == len(expected)
     for got, want in zip(fam.actions, expected):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert _all_equal(got, want)
 
 
 def test_probe_families_sizes():
@@ -362,8 +372,13 @@ def _loop_spanning_sets(kind, size):
     return ic, ic, preps, effs
 
 
+def _same_bytes(got, want):
+    # bytes, not np.array_equal, which takes -0.0 for 0.0 where a digest does not
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _all_equal(got, want):
-    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    return len(got) == len(want) and all(_same_bytes(g, w) for g, w in zip(got, want))
 
 
 def test_pure_kets_match_their_loops():
@@ -388,12 +403,12 @@ def _loop_polariser(angles):
     for angle in angles:
         P = ops.projector_at_angle(float(angle))
         Q = np.eye(2) - P
-        actions.append((ops.kraus_to_transfer([P], 2), ops.kraus_to_transfer([Q], 2)))
+        actions.append((_loop_kraus_to_transfer([P], 2), _loop_kraus_to_transfer([Q], 2)))
     return actions
 
 
 def _loop_unitary(dim, names):
-    return [(ops.kraus_to_transfer([ops.named_unitary(n, dim)], dim),) for n in names]
+    return [(_loop_kraus_to_transfer([ops.named_unitary(n, dim)], dim),) for n in names]
 
 
 def _loop_probe_reset(alphabet):
@@ -461,8 +476,8 @@ def test_label_order_gathers_the_row_major_labels():
             for combo in itertools.product(*(spec.family(x).labels() for x in locations))
         ]
         gamma, gather = _label_order(spec, region)
-        assert gather == sorted(range(len(row_major)), key=row_major.__getitem__)
-        assert gather != list(range(len(row_major)))
+        assert gather.tolist() == sorted(range(len(row_major)), key=row_major.__getitem__)
+        assert gather.tolist() != list(range(len(row_major)))
         assert gamma.labels == tuple(sorted(row_major))
         assert enumerate_labels(spec, region) == gamma
 
@@ -703,7 +718,93 @@ def test_kraus_to_transfer_matches_the_loop():
             cases += [(ks, d) for ks in _random_instrument(rng, d, n_outcomes)]
     cases += [([ops.named_unitary(name, 2)], 2) for name in ("hadamard", "phase")]
     for kraus, d in cases:
-        assert np.array_equal(ops.kraus_to_transfer(kraus, d), _loop_kraus_to_transfer(kraus, d))
+        assert _same_bytes(ops.kraus_to_transfer(kraus, d), _loop_kraus_to_transfer(kraus, d))
+
+
+def _uneven_instrument(rng, dim, counts):
+    """Kraus operators cut from one random isometry, ``counts[o]`` of them
+    for outcome ``o``."""
+    blocks = _random_instrument(rng, dim, 1, sum(counts))[0]
+    starts = itertools.accumulate(counts, initial=0)
+    return [blocks[lo:lo + n] for lo, n in zip(starts, counts)]
+
+
+def _same_actions(got, want):
+    return len(got) == len(want) and all(map(_all_equal, got, want))
+
+
+def _uneven_kraus_family(d):
+    """The maps of a kraus_family on dimension ``d`` whose outcomes carry
+    1, 2 and 3 Kraus operators in one action and 3 and 1 in another, and
+    their loop reference."""
+    rng = np.random.default_rng(d)
+    actions = [_uneven_instrument(rng, d, (1, 2, 3)), _uneven_instrument(rng, d, (3, 1))]
+    want = [[_loop_kraus_to_transfer(ks, d) for ks in outcomes] for outcomes in actions]
+    return kraus_family(1, d, actions).actions, want
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kraus_family_matches_the_loop(d):
+    # one contraction builds every outcome map of the family, whatever
+    # number of Kraus operators each outcome carries
+    got, want = _uneven_kraus_family(d)
+    assert [len(group) for group in got] == [3, 2]
+    assert _same_actions(got, want)
+
+
+def _loop_family(item, size):
+    """The loop reference of one scenario instrument's maps, per action."""
+    family = item["family"]
+    if family == "polariser":
+        return _loop_polariser(item["angles_deg"])
+    if family == "unitaries":
+        return _loop_unitary(size, item["names"])
+    if family == "probe_reprepare":
+        return _loop_probe_reprepare(size)
+    if family == "probe_reset":
+        return _loop_probe_reset(size)
+    return _loop_deterministic(size, item["maps"])
+
+
+def _bundled_family_mismatches() -> list[str]:
+    """Every bundled instrument whose maps differ from its loop reference
+    in any byte, as "scenario location"."""
+    found = []
+    for name in SCENARIO_NAMES:
+        theory = json.loads(pathlib.Path(scenario_path(name)).read_text())["theory"]
+        spec = parse_scenario(scenario_path(name)).spec
+        sizes = {x: chain["size"] for chain in theory["chains"] for x in chain["locations"]}
+        for item in theory["instruments"]:
+            got = spec.family(item["location"]).actions
+            want = _loop_family(item, sizes[item["location"]])
+            if not _same_actions(got, want):
+                found.append(f"{name} {item['location']}")
+    return found
+
+
+def _kernel_family_check() -> dict:
+    """This process's kernel, and every bundled family and every
+    ``_uneven_kraus_family`` whose maps differ from their loop."""
+    uneven = [f"kraus_family d={d}" for d in range(2, 9) if not _same_actions(*_uneven_kraus_family(d))]
+    return {"core": _openblas_core(), "mismatches": _bundled_family_mismatches() + uneven}
+
+
+# runs _kernel_family_check in a child process (see second_kernel_run)
+FAMILY_CHILD = (
+    "import json, sys; sys.path[:0] = sys.argv[1:]; "
+    "import test_backends; print(json.dumps(test_backends._kernel_family_check()))"
+)
+
+
+def test_bundled_family_maps_match_their_loops():
+    assert _bundled_family_mismatches() == []
+
+
+def test_family_maps_match_their_loops_on_a_second_kernel():
+    # the batched contractions and the loops they replaced round alike on
+    # another OpenBLAS kernel too, chosen for the child process only
+    _, theirs = second_kernel_run(FAMILY_CHILD)
+    assert theirs["mismatches"] == []
 
 
 def test_kraus_chain_tables_match_the_oracle():
@@ -964,6 +1065,47 @@ def test_span_check_builds_each_chains_slots_once(scenarios, monkeypatch, name, 
     assert (len(s.spec.chains), len(s.regions)) == (n_chains, n_regions)
     run_pipeline(s)
     assert calls == list(range(n_chains))
+
+
+def test_parse_runs_one_basis_contraction_per_family(monkeypatch):
+    calls = []
+    contract = ops.kraus_transfers
+
+    def counted(outcomes, d):
+        calls.append(len(outcomes))
+        return contract(outcomes, d)
+
+    monkeypatch.setattr(ops, "kraus_transfers", counted)
+    spec = parse_scenario(scenario_path("polariser_chain")).spec
+    # three polarisers of four angles, two outcome maps per angle
+    assert len(spec.instruments) == 3
+    assert calls == [8, 8, 8]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_a_pipeline_builds_each_label_set_once(scenarios, monkeypatch, name):
+    # the table builds each region's label set; the span check reads the
+    # same label order without building a second one
+    s = scenarios(name)
+    built, in_span = [], []
+    check = GammaSet.__post_init__
+    validate = report.validate_table_spans
+
+    def counted(gamma):
+        built.append(gamma.region)
+        check(gamma)
+
+    def span_check(*args, **kwargs):
+        in_span.append(len(built))
+        out = validate(*args, **kwargs)
+        in_span.append(len(built))
+        return out
+
+    monkeypatch.setattr(GammaSet, "__post_init__", counted)
+    monkeypatch.setattr(report, "validate_table_spans", span_check)
+    run_pipeline(s)
+    assert sorted(built) == sorted(s.regions)
+    assert in_span[0] == in_span[1] == len(s.regions)
 
 
 def test_conditioning_restrictions_are_rejected():

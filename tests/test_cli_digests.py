@@ -632,16 +632,20 @@ def _kernel_decisions() -> dict:
     return {"core": _openblas_core(), "runs": runs}
 
 
-def test_decisions_do_not_depend_on_the_blas_kernel():
-    # fiducial sets, ranks, adjacency, herald verdicts and exit codes agree
-    # on a second OpenBLAS kernel, chosen for the child process only
+def second_kernel_run(child_code: str) -> tuple[str, dict]:
+    """This process's OpenBLAS kernel, and the JSON object (with the
+    child's kernel under ``core``) that ``child_code`` prints in a child
+    process on ``OPENBLAS_CORETYPE=Haswell``, the tests and the package
+    importable from the paths given after it. The variable is set for the
+    child only. Skips when the kernel's name cannot be read, the child
+    fails, or the variable leaves the kernel unchanged."""
     core = _openblas_core()
     if core is None:
         pytest.skip("numpy's bundled OpenBLAS or its core-name symbol was not found")
     tests = pathlib.Path(__file__).resolve().parent
     package = pathlib.Path(causaloid.__file__).resolve().parent.parent
     child = subprocess.run(
-        [sys.executable, "-c", KERNEL_CHILD, str(tests), str(package)],
+        [sys.executable, "-c", child_code, str(tests), str(package)],
         env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
         capture_output=True,
         text=True,
@@ -652,6 +656,13 @@ def test_decisions_do_not_depend_on_the_blas_kernel():
     theirs = json.loads(child.stdout)
     if theirs["core"] == core:
         pytest.skip(f"OPENBLAS_CORETYPE=Haswell leaves the kernel at {core}")
+    return core, theirs
+
+
+def test_decisions_do_not_depend_on_the_blas_kernel():
+    # fiducial sets, ranks, adjacency, herald verdicts and exit codes agree
+    # on a second OpenBLAS kernel, chosen for the child process only
+    core, theirs = second_kernel_run(KERNEL_CHILD)
     ours = _kernel_decisions()
     for run, result in ours["runs"].items():
         assert theirs["runs"][run] == result, f"{run}: {theirs['core']} against {core}"

@@ -35,6 +35,7 @@ from causaloid.report import _matrix_digest
 from causaloid.errors import IoError, SchemaError, UnknownEntry
 from causaloid.operational import load_stacks
 from causaloid.scenario import parse_scenario, parse_scenario_dict
+from causaloid.tables import GammaSet
 
 from conftest import SCENARIO_NAMES, scenario_path
 
@@ -441,6 +442,28 @@ def test_cli_herald_bad_reference(capsys):
                  "--target", "R2-2"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_label_references_build_each_label_set_once(monkeypatch, capsys):
+    built = []
+    check = GammaSet.__post_init__
+
+    def counted(gamma):
+        built.append(str(gamma.region))
+        check(gamma)
+
+    monkeypatch.setattr(GammaSet, "__post_init__", counted)
+    # the scenario's heralds name R2, R1, R3, R3 and R1: one set per region
+    parse_scenario(_scn("polariser_chain"))
+    assert built == ["{2}", "{1}", "{3}"]
+    # the command's references resolve after the scenario's own, with a
+    # fresh set per region; the query then fails on the repeated region
+    built.clear()
+    code = main(["herald", "--scenario", _scn("polariser_chain"),
+                 "--target", "R2:2", "--given", "R1:0,R1:1"])
+    assert code == 2
+    assert "error: --given: " in capsys.readouterr().err
+    assert built == ["{2}", "{1}", "{3}", "{2}", "{1}"]
 
 
 def test_cli_missing_scenario(capsys):
