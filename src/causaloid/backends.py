@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -89,10 +89,18 @@ class InstrumentFamily:
     ``actions[a][s]`` is the transfer matrix applied when action ``a``
     produces outcome ``s``. Summed over outcomes every action must preserve
     total probability.
+
+    ``stacked`` holds every map once, as one read-only ``(n_labels, D, D)``
+    array in label order (action by action, outcomes in order), and
+    ``actions`` holds views of its rows. Built from ``actions`` alone, the
+    maps are copied into a new stack once; the family builders pass the
+    stack they computed, with ``actions`` already its views
+    (``_stacked_family``).
     """
 
     location: int
     actions: tuple[tuple[np.ndarray, ...], ...]
+    stacked: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if not self.actions:
@@ -100,8 +108,15 @@ class InstrumentFamily:
         for fam in self.actions:
             if not fam:
                 raise BackendError("every action needs an outcome")
-            for T in fam:
-                T.setflags(write=False)
+        if self.stacked is None:
+            maps = [T for group in self.actions for T in group]
+            if len({np.shape(T) for T in maps}) != 1:
+                raise DimensionMismatch(
+                    f"the transfer matrices at location {self.location} differ in shape"
+                )
+            stack = np.stack(maps)
+            object.__setattr__(self, "actions", _action_views(stack, map(len, self.actions)))
+            object.__setattr__(self, "stacked", stack)
 
     @property
     def n_actions(self) -> int:
@@ -118,13 +133,6 @@ class InstrumentFamily:
         return [(a, s) for a in range(len(self.actions)) for s in range(len(self.actions[a]))]
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """All per-label transfer matrices as one (n_labels, D, D) array."""
-        stack = np.stack([T for group in self.actions for T in group])
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
     def label_digits(self) -> np.ndarray:
         """``labels()`` as a read-only (2, n_labels) array: the action of
         each label, then its outcome."""
@@ -137,6 +145,20 @@ class InstrumentFamily:
         """Where each action's outcome maps start in ``stacked`` (labels run
         action by action), then the label count."""
         return tuple(itertools.accumulate(map(len, self.actions), initial=0))
+
+
+def _action_views(stack: np.ndarray, counts: Iterable[int]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rows of ``stack`` grouped into actions of ``counts`` outcomes;
+    the stack is made read-only first, so its views are too."""
+    stack.setflags(write=False)
+    bounds = list(itertools.accumulate(counts, initial=0))
+    return tuple(tuple(stack[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _stacked_family(location: int, stack: np.ndarray, counts: Iterable[int]) -> InstrumentFamily:
+    """A family whose maps are the rows of ``stack``, in label order, with
+    ``counts`` outcomes per action; the stack is kept, not copied."""
+    return InstrumentFamily(location, _action_views(stack, counts), stacked=stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +209,11 @@ class TheorySpec:
                 v.setflags(write=False)
         for fam in self.instruments:
             d = self.vec_dim(self.chain_of(fam.location))
-            for group in fam.actions:
-                for T in group:
-                    if T.shape != (d, d):
-                        raise DimensionMismatch(
-                            f"instrument at location {fam.location} has a "
-                            f"{T.shape} transfer matrix on a size-{d} wire"
-                        )
+            if fam.stacked.shape[1:] != (d, d):
+                raise DimensionMismatch(
+                    f"instrument at location {fam.location} has a "
+                    f"{fam.stacked.shape[1:]} transfer matrix on a size-{d} wire"
+                )
             self._check_total_probability(fam)
         if self.conditioning_actions:
             raise BackendError("conditioning restrictions are not supported")
@@ -348,7 +368,7 @@ def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
     # maps[m, j, s] = np.outer(v_j, t - w_m) for s = 0, np.outer(v_j, w_m) for s = 1
     readouts = np.stack([t - coords, coords], axis=1)
     maps = coords[None, :, None, :, None] * readouts[:, None, :, None, :]
-    return InstrumentFamily(location, tuple(map(tuple, maps.reshape((-1,) + maps.shape[2:]))))
+    return _stacked_family(location, maps.reshape((-1,) + maps.shape[3:]), [2] * (len(coords) ** 2))
 
 
 def unitary_family(location: int, dim: int, names: Sequence[str]) -> InstrumentFamily:
@@ -370,10 +390,8 @@ def kraus_family(
     for idx, outcome_kraus in enumerate(actions):
         if not outcome_kraus:
             raise BackendError(f"action {idx} needs at least one outcome")
-    maps = iter(ops.kraus_transfers([list(ks) for group in actions for ks in group], dim))
-    return InstrumentFamily(
-        location, tuple(tuple(itertools.islice(maps, len(group))) for group in actions)
-    )
+    maps = ops.kraus_transfers([list(ks) for group in actions for ks in group], dim)
+    return _stacked_family(location, maps, map(len, actions))
 
 
 def probe_reset_family(location: int, alphabet: int) -> InstrumentFamily:
@@ -410,19 +428,17 @@ def deterministic_family(location: int, alphabet: int, maps: Sequence[str]) -> I
 def kernel_family(
     location: int, alphabet: int, actions: Sequence[Sequence[np.ndarray]]
 ) -> InstrumentFamily:
-    """Explicit classical instruments: per action, per outcome, a kernel."""
-    mats = []
-    for group in actions:
-        prepared = []
-        for T in group:
-            T = np.asarray(T, dtype=float)
-            if T.shape != (alphabet, alphabet):
-                raise DimensionMismatch(
-                    f"kernel shape {T.shape} does not match alphabet {alphabet}"
-                )
-            prepared.append(T)
-        mats.append(tuple(prepared))
-    return InstrumentFamily(location, tuple(mats))
+    """Explicit classical instruments: per action, per outcome, a kernel.
+
+    The kernels are stacked once, into the family's own array."""
+    mats = [np.asarray(T, dtype=float) for group in actions for T in group]
+    for T in mats:
+        if T.shape != (alphabet, alphabet):
+            raise DimensionMismatch(
+                f"kernel shape {T.shape} does not match alphabet {alphabet}"
+            )
+    stack = np.stack(mats) if mats else np.empty((0, alphabet, alphabet))
+    return _stacked_family(location, stack, map(len, actions))
 
 
 # ---------------------------------------------------------------------------
@@ -690,25 +706,31 @@ def _cut_slots(
     (``InstrumentFamily.stacked``). Cut ``c`` lies just before that
     location (cut ``n`` after the last). ``inputs[c]`` factors the states
     that reach it: the declared and extra preparations pushed through
-    every label at each earlier location. ``outputs[c]`` factors the
-    covectors that read it out: the declared and extra effects pulled back
-    through every later location. Each is a ``_span_factor`` of the whole
-    set, rows in the chain's vector space. Every region reads its output
-    slot after one of its locations, so the slot at cut 0 is never read
-    and ``outputs[0]`` is None.
+    every label at each earlier location (``_pushed``). ``outputs[c]``
+    factors the covectors that read it out: the declared and extra effects
+    pulled back through every later location. Each is a ``_span_factor``
+    of the whole set, rows in the chain's vector space. A region reads
+    its input slot before one of its locations and its output slot after
+    one, so ``inputs`` stops at cut ``n - 1`` and ``outputs[0]`` is None.
     """
     chain = spec.chains[ci]
     d = spec.vec_dim(chain)
     _, extra_preps, extra_effs = _spanning_vectors(spec.kind, chain.size)
     stacks = [spec.family(x).stacked for x in chain.locations]
     inputs = [_span_factor(np.concatenate([spec.preparations[ci], extra_preps]))]
-    for stack in stacks:
-        pushed = inputs[-1] @ stack.transpose(0, 2, 1)  # rows (T v)
-        inputs.append(_span_factor(pushed.reshape(-1, d)))
+    for stack in stacks[:-1]:
+        inputs.append(_pushed(inputs[-1], stack))
     outputs = [_span_factor(np.concatenate([spec.effects[ci], extra_effs]))]
     for stack in reversed(stacks[1:]):
         outputs.append(_span_factor((outputs[-1] @ stack).reshape(-1, d)))
     return stacks, inputs, [None] + outputs[::-1]
+
+
+def _pushed(states: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``_span_factor`` of the rows ``states`` pushed through every map of
+    ``stack``: the input slot one cut later."""
+    pushed = states @ stack.transpose(0, 2, 1)  # rows (T v)
+    return _span_factor(pushed.reshape(-1, stack.shape[1]))
 
 
 def _gap_slot(stacks: Sequence[np.ndarray], d: int) -> np.ndarray:
@@ -752,7 +774,8 @@ def _extended_rows(
     contributes its ``_cut_rows``, and the rows are their Kronecker
     product, from the first such chain on; every other chain is one column
     vector shared by all rows and contributes only its norm, multiplied in
-    chain order.
+    chain order: the input slot after its last location against its
+    output slot there.
     """
     rows = 1.0  # a scalar until the first chain the region touches
     wire: list[int] = []
@@ -763,8 +786,8 @@ def _extended_rows(
             rows = np.kron(rows, cut) if np.ndim(rows) else cut * rows
             wire += [chain.locations[p] for p in positions]
         else:
-            _, inputs, outputs = slot
-            rows = rows * np.linalg.norm(inputs[-1] @ outputs[-1].T)
+            stacks, inputs, outputs = slot
+            rows = rows * np.linalg.norm(_pushed(inputs[-1], stacks[-1]) @ outputs[-1].T)
     # row-major in wire order -> row-major in sorted location order -> label set
     order = sorted(range(len(wire)), key=wire.__getitem__)
     sizes = [spec.family(x).offsets[-1] for x in wire]

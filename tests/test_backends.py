@@ -457,6 +457,37 @@ def test_rerouted_families_match_their_loops():
         assert fam.offsets[-1] == len(fam.labels())
 
 
+def _map_addresses(fam):
+    return [T.__array_interface__["data"][0] for group in fam.actions for T in group]
+
+
+def test_families_hold_their_maps_once():
+    # every map is a read-only view of its row of the family's one stack,
+    # whichever way the family was built
+    rng = np.random.default_rng(5)
+    kernels = [[np.full((3, 3), 1 / 3)], [np.eye(3) * 0.5, np.eye(3) * 0.5]]
+    loose = [tuple(rng.random((2, 2)) for _ in range(n)) for n in (1, 3)]
+    for fam in (
+        probe_reprepare_family(1, 3),
+        polariser_family(1, [0, 45]),
+        unitary_family(1, 3, ["cycle", "fourier"]),
+        probe_reset_family(1, 3),
+        deterministic_family(1, 3, ["identity", "uniform"]),
+        kernel_family(1, 3, kernels),
+        InstrumentFamily(1, loose),
+    ):
+        stack = fam.stacked
+        assert fam.stacked is stack and not stack.flags.writeable
+        assert _map_addresses(fam) == [row.__array_interface__["data"][0] for row in stack]
+        assert not any(T.flags.writeable for group in fam.actions for T in group)
+    # a family built from loose maps copies them once and leaves them be
+    fam = InstrumentFamily(1, loose)
+    assert _all_equal([T for g in fam.actions for T in g], [T for g in loose for T in g])
+    assert all(T.flags.writeable for group in loose for T in group)
+    with pytest.raises(DimensionMismatch, match="differ in shape"):
+        InstrumentFamily(1, ((np.eye(2), np.eye(3)),))
+
+
 def test_label_order_gathers_the_row_major_labels():
     # uneven outcome counts make the sorted order differ from the row-major
     # one; regions span both chains and skip locations

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import causaloid.backends
+import causaloid.causaloid
+import causaloid.tables
 import causaloid.tomographic
 from causaloid import (
     CompositionalLambda,
@@ -39,7 +41,9 @@ from causaloid.errors import (
 from causaloid.compositional import product_rows
 from causaloid.tables import greedy_independent_rows
 
-from conftest import SCENARIO_NAMES
+from causaloid.scenario import parse_scenario
+from conftest import SCENARIO_NAMES, scenario_path
+from test_cli_digests import _openblas_core, second_kernel_run
 
 
 @pytest.fixture(scope="module")
@@ -388,3 +392,216 @@ def test_omega_sets_order_and_hash_as_built():
     for bad in ((1, 1), (0, 2, 1), (2, 0)):
         with pytest.raises(ValueError, match="strictly increasing"):
             OmegaSet(Region((1,)), bad, 3)
+
+
+# tolerances of the rejection-run property: at 1e-15 the screen's rounding
+# bound is never below tol, and at 1e-13 only for narrow rows and a small
+# basis, so there the rows go to the per-row path
+_SCREEN_TOLERANCES = (1e-15, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3, 0.5)
+
+
+@st.composite
+def _rejection_run_matrices(draw):
+    """40-200 rows drawn from a planted rank-r span, most of them in long
+    rejection runs: all-zero rows, exact repeats of earlier rows, rows
+    inside the span, and rows whose residual is planted within a few ulps
+    of ``tol * max(1, |row|)`` for one of ``_SCREEN_TOLERANCES``. Rows of
+    the span are scaled by 10**k for k in -3..3."""
+    n_cols = draw(st.integers(2, 16))
+    rank = draw(st.integers(1, n_cols - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # orthonormal rows: the first ``rank`` span the planted rows, the
+    # others are directions outside it
+    q = np.linalg.qr(rng.normal(size=(n_cols, n_cols)))[0].T
+    span = q[:rank]
+    n_rows = draw(st.integers(40, 200))
+    tol = draw(st.sampled_from(_SCREEN_TOLERANCES))
+    kinds = ["span"] * rank + draw(st.lists(
+        st.sampled_from(["zero", "repeat", "span", "planted"]),
+        min_size=n_rows - rank, max_size=n_rows - rank,
+    ))
+    rows = []
+    for kind in kinds:
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        if kind == "zero":
+            rows.append(np.zeros(n_cols))
+        elif kind == "repeat" and rows:
+            rows.append(rows[int(rng.integers(len(rows)))].copy())
+        elif kind == "planted":
+            v = scale * (rng.normal(size=rank) @ span)
+            # a few ulps of the bound itself, or of max(1, |v|), which is
+            # the size of the projections' rounding error
+            unit = max(1.0, float(np.linalg.norm(v))) * np.finfo(float).eps
+            step = unit * (tol, 1.0, 8.0)[int(rng.integers(3))]
+            target = tol * unit / np.finfo(float).eps + int(rng.integers(-8, 9)) * step
+            rows.append(v + target * q[int(rng.integers(rank, n_cols))])
+        else:
+            rows.append(scale * (rng.normal(size=rank) @ span))
+    return np.array(rows), tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_rejection_run_matrices())
+def test_screened_rejection_runs_match_the_reference(case):
+    values, tol = case
+    assert greedy_independent_rows(values, tol) == _reference_greedy(values, tol)
+
+
+# the tolerances of test_greedy_scan_matches_the_reference_on_every_bundled_scan
+_BUNDLED_TOLERANCES = (1e-17, 1e-9, 1e-3, 0.5, 2.0)
+
+
+def _bundled_scan_mismatches() -> list[str]:
+    """Every matrix the pipeline scans on the bundled scenarios (regions,
+    composites and span checks) on which the scan and ``_reference_greedy``
+    disagree at one of ``_BUNDLED_TOLERANCES``, as "shape tol"."""
+    scanned = []
+    greedy = {m: m.greedy_independent_rows for m in (causaloid.backends, causaloid.tomographic)}
+
+    def recorded(values, tol):
+        scanned.append(np.array(values, dtype=float))
+        return greedy_independent_rows(values, tol)
+
+    for module in greedy:
+        module.greedy_independent_rows = recorded
+    try:
+        for name in SCENARIO_NAMES:
+            run_pipeline(parse_scenario(scenario_path(name)))
+    finally:
+        for module, scan in greedy.items():
+            module.greedy_independent_rows = scan
+    assert len(scanned) >= 40
+    return [
+        f"{m.shape} {tol}"
+        for m in scanned
+        for tol in _BUNDLED_TOLERANCES
+        if greedy_independent_rows(m, tol) != _reference_greedy(m, tol)
+    ]
+
+
+def _kernel_scan_check() -> dict:
+    """This process's kernel, and ``_bundled_scan_mismatches``."""
+    return {"core": _openblas_core(), "mismatches": _bundled_scan_mismatches()}
+
+
+# runs _kernel_scan_check in a child process (see second_kernel_run)
+SCAN_CHILD = (
+    "import json, sys; sys.path[:0] = sys.argv[1:]; "
+    "import test_tomographic; print(json.dumps(test_tomographic._kernel_scan_check()))"
+)
+
+
+def test_screened_scan_matches_the_reference_on_a_second_kernel():
+    # the block screen decides as the per-row path does on another OpenBLAS
+    # kernel too, chosen for the child process only
+    _, theirs = second_kernel_run(SCAN_CHILD)
+    assert theirs["mismatches"] == []
+
+
+def _composite_scans(scenario):
+    """The composite measurement matrices ``build_causaloid`` scans on one
+    parsed scenario, by the number of factors of their keys."""
+    found = {}
+    find = causaloid.causaloid.find_fiducial_set
+
+    def recorded(matrix, tol):
+        if matrix.rows.row_kind == "omega-product":
+            found[len(matrix.rows.factors)] = (np.array(matrix.values), tol)
+        return find(matrix, tol)
+
+    causaloid.causaloid.find_fiducial_set = recorded
+    try:
+        build_causaloid(build_prob_table(scenario.spec, scenario.regions),
+                        composites=scenario.composites)
+    finally:
+        causaloid.causaloid.find_fiducial_set = find
+    return found
+
+
+@pytest.mark.parametrize("name, factors, rows_read, per_row, kept", [
+    # without the screen, every row read takes the per-row path
+    ("adjacent_gates", 2, 200, 35, 16),
+    ("polariser_chain", 3, 125, 17, 9),
+])
+def test_screen_spares_the_per_row_path_in_composite_scans(
+    scenarios, monkeypatch, name, factors, rows_read, per_row, kept
+):
+    # pins how many rows take the per-row projections, so a screen that
+    # stops firing fails here
+    values, tol = _composite_scans(scenarios(name))[factors]
+    calls = []
+    residual = causaloid.tables._residual
+
+    def counted(basis, basis_t, v):
+        calls.append(v)
+        return residual(basis, basis_t, v)
+
+    monkeypatch.setattr(causaloid.tables, "_residual", counted)
+    chosen = greedy_independent_rows(values, tol)
+    assert chosen == _reference_greedy(values, tol)
+    # the scan stops at its full-rank row, or reads every row
+    read = chosen[-1] + 1 if len(chosen) == values.shape[1] else len(values)
+    assert (len(chosen), read, len(calls)) == (kept, rows_read, per_row)
+
+
+def _lstsq_expansion(values, indices, tol):
+    """``solve_expansion`` as the least-squares solve alone, with no
+    shortcut for a full fiducial set."""
+    idx = list(indices)
+    fid = values[idx]
+    coeff, *_ = np.linalg.lstsq(fid.T, values.T, rcond=None)
+    lam = coeff.T
+    lam[idx] = np.eye(len(idx))
+    resid = np.linalg.norm(lam @ fid - values, axis=1)
+    if (resid > tol * np.maximum(1.0, np.linalg.norm(values, axis=1))).any():
+        raise ResidualTooLarge("the fiducial set does not span")
+    return lam
+
+
+def _layout(a):
+    return a.shape, a.strides, a.flags.c_contiguous, a.flags.f_contiguous, a.tobytes()
+
+
+def test_full_fiducial_sets_skip_the_solve_with_the_same_bytes(scenarios, monkeypatch):
+    solves = []
+    solve = causaloid.causaloid.solve_expansion
+
+    def recorded(values, indices, tol):
+        solves.append((np.array(values), tuple(indices), tol))
+        return solve(values, indices, tol)
+
+    monkeypatch.setattr(causaloid.causaloid, "solve_expansion", recorded)
+    for name in SCENARIO_NAMES:
+        run_pipeline(scenarios(name))
+    full = [s for s in solves if s[1] == tuple(range(len(s[0])))]
+    assert len(solves) == 23 and len(full) == 10
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    for values, indices, tol in full:
+        want = _lstsq_expansion(values, indices, tol)
+        assert len(calls) == 1
+        assert _layout(solve_expansion(values, indices, tol)) == _layout(want)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_other_fiducial_sets_still_solve(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    a = np.random.default_rng(3).random((3, 5))
+    nan, inf = a.copy(), a.copy()
+    nan[1, 2], inf[2, 0] = math.nan, math.inf
+    cases = [(a, (2, 0, 1), 1e-8), (a, (1, 0, 2), 1e-8), (a, (0, 1), 1.0),
+             (nan, (0, 1, 2), 1e-8), (inf, (0, 1, 2), 1e-8), (a, (0, 1, 2), -1.0)]
+    for values, indices, tol in cases:
+        outcomes = []
+        for solve in (solve_expansion, _lstsq_expansion):
+            try:
+                outcomes.append(_layout(solve(values, indices, tol)))
+            except (np.linalg.LinAlgError, ResidualTooLarge) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (indices, tol)
+        assert len(calls) == 2, (indices, tol)
+        calls.clear()
