@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -86,51 +86,50 @@ class Chain:
 class InstrumentFamily:
     """All actions available at one location.
 
-    ``actions[a][s]`` is the transfer matrix applied when action ``a``
-    produces outcome ``s``. Summed over outcomes every action must preserve
-    total probability.
-
-    ``stacked`` holds every map once, as one read-only ``(n_labels, D, D)``
-    array in label order (action by action, outcomes in order), and
-    ``actions`` holds views of its rows. Built from ``actions`` alone, the
-    maps are copied into a new stack once; the family builders pass the
-    stack they computed, with ``actions`` already its views
-    (``_stacked_family``).
+    ``stacked`` holds every transfer matrix once, as one ``(n_labels, D,
+    D)`` array in label order: action by action, each action's outcomes in
+    order. ``counts[a]`` is the number of outcomes of action ``a``. Summed
+    over its outcomes every action must preserve total probability. The
+    array is kept, not copied, and made read-only.
     """
 
     location: int
-    actions: tuple[tuple[np.ndarray, ...], ...]
-    stacked: np.ndarray | None = field(default=None, kw_only=True)
+    stacked: np.ndarray
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.actions:
+        counts = tuple(self.counts)
+        if not counts:
             raise BackendError("an instrument needs at least one action")
-        for fam in self.actions:
-            if not fam:
-                raise BackendError("every action needs an outcome")
-        if self.stacked is None:
-            maps = [T for group in self.actions for T in group]
-            if len({np.shape(T) for T in maps}) != 1:
-                raise DimensionMismatch(
-                    f"the transfer matrices at location {self.location} differ in shape"
-                )
-            stack = np.stack(maps)
-            object.__setattr__(self, "actions", _action_views(stack, map(len, self.actions)))
-            object.__setattr__(self, "stacked", stack)
+        if min(counts) < 1:
+            raise BackendError("every action needs an outcome")
+        shape = np.shape(self.stacked)
+        if (
+            not isinstance(self.stacked, np.ndarray)
+            or len(shape) != 3
+            or shape[0] != sum(counts)
+            or shape[1] != shape[2]
+        ):
+            raise DimensionMismatch(
+                f"location {self.location} needs {sum(counts)} square transfer "
+                f"matrices stacked in one array, got shape {shape}"
+            )
+        self.stacked.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_actions(self) -> int:
-        return len(self.actions)
+        return len(self.counts)
 
     def n_outcomes(self, action: int) -> int:
-        if not 0 <= action < len(self.actions):
+        if not 0 <= action < len(self.counts):
             raise UnknownProcedure(
                 f"location {self.location} has no action {action}"
             )
-        return len(self.actions[action])
+        return self.counts[action]
 
     def labels(self) -> list[tuple[int, int]]:
-        return [(a, s) for a in range(len(self.actions)) for s in range(len(self.actions[a]))]
+        return [(a, s) for a, n in enumerate(self.counts) for s in range(n)]
 
     @cached_property
     def label_digits(self) -> np.ndarray:
@@ -144,21 +143,14 @@ class InstrumentFamily:
     def offsets(self) -> tuple[int, ...]:
         """Where each action's outcome maps start in ``stacked`` (labels run
         action by action), then the label count."""
-        return tuple(itertools.accumulate(map(len, self.actions), initial=0))
+        return tuple(itertools.accumulate(self.counts, initial=0))
 
-
-def _action_views(stack: np.ndarray, counts: Iterable[int]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The rows of ``stack`` grouped into actions of ``counts`` outcomes;
-    the stack is made read-only first, so its views are too."""
-    stack.setflags(write=False)
-    bounds = list(itertools.accumulate(counts, initial=0))
-    return tuple(tuple(stack[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-
-
-def _stacked_family(location: int, stack: np.ndarray, counts: Iterable[int]) -> InstrumentFamily:
-    """A family whose maps are the rows of ``stack``, in label order, with
-    ``counts`` outcomes per action; the stack is kept, not copied."""
-    return InstrumentFamily(location, _action_views(stack, counts), stacked=stack)
+    @cached_property
+    def actions(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """``actions[a][s]``, the transfer matrix applied when action ``a``
+        produces outcome ``s``: read-only views of the rows of ``stacked``."""
+        bounds = self.offsets
+        return tuple(tuple(self.stacked[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +360,7 @@ def probe_reprepare_family(location: int, dim: int) -> InstrumentFamily:
     # maps[m, j, s] = np.outer(v_j, t - w_m) for s = 0, np.outer(v_j, w_m) for s = 1
     readouts = np.stack([t - coords, coords], axis=1)
     maps = coords[None, :, None, :, None] * readouts[:, None, :, None, :]
-    return _stacked_family(location, maps.reshape((-1,) + maps.shape[3:]), [2] * (len(coords) ** 2))
+    return InstrumentFamily(location, maps.reshape((-1,) + maps.shape[3:]), (2,) * len(coords) ** 2)
 
 
 def unitary_family(location: int, dim: int, names: Sequence[str]) -> InstrumentFamily:
@@ -391,7 +383,7 @@ def kraus_family(
         if not outcome_kraus:
             raise BackendError(f"action {idx} needs at least one outcome")
     maps = ops.kraus_transfers([list(ks) for group in actions for ks in group], dim)
-    return _stacked_family(location, maps, map(len, actions))
+    return InstrumentFamily(location, maps, tuple(map(len, actions)))
 
 
 def probe_reset_family(location: int, alphabet: int) -> InstrumentFamily:
@@ -438,7 +430,7 @@ def kernel_family(
                 f"kernel shape {T.shape} does not match alphabet {alphabet}"
             )
     stack = np.stack(mats) if mats else np.empty((0, alphabet, alphabet))
-    return _stacked_family(location, stack, map(len, actions))
+    return InstrumentFamily(location, stack, tuple(map(len, actions)))
 
 
 # ---------------------------------------------------------------------------

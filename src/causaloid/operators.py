@@ -18,7 +18,7 @@ __all__ = [
     "hermitian_basis",
     "operator_coords",
     "trace_covector",
-    "kraus_to_transfer",
+    "kraus_transfers",
     "density_from_ket",
     "ic_pure_kets",
     "extra_pure_kets",
@@ -33,8 +33,9 @@ MAX_QUANTUM_DIM = 8
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal Hermitian basis of d x d matrices; element 0 is I/sqrt(d)."""
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of d x d matrices, as one read-only
+    (d^2, d, d) array; element 0 is I/sqrt(d)."""
     if not 2 <= d <= MAX_QUANTUM_DIM:
         raise DimensionMismatch(f"quantum dimension must be in [2, {MAX_QUANTUM_DIM}], got {d}")
     mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
@@ -54,9 +55,9 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
             m[i, i] = 1
         m[l, l] = -l
         mats.append(m / np.sqrt(l * (l + 1)))
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
+    basis = np.stack(mats)
+    basis.setflags(write=False)
+    return basis
 
 
 def operator_coords(op: np.ndarray, d: int) -> np.ndarray:
@@ -64,8 +65,7 @@ def operator_coords(op: np.ndarray, d: int) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (d, d):
         raise DimensionMismatch(f"expected a {d}x{d} operator, got {op.shape}")
-    basis = hermitian_basis(d)
-    return np.array([np.trace(b @ op).real for b in basis])
+    return np.array([np.trace(b @ op).real for b in hermitian_basis(d)])
 
 
 def trace_covector(d: int) -> np.ndarray:
@@ -73,14 +73,6 @@ def trace_covector(d: int) -> np.ndarray:
     t = np.zeros(d * d)
     t[0] = np.sqrt(d)
     return t
-
-
-@lru_cache(maxsize=None)
-def _stacked_basis(d: int) -> np.ndarray:
-    """``hermitian_basis(d)`` as one read-only (d^2, d, d) array."""
-    stacked = np.stack(hermitian_basis(d))
-    stacked.setflags(write=False)
-    return stacked
 
 
 def kraus_transfers(outcomes: list[list[np.ndarray]], d: int) -> np.ndarray:
@@ -92,26 +84,21 @@ def kraus_transfers(outcomes: list[list[np.ndarray]], d: int) -> np.ndarray:
     added in Kraus order into a zeroed array, so each map is summed as if it
     were built alone.
     """
-    stacked = _stacked_basis(d)
+    basis = hermitian_basis(d)
     ks = [[np.asarray(K, dtype=complex) for K in kraus] for kraus in outcomes]
     for K in (K for kraus in ks for K in kraus):
         if K.shape != (d, d):
             raise DimensionMismatch(f"Kraus operator must be {d}x{d}, got {K.shape}")
-    out = np.zeros((len(ks), len(stacked), d, d), complex)
+    out = np.zeros((len(ks), len(basis), d, d), complex)
     for j in range(max(map(len, ks), default=0)):
         have = [o for o, kraus in enumerate(ks) if len(kraus) > j]
         K = np.stack([ks[o][j] for o in have])[:, None]
-        out[have] += K @ stacked @ K.conj().swapaxes(-1, -2)
+        out[have] += K @ basis @ K.conj().swapaxes(-1, -2)
     out = (out + out.conj().swapaxes(-1, -2)) / 2  # Hermiticity guard against rounding
     # T[o][m, q] = Tr[B_m out[o, q]]
     return np.ascontiguousarray(
-        np.trace(stacked[None, :, None] @ out[:, None], axis1=-2, axis2=-1).real
+        np.trace(basis[None, :, None] @ out[:, None], axis1=-2, axis2=-1).real
     )
-
-
-def kraus_to_transfer(kraus: list[np.ndarray], d: int) -> np.ndarray:
-    """Real transfer matrix of the completely positive map rho -> sum K rho K+."""
-    return kraus_transfers([kraus], d)[0]
 
 
 def density_from_ket(ket: np.ndarray) -> np.ndarray:

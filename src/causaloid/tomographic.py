@@ -248,15 +248,22 @@ def solve_expansion(
     Solved against the fiducial rows by orthogonal decomposition (least
     squares), never by inverting a submatrix. Rows at the fiducial
     indices are pinned to exact standard basis vectors; every row must
-    reconstruct within ``tol * max(1, |row|)``.
+    reconstruct within ``tol * max(1, |row|)``. A row holding a NaN or an
+    infinity reconstructs within no bound, and is refused before any solve.
 
-    When every row is fiducial, the values are finite and ``tol`` is not
-    negative, that pinning leaves the identity, which reconstructs every
-    row exactly: it is returned without a solve, F-ordered like the solved
-    matrix, so that later products round alike.
+    When every row is fiducial and ``tol`` is not negative, that pinning
+    leaves the identity, which reconstructs every row exactly: it is
+    returned without a solve, F-ordered like the solved matrix, so that
+    later products round alike.
     """
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ResidualTooLarge(
+            f"row {int(np.argmin(finite))} holds a non-finite value; "
+            f"no fiducial set reconstructs it"
+        )
     idx = list(indices)
-    if idx == list(range(len(values))) and tol >= 0 and np.isfinite(values).all():
+    if idx == list(range(len(values))) and tol >= 0:
         return np.eye(len(idx)).T
     fid = values[idx]
     coeff, *_ = np.linalg.lstsq(fid.T, values.T, rcond=None)

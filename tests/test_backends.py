@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,11 +112,8 @@ def _spec_verdict(kind, fam, size):
 
 def _faulty(fam, faults):
     """``fam`` with ``faults[(action, outcome)]`` added to those maps."""
-    actions = tuple(
-        tuple(T + faults.get((a, s), 0) for s, T in enumerate(group))
-        for a, group in enumerate(fam.actions)
-    )
-    return InstrumentFamily(fam.location, actions)
+    maps = [T + faults.get(label, 0) for label, T in zip(fam.labels(), fam.stacked)]
+    return InstrumentFamily(fam.location, np.stack(maps), fam.counts)
 
 
 def test_total_probability_check_matches_the_loop(scenarios):
@@ -212,7 +210,7 @@ def test_classical_kernels_must_be_stochastic():
 def test_an_instrument_needs_an_action():
     # numpy would otherwise fail on stacking no transfer matrices
     for build in (
-        lambda: InstrumentFamily(1, ()),
+        lambda: InstrumentFamily(1, np.empty((0, 2, 2)), ()),
         lambda: kernel_family(1, 2, []),
         lambda: kraus_family(1, 2, []),
     ):
@@ -466,7 +464,7 @@ def test_families_hold_their_maps_once():
     # whichever way the family was built
     rng = np.random.default_rng(5)
     kernels = [[np.full((3, 3), 1 / 3)], [np.eye(3) * 0.5, np.eye(3) * 0.5]]
-    loose = [tuple(rng.random((2, 2)) for _ in range(n)) for n in (1, 3)]
+    loose = [rng.random((2, 2)) for _ in range(4)]
     for fam in (
         probe_reprepare_family(1, 3),
         polariser_family(1, [0, 45]),
@@ -474,18 +472,57 @@ def test_families_hold_their_maps_once():
         probe_reset_family(1, 3),
         deterministic_family(1, 3, ["identity", "uniform"]),
         kernel_family(1, 3, kernels),
-        InstrumentFamily(1, loose),
+        InstrumentFamily(1, np.stack(loose), (1, 3)),
     ):
         stack = fam.stacked
         assert fam.stacked is stack and not stack.flags.writeable
         assert _map_addresses(fam) == [row.__array_interface__["data"][0] for row in stack]
         assert not any(T.flags.writeable for group in fam.actions for T in group)
-    # a family built from loose maps copies them once and leaves them be
-    fam = InstrumentFamily(1, loose)
-    assert _all_equal([T for g in fam.actions for T in g], [T for g in loose for T in g])
-    assert all(T.flags.writeable for group in loose for T in group)
-    with pytest.raises(DimensionMismatch, match="differ in shape"):
-        InstrumentFamily(1, ((np.eye(2), np.eye(3)),))
+    # the family keeps the array it is given
+    stack = np.stack(loose)
+    fam = InstrumentFamily(1, stack, (1, 3))
+    assert fam.stacked is stack and [len(group) for group in fam.actions] == [1, 3]
+    assert _all_equal([T for g in fam.actions for T in g], loose)
+
+
+def test_a_family_is_its_stack_and_outcome_counts():
+    # the stack must hold sum(counts) square maps; nothing else can
+    # disagree with it
+    fam = InstrumentFamily(2, np.stack([np.eye(2)] * 3), [2, 1])
+    assert fam.counts == (2, 1) and fam.offsets == (0, 2, 3)
+    assert (fam.n_actions, fam.n_outcomes(0), fam.n_outcomes(1)) == (2, 2, 1)
+    assert fam.labels() == [(0, 0), (0, 1), (1, 0)]
+    assert fam.label_digits.tolist() == [[0, 0, 1], [0, 1, 0]]
+    assert [field.name for field in dataclasses.fields(InstrumentFamily)] == [
+        "location", "stacked", "counts"]
+    for stacked, counts in (
+        (np.stack([np.eye(2)] * 2) / 2, (1,)),
+        (np.stack([np.eye(2)]), (1, 1)),
+        (np.ones((2, 2, 3)), (2,)),
+        (np.eye(2), (2,)),
+        (np.ones((1, 1, 2, 2)), (1,)),
+        ([np.eye(2)], (1,)),
+    ):
+        with pytest.raises(DimensionMismatch, match="^location 1 needs"):
+            InstrumentFamily(1, stacked, counts)
+    for counts, message in (((), "an instrument needs at least one action"),
+                            ((1, 0), "every action needs an outcome")):
+        with pytest.raises(BackendError, match=f"^{message}$"):
+            InstrumentFamily(1, np.stack([np.eye(2)]), counts)
+
+
+def test_a_family_allocates_its_maps_once():
+    # the builder computes every map into one array, and the family keeps
+    # it: no copy, and no per-map objects until ``actions`` is read
+    tracemalloc.start()
+    try:
+        fam = probe_reprepare_family(1, 6)
+        fam.stacked, fam.offsets, fam.label_digits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.stacked.shape == (2 * 36 * 36, 36, 36)
+    assert peak < 1.5 * fam.stacked.nbytes, (peak, fam.stacked.nbytes)
 
 
 def test_label_order_gathers_the_row_major_labels():
@@ -722,7 +759,8 @@ def _random_instrument(rng, dim, n_outcomes, kraus_per_outcome=2):
 
 
 def _loop_kraus_to_transfer(kraus, d):
-    """Reference: operators.kraus_to_transfer with one np.trace per entry."""
+    """Reference: one map of operators.kraus_transfers, with one np.trace
+    per entry."""
     basis = ops.hermitian_basis(d)
     n = len(basis)
     T = np.zeros((n, n))
@@ -749,7 +787,7 @@ def test_kraus_to_transfer_matches_the_loop():
             cases += [(ks, d) for ks in _random_instrument(rng, d, n_outcomes)]
     cases += [([ops.named_unitary(name, 2)], 2) for name in ("hadamard", "phase")]
     for kraus, d in cases:
-        assert _same_bytes(ops.kraus_to_transfer(kraus, d), _loop_kraus_to_transfer(kraus, d))
+        assert _same_bytes(ops.kraus_transfers([kraus], d)[0], _loop_kraus_to_transfer(kraus, d))
 
 
 def _uneven_instrument(rng, dim, counts):
