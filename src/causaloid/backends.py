@@ -655,7 +655,7 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     for axis, (_, gather) in enumerate(orders):
         if not np.array_equal(gather, np.arange(gather.size)):
             values = np.take(values, gather, axis=axis)
-    return ProbTable(regions, gammas, exteriors, np.ascontiguousarray(values))
+    return ProbTable(gammas, exteriors, np.ascontiguousarray(values))
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +664,12 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
 
 @dataclass(frozen=True)
 class SpanValidation:
+    """A region whose rank the extended exterior set leaves unchanged."""
+
     region: Region
     rank: int
-    extended_rank: int
     n_exteriors: int
     n_extended_exteriors: int
-
-    @property
-    def stable(self) -> bool:
-        return self.extended_rank == self.rank
 
 
 def _span_factor(vectors: np.ndarray) -> np.ndarray:
@@ -837,7 +834,7 @@ def validate_table_spans(
             )
         n_exteriors = table.values.size // table.values.shape[axis]
         n_extended = n_exteriors // declared * widen
-        out.append(SpanValidation(region, rank, extended, n_exteriors, n_extended))
+        out.append(SpanValidation(region, rank, n_exteriors, n_extended))
     return tuple(out)
 
 

@@ -506,16 +506,8 @@ def matrix_hex_text(matrix: np.ndarray) -> bytes:
 
 
 def matrix_hex(matrix: np.ndarray) -> list[list[str]]:
-    """Exact float hex strings, row by row.
-
-    Each string is ``float.hex`` of the entry as a Python float, read back
-    from ``matrix_hex_text``.
-    """
-    m, w = np.shape(matrix)
-    if m == 0 or w == 0:
-        return [[] for _ in range(m)]
-    text = matrix_hex_text(matrix).decode("ascii")
-    return [row.split('","') for row in text[3:-3].split('"],["')]
+    """Exact float hex strings, row by row: ``float.hex`` of each entry."""
+    return [list(map(float.hex, row)) for row in np.asarray(matrix, dtype=float).tolist()]
 
 
 def _matrix_to_b64(matrix: np.ndarray) -> str:

@@ -177,20 +177,13 @@ class PairCompression:
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
-    """Undirected graph over regions; edges mark causal adjacency."""
+    """Undirected graph over regions; edges are the adjacent region pairs."""
 
-    regions: tuple[Region, ...]
     pairs: tuple[PairCompression, ...]
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for p in self.pairs:
-            if p.adjacent:
-                out.append(
-                    (self.regions.index(p.first), self.regions.index(p.second))
-                )
-        return tuple(out)
+    def edges(self) -> tuple[tuple[Region, Region], ...]:
+        return tuple((p.first, p.second) for p in self.pairs if p.adjacent)
 
 
 def adjacency_graph(
@@ -201,9 +194,8 @@ def adjacency_graph(
     Pair sizes are read from the registry's pair entries; a pair it lacks
     is compressed here from the registry's per-region fiducial sets.
     """
-    regions = causaloid.regions
     pairs = []
-    for a, b in itertools.combinations(regions, 2):
+    for a, b in itertools.combinations(causaloid.regions, 2):
         try:
             omega = causaloid.entry((a, b)).omega
         except MissingEntry:
@@ -219,4 +211,4 @@ def adjacency_graph(
                 product_size=omega.parent_size,
             )
         )
-    return AdjacencyGraph(regions=regions, pairs=tuple(pairs))
+    return AdjacencyGraph(pairs=tuple(pairs))

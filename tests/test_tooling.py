@@ -64,21 +64,42 @@ def test_every_traced_target_resolves():
         assert callable(owner), f"causaloid.{mod_name}.{attr}"
 
 
+# the count metrics each contract workload's traced operations must record;
+# their count functions read result members (AdjacencyGraph.pairs,
+# PairCompression.first and second, HeraldResult.well_defined,
+# ProbTable.n_entries, Causaloid.composites)
+TRACED_COUNTS = {
+    "compress_bundled": {
+        "backends.table_builds", "backends.table_entries", "backends.exteriors",
+        "tables.greedy_rows_scanned", "tables.greedy_rows_kept",
+        "tomographic.solve_calls", "causaloid.entries_built",
+        "compositional.adjacency_pairs", "compositional.adjacency_pairs_redundant",
+        "report.bytes",
+    },
+    "query": {"heralding.well_defined", "heralding.ill_defined"},
+    "sample": {"backends.sample_cards_calls", "operational.runs"},
+}
+
+
 def test_benchmark_workloads_pass_their_own_checks(tmp_path, monkeypatch, capsys):
-    # each workload of BENCHMARK.json, run briefly and untraced on the
-    # checkout's bench/ files: every operation must pass the workload's own
-    # oracle check, so a change to what bench/ reads of the package fails
-    # here and not only in the benchmark run; bench/ is only read
+    # each workload of BENCHMARK.json, run briefly on the checkout's bench/
+    # files, first untraced and then with bench/tracer.py's Tracer
+    # installed: every operation must pass the workload's own oracle check
+    # and every count function must read what it expects of the results,
+    # so a change to what bench/ reads of the package fails here and not
+    # only in the benchmark run; bench/ is only read
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
-    null_tracer = _load_tracer().NULL_TRACER
+    tracing = _load_tracer()
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(item["name"] for item in contract["workloads"]) == sorted(TRACED_COUNTS)
     for item in contract["workloads"]:
         cls = workloads.WORKLOADS[item["name"]]
         workdir = tmp_path / cls.name
         workdir.mkdir()
-        wl = cls(causaloid, str(ROOT), str(workdir), 3, null_tracer)
+        tracer = tracing.Tracer()
+        wl = cls(causaloid, str(ROOT), str(workdir), 3, tracer)
         wl.setup()
         wl.prepare()
         # the query mix repeats every 100 operations
@@ -87,7 +108,18 @@ def test_benchmark_workloads_pass_their_own_checks(tmp_path, monkeypatch, capsys
             assert wl.check(i, wl.op(i, wl.draw(i))), (cls.name, wl.kind(i), i)
         if cls.name == "query":
             assert {wl.kind(i) for i in range(ops)} == {k for k, _ in workloads.QUERY_MIX}
-        assert wl.finish(ops) == 0, cls.name
+        first = tracer.n_requests
+        tracer.install()
+        try:
+            for i in range(ops, 2 * ops):
+                with tracer.request_span(wl.kind(i)):
+                    out = wl.op(i, wl.draw(i))
+                assert wl.check(i, out), (cls.name, "traced", wl.kind(i), i)
+        finally:
+            tracer.uninstall()
+        summary = tracing.summarize(tracer, set(range(first, tracer.n_requests)))
+        assert TRACED_COUNTS[cls.name] <= set(summary["totals"]), cls.name
+        assert wl.finish(2 * ops) == 0, cls.name
     capsys.readouterr()
 
 
