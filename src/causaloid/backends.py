@@ -215,9 +215,6 @@ class TheorySpec:
     def vec_dim(self, chain: Chain) -> int:
         return chain.size if self.kind == "classical" else chain.size * chain.size
 
-    def total_covector(self, chain: Chain) -> np.ndarray:
-        return complete_effect(self.kind, chain.size)
-
     def chain_of(self, location: int) -> Chain:
         for c in self.chains:
             if location in c.locations:
@@ -234,7 +231,7 @@ class TheorySpec:
         return tuple(f.location for f in self.instruments)
 
     def _check_total_probability(self, fam: InstrumentFamily) -> None:
-        t = self.total_covector(self.chain_of(fam.location))
+        t = complete_effect(self.kind, self.chain_of(fam.location).size)
         stack = fam.stacked
         # one reduceat sums every action's outcome maps (in outcome order)
         starts = fam.offsets[:-1]
@@ -298,7 +295,7 @@ class TheorySpec:
         for ci, chain in enumerate(self.chains):
             d = self.vec_dim(chain)
             v = np.broadcast_to(self.preparations[ci][0], (runs, d))
-            t = self.total_covector(chain)
+            t = complete_effect(self.kind, chain.size)
             for loc in chain.locations:
                 fam = self.family(loc)
                 a = procedure.action_at(loc)
@@ -546,8 +543,8 @@ def enumerate_exteriors(spec: TheorySpec, probed: Iterable[int]) -> ExteriorAxis
         ),
         # an effect is complete where it is the chain's total covector
         effects=tuple(
-            tuple(np.array_equal(e, t) for e in effs)
-            for effs, t in zip(spec.effects, map(spec.total_covector, spec.chains))
+            tuple(np.array_equal(e, complete_effect(spec.kind, c.size)) for e in effs)
+            for effs, c in zip(spec.effects, spec.chains)
         ),
     )
 

@@ -11,9 +11,8 @@ All four build their causaloid through ``report.checked_causaloid``, so a
 table, compression or span failure exits the same way from each.
 
 Exit codes: 0 success, 2 scenario or schema problems, 3 numerical
-failures (rank, residual, singular transform, degenerate exterior,
-vanishing denominators), 4 a herald came back ill defined while
-``--require-herald`` was set.
+failures (an ``errors.NumericalError``), 4 a herald came back ill defined
+while ``--require-herald`` was set.
 """
 from __future__ import annotations
 
@@ -23,19 +22,9 @@ import functools
 import re
 import sys
 
-from .causaloid import json_text, normalize_key
+from .causaloid import json_text
 from .diagram import born_scene, emit_diagram, expansion_scene, product_scene
-from .errors import (
-    CausaloidError,
-    DegenerateExterior,
-    ResidualTooLarge,
-    SchemaError,
-    SingularTransform,
-    SpanDeficient,
-    ZeroDenominator,
-    ZeroDenominatorVector,
-    write_text,
-)
+from .errors import CausaloidError, NumericalError, SchemaError, write_text
 from .heralding import herald
 from .report import (
     checked_causaloid,
@@ -46,15 +35,6 @@ from .report import (
 from .scenario import ScenarioFile, check_tolerance, herald_query, label_refs, parse_scenario
 
 __all__ = ["main"]
-
-_NUMERICAL_ERRORS = (
-    ResidualTooLarge,
-    SingularTransform,
-    SpanDeficient,
-    DegenerateExterior,
-    ZeroDenominator,
-    ZeroDenominatorVector,
-)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -165,8 +145,7 @@ def _cmd_herald(args) -> int:
         for part in args.given.split(",")
         if part
     )
-    listed = {normalize_key(key) for key in scenario.composites}
-    query = herald_query(target, given, listed, "--given")
+    query = herald_query(target, given, set(scenario.composites), "--given")
     table, _, causaloid = checked_causaloid(scenario)
     result = herald(causaloid, query, tol=scenario.tol_herald, table=table)
 
@@ -238,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     except CausaloidError as exc:

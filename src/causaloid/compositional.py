@@ -22,11 +22,11 @@ from .tables import MeasurementMatrix, ProbTable
 from .tomographic import (
     DEFAULT_RANK_TOL,
     OmegaSet,
+    _folded,
     _label_row_set,
     _row_set,
     check_expansion,
     find_fiducial_set,
-    fold_to_exterior,
 )
 
 if TYPE_CHECKING:
@@ -125,19 +125,18 @@ def fiducial_rows_matrix(
     ``parts`` holds, per factor, its leaf regions and its leaf rows, as
     ``product_leaf_rows`` takes them. The rows are
     ``product_rows(factor_omegas)``. Leaves need not cover the whole table;
-    the remaining regions fold into the exterior axis.
+    the remaining regions fold into the exterior axis. Only the product
+    rows are copied out of the table.
     """
     product = product_rows(factor_omegas)
     leaves, rows = product_leaf_rows(parts, product)
-    vals, exteriors = fold_to_exterior(table, leaves)
+    vals, exteriors = _folded(table, [table.region_axis(r) for r in leaves])
     if len(exteriors) < 2:
         raise DegenerateExterior(
             "the joint table varies over a single exterior configuration; "
             "embed the regions in a larger predictively well-defined region"
         )
-    return MeasurementMatrix(
-        product, exteriors, np.ascontiguousarray(vals[tuple(rows.T)])
-    )
+    return MeasurementMatrix(product, exteriors, vals[tuple(rows.T)].reshape(len(rows), -1))
 
 
 def joint_fiducial_matrix(

@@ -26,6 +26,7 @@ __all__ = [
     "ContextMismatch",
     "IncompleteTable",
     "TableTooLarge",
+    "NumericalError",
     "ResidualTooLarge",
     "SingularTransform",
     "SpanDeficient",
@@ -97,19 +98,24 @@ class TableTooLarge(CausaloidError):
     """A requested table would exceed the configured entry cap."""
 
 
-class ResidualTooLarge(CausaloidError):
+class NumericalError(CausaloidError):
+    """A numerical decision failed: rank, residual, singular transform,
+    degenerate exterior or a vanishing denominator. The CLI exits 3."""
+
+
+class ResidualTooLarge(NumericalError):
     """A row could not be reconstructed from the fiducial rows."""
 
 
-class SingularTransform(CausaloidError):
+class SingularTransform(NumericalError):
     """A fiducial-set change requires inverting an ill-conditioned block."""
 
 
-class SpanDeficient(CausaloidError):
+class SpanDeficient(NumericalError):
     """The declared exterior set does not span the reachable state space."""
 
 
-class DegenerateExterior(CausaloidError):
+class DegenerateExterior(NumericalError):
     """A joint table has no exterior variation to compress against."""
 
 
@@ -117,11 +123,11 @@ class ZeroConditionCount(CausaloidError):
     """No sampled stack matches the conditioning event."""
 
 
-class ZeroDenominator(CausaloidError):
+class ZeroDenominator(NumericalError):
     """A conditional is requested on an event of probability zero."""
 
 
-class ZeroDenominatorVector(CausaloidError):
+class ZeroDenominatorVector(NumericalError):
     """The heralding denominator vector vanishes."""
 
 

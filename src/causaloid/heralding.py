@@ -24,7 +24,7 @@ from .errors import (
 )
 from .operational import Region, disjoint_union
 from .tables import ExteriorAxis, ExteriorConfiguration, Label, ProbTable
-from .tomographic import RVector, r_vector
+from .tomographic import RVector, _folded, r_vector
 
 __all__ = [
     "HeraldQuery",
@@ -160,24 +160,21 @@ def _conditional_parts(
 
     Numerator: joint weight of all named labels. Denominator: the same with
     the target summed over outcome-consistent labels. Each is read from the
-    table at the named labels; every other region folds into the exterior
-    axis, in table order, with the original exterior fastest.
+    table's folded view (``tomographic._folded``) at the named labels.
     """
     named = query.named_regions
     axes = [table.region_axis(r) for r in named]
+    vals, exteriors = _folded(table, axes)
     fixed = dict(query.conditions)
     fixed[query.target[0]] = query.target[1]
-    sel: list = [slice(None)] * table.values.ndim
-    for r, axis in zip(named, axes):
-        sel[axis] = table.gammas[axis].index_of(fixed[r])
-    t_axis = axes[named.index(query.target[0])]
-    num = table.values[tuple(sel)].reshape(-1)
+    sel = [table.gammas[axis].index_of(fixed[r]) for r, axis in zip(named, axes)]
+    t = named.index(query.target[0])
+    num = vals[tuple(sel)].reshape(-1)
     den = np.zeros_like(num)
-    for row in table.gammas[t_axis].labels_for_action(query.target[1][0]):
-        sel[t_axis] = row
-        den = den + table.values[tuple(sel)].reshape(-1)
-    folded = [g for i, g in enumerate(table.gammas) if i not in axes]
-    return num, den, table.exteriors.fold(folded)
+    for row in table.gammas[axes[t]].labels_for_action(query.target[1][0]):
+        sel[t] = row
+        den = den + vals[tuple(sel)].reshape(-1)
+    return num, den, exteriors
 
 
 def conditional_from_table(

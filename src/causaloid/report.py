@@ -51,18 +51,11 @@ class CompressionReport:
     heralds: tuple[tuple[str, HeraldResult], ...]
 
 
-def _matrix_digest(matrix) -> str:
-    """sha256 of the compact JSON text of ``matrix_hex`` rows.
-
-    The text is what ``json.dumps(matrix_hex(matrix), separators=(",", ":"))``
-    writes (``[""]`` per row for a matrix with no columns), built by
-    ``matrix_hex_text`` from the float64 bits.
-    """
-    return hashlib.sha256(matrix_hex_text(matrix)).hexdigest()
-
-
 def _lambda_fields(matrix, full_matrices: bool) -> dict:
-    fields = {"lambda_shape": list(matrix.shape), "lambda_sha256": _matrix_digest(matrix)}
+    fields = {
+        "lambda_shape": list(matrix.shape),
+        "lambda_sha256": hashlib.sha256(matrix_hex_text(matrix)).hexdigest(),
+    }
     if full_matrices:
         fields["lambda_hex"] = matrix_hex(matrix)
     return fields

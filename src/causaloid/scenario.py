@@ -69,7 +69,11 @@ class HeraldSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioFile:
-    """A parsed, validated scenario."""
+    """A parsed, validated scenario.
+
+    ``composites`` holds each listed grouping in its ``normalize_key`` form,
+    in the order listed.
+    """
 
     name: str
     spec: TheorySpec
@@ -220,8 +224,11 @@ def _build_theory(doc: dict, path: str) -> TheorySpec:
     )
 
 
-def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple[tuple, ...], set]:
-    """The groupings, and the set of their ``normalize_key``s."""
+def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple, ...]:
+    """The groupings in their ``normalize_key`` form, in the order listed.
+
+    Nesting is checked on each grouping as written, so an error names the
+    factor's position in the file."""
     if not isinstance(raw, list):
         raise SchemaError("expected a list of groupings", path)
 
@@ -246,20 +253,19 @@ def _parse_composites(raw, names: dict[str, Region], path: str) -> tuple[tuple[t
             return key
         raise SchemaError("expected a region name or a nested grouping", npath)
 
-    out, listed = [], set()
+    out = []
     for i, node in enumerate(raw):
         key = resolve(node, f"{path}[{i}]", 1)
         if isinstance(key, Region):
             raise SchemaError("a grouping needs at least two factors", f"{path}[{i}]")
         for j, child in enumerate(key):
-            if isinstance(child, tuple) and normalize_key(child) not in listed:
+            if isinstance(child, tuple) and normalize_key(child) not in out:
                 raise SchemaError(
                     "an inner grouping must be listed before the grouping it is nested in",
                     f"{path}[{i}][{j}]",
                 )
-        out.append(key)
-        listed.add(normalize_key(key))
-    return tuple(out), listed
+        out.append(normalize_key(key))
+    return tuple(out)
 
 
 def label_refs(spec: TheorySpec, names: dict[str, Region]) -> Callable:
@@ -375,8 +381,8 @@ def parse_scenario_dict(doc: dict) -> ScenarioFile:
                 raise SchemaError(f"location {x} is in two regions", rp)
             used.add(x)
         names[rname] = Region(tuple(locations))
-    composites, listed = _parse_composites(doc.get("composites", []), names, "$.composites")
-    heralds = _parse_heralds(doc.get("heralds", []), names, spec, listed, "$.heralds")
+    composites = _parse_composites(doc.get("composites", []), names, "$.composites")
+    heralds = _parse_heralds(doc.get("heralds", []), names, spec, set(composites), "$.heralds")
     tols = doc.get("tolerances", {})
     _check_keys(tols, _TOL_KEYS, "$.tolerances")
     for key, value in tols.items():

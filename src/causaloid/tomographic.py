@@ -197,6 +197,17 @@ class StateVector:
         self.components.setflags(write=False)
 
 
+def _folded(table: ProbTable, keep_axes: Sequence[int]) -> tuple[np.ndarray, ExteriorAxis]:
+    """The table's values as a view, with the ``keep_axes`` label axes first
+    (in that order), then every other region's label axis (in table order),
+    then the exterior axis; and the exterior axis with those other regions
+    folded in. Folds, composite rows and herald conditionals all read it;
+    the kept axes must be distinct."""
+    other_axes = [i for i in range(len(table.gammas)) if i not in keep_axes]
+    vals = np.transpose(table.values, [*keep_axes, *other_axes, len(table.gammas)])
+    return vals, table.exteriors.fold([table.gammas[i] for i in other_axes])
+
+
 def fold_to_exterior(
     table: ProbTable, keep: Sequence[Region]
 ) -> tuple[np.ndarray, ExteriorAxis]:
@@ -207,14 +218,11 @@ def fold_to_exterior(
     axes appear in ``keep`` order; column order is row-major over the
     folded regions (table order) with the original exterior fastest.
     """
-    keep = tuple(keep)
-    keep_axes = [table.region_axis(r) for r in keep]
-    if len(set(keep_axes)) != len(keep_axes):
+    axes = [table.region_axis(r) for r in keep]
+    if len(set(axes)) != len(axes):
         raise IncompleteTable("kept regions must be distinct")
-    other_axes = [i for i in range(len(table.regions)) if i not in keep_axes]
-    vals = np.transpose(table.values, keep_axes + other_axes + [len(table.regions)])
-    vals = np.ascontiguousarray(vals).reshape(vals.shape[: len(keep_axes)] + (-1,))
-    return vals, table.exteriors.fold([table.gammas[i] for i in other_axes])
+    vals, exteriors = _folded(table, axes)
+    return np.ascontiguousarray(vals).reshape(vals.shape[: len(axes)] + (-1,)), exteriors
 
 
 def build_measurement_matrix(table: ProbTable, region: Region) -> MeasurementMatrix:
@@ -249,19 +257,25 @@ def solve_expansion(
     squares), never by inverting a submatrix. Rows at the fiducial
     indices are pinned to exact standard basis vectors; every row must
     reconstruct within ``tol * max(1, |row|)``. A row holding a NaN or an
-    infinity reconstructs within no bound, and is refused before any solve.
+    infinity, or whose squared norm overflows, has no finite bound, and is
+    refused before any solve.
 
     When every row is fiducial and ``tol`` is not negative, that pinning
     leaves the identity, which reconstructs every row exactly: it is
     returned without a solve, F-ordered like the solved matrix, so that
     later products round alike.
     """
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ResidualTooLarge(
-            f"row {int(np.argmin(finite))} holds a non-finite value; "
-            f"no fiducial set reconstructs it"
-        )
+    # the squared row norms as np.linalg.norm sums them, so the bounds below
+    # keep its bits; NaN, an infinity and an overflow all leave them non-finite
+    with np.errstate(over="ignore"):
+        square = np.add.reduce(values * values, axis=1)
+    unbounded = np.flatnonzero(~np.isfinite(square))
+    if unbounded.size:
+        row = int(unbounded[0])
+        what = "has a norm that overflows"
+        if not np.isfinite(values[row]).all():
+            what = "holds a non-finite value"
+        raise ResidualTooLarge(f"row {row} {what}; no fiducial set reconstructs it")
     idx = list(indices)
     if idx == list(range(len(values))) and tol >= 0:
         return np.eye(len(idx)).T
@@ -270,7 +284,7 @@ def solve_expansion(
     lam = coeff.T
     lam[idx] = np.eye(len(idx))
     resid = np.linalg.norm(lam @ fid - values, axis=1)
-    bounds = tol * np.maximum(1.0, np.linalg.norm(values, axis=1))
+    bounds = tol * np.maximum(1.0, np.sqrt(square))
     bad = np.nonzero(resid > bounds)[0]
     if bad.size:
         worst = int(bad[np.argmax(resid[bad])])

@@ -20,8 +20,13 @@ from causaloid import (
     fold_to_exterior,
     joint_fiducial_matrix,
 )
+from causaloid import compositional, tomographic
+from causaloid.causaloid import _leaf_rows
+from causaloid.compositional import fiducial_rows_matrix, product_leaf_rows, product_rows
 from causaloid.errors import DegenerateExterior, SchemaError
 from causaloid.tables import ExteriorAxis, GammaSet, ProbTable
+
+from conftest import SCENARIO_NAMES
 
 
 def _omegas(table, regions):
@@ -219,3 +224,45 @@ def test_adjacency_compresses_only_pairs_missing_from_the_registry(
     assert calls == [(r1, r3), (r2, r3)]
     assert partial.pairs == full.pairs
     assert partial.edges == ((r1, r2), (r2, r3))
+
+
+def test_composite_rows_fold_no_table(scenarios, monkeypatch):
+    # composite rows are gathered from the table's folded view: with every
+    # whole-table fold refused, each bundled composite and flat pair gets
+    # the C-ordered bytes a fold followed by a gather gives
+    cases = []
+    for name in SCENARIO_NAMES:
+        s = scenarios(name)
+        table = build_prob_table(s.spec, s.regions)
+        c = build_causaloid(table, s.composites or None)
+        entries = {**dict(zip(c.regions, c.elementary)), **dict(c.composites)}
+        for key, entry in c.composites:
+            parts = [_leaf_rows(entries, child) for child in key]
+            leaves, rows = product_leaf_rows(parts, product_rows(entry.factor_omegas))
+            vals, exteriors = fold_to_exterior(table, leaves)
+            want = np.ascontiguousarray(vals[tuple(rows.T)])
+            cases.append((fiducial_rows_matrix, (table, parts, entry.factor_omegas),
+                          want, exteriors))
+        for a, b in itertools.combinations(c.regions, 2):
+            oa, ob = c.omega_of(a), c.omega_of(b)
+            vals, exteriors = fold_to_exterior(table, (a, b))
+            want = np.ascontiguousarray(
+                vals[np.ix_(oa.indices, ob.indices)].reshape(oa.size * ob.size, -1)
+            )
+            cases.append((joint_fiducial_matrix, (table, [oa, ob]), want, exteriors))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("composite rows folded the whole table")
+
+    for module in (tomographic, compositional):
+        monkeypatch.setattr(module, "fold_to_exterior", refuse, raising=False)
+    assert len(cases) > 9
+    for build, args, want, exteriors in cases:
+        if len(exteriors) < 2:
+            with pytest.raises(DegenerateExterior):
+                build(*args)
+            continue
+        got = build(*args)
+        assert got.exteriors == exteriors
+        assert got.values.flags.c_contiguous
+        assert got.values.shape == want.shape and got.values.tobytes() == want.tobytes()

@@ -206,7 +206,7 @@ def _reference_outcomes(spec, procedure, uniforms):
         col = 0
         for ci, chain in enumerate(spec.chains):
             v = spec.preparations[ci][0]
-            t = spec.total_covector(chain)
+            t = complete_effect(spec.kind, chain.size)
             for loc in chain.locations:
                 mats = spec.family(loc).actions[procedure.action_at(loc)]
                 weights = np.array([t @ (T @ v) for T in mats])
@@ -283,7 +283,7 @@ def test_a_zero_uniform_never_draws_an_impossible_outcome(scenarios):
             drawn = iter(spec.sample_cards(proc, np.zeros((1, len(locs))))[0])
             for ci, chain in enumerate(spec.chains):
                 v = spec.preparations[ci][0]
-                t = spec.total_covector(chain)
+                t = complete_effect(spec.kind, chain.size)
                 for loc in chain.locations:
                     mats = spec.family(loc).actions[proc.action_at(loc)]
                     weights = [t @ (T @ v) for T in mats]

@@ -28,11 +28,23 @@ from causaloid import (
     run_pipeline,
     write_report,
 )
-from causaloid.causaloid import load_causaloid, matrix_hex
+from causaloid.causaloid import load_causaloid, matrix_hex, matrix_hex_text
+from causaloid import cli, errors
 from causaloid.cli import main
 from causaloid.diagram import DiagramNode, DiagramScene, DiagramWire, _layered
-from causaloid.report import _matrix_digest
-from causaloid.errors import IoError, SchemaError, UnknownEntry
+from causaloid.errors import (
+    CausaloidError,
+    DegenerateExterior,
+    IoError,
+    NumericalError,
+    ResidualTooLarge,
+    SchemaError,
+    SingularTransform,
+    SpanDeficient,
+    UnknownEntry,
+    ZeroDenominator,
+    ZeroDenominatorVector,
+)
 from causaloid.operational import load_stacks
 from causaloid.scenario import parse_scenario, parse_scenario_dict
 from causaloid.tables import GammaSet
@@ -220,7 +232,7 @@ def test_matrix_digest_matches_the_json_definition(matrix, transpose):
     rows = [[float(x).hex() for x in row] for row in matrix]
     blob = json.dumps(rows, separators=(",", ":")).encode("ascii")
     assert matrix_hex(matrix) == rows
-    assert _matrix_digest(matrix) == hashlib.sha256(blob).hexdigest()
+    assert matrix_hex_text(matrix) == blob
     back = np.array([[float.fromhex(x) for x in row] for row in matrix_hex(matrix)])
     want = np.ascontiguousarray(matrix, dtype=float)
     assert back.shape == want.shape
@@ -238,13 +250,13 @@ def test_matrix_hex_matches_float_hex_at_every_exponent():
         rows = [[float(x).hex() for x in row] for row in m]
         blob = json.dumps(rows, separators=(",", ":")).encode("ascii")
         assert matrix_hex(m) == rows
-        assert _matrix_digest(m) == hashlib.sha256(blob).hexdigest()
+        assert matrix_hex_text(m) == blob
 
 
 def test_matrix_digest_of_no_columns_is_pinned():
     # a Λ with no columns digests '[""]' per row, as it always has
     assert matrix_hex(np.zeros((3, 0))) == [[], [], []]
-    assert _matrix_digest(np.zeros((3, 0))) == (
+    assert hashlib.sha256(matrix_hex_text(np.zeros((3, 0)))).hexdigest() == (
         "8f447bb86b7f17e654d568668127830260bb1c999145f899a24b5de9e58c8c80"
     )
 
@@ -664,6 +676,26 @@ def test_cli_numerical_failures(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_every_error_class_exits_with_the_code_its_type_decides(monkeypatch, capsys):
+    # a command raising a package error exits 3 exactly when the error is a
+    # NumericalError, and 2 otherwise, with the message on standard error
+    classes = [getattr(errors, name) for name in errors.__all__]
+    assert len(classes) == 23 and all(issubclass(c, CausaloidError) for c in classes)
+    numerical = {c for c in classes if issubclass(c, NumericalError)} - {NumericalError}
+    assert numerical == set(NumericalError.__subclasses__()) == {
+        ResidualTooLarge, SingularTransform, SpanDeficient, DegenerateExterior,
+        ZeroDenominator, ZeroDenominatorVector,
+    }
+    for cls in classes:
+        def command(args, cls=cls):
+            raise cls("no answer")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", command)
+        code = main(["validate", "--scenario", _scn("classical_bit")])
+        assert code == (3 if issubclass(cls, NumericalError) else 2), cls
+        assert capsys.readouterr().err == f"error: {cls('no answer')}\n"
 
 
 def test_cli_diagram(tmp_path, capsys):

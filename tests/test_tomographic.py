@@ -614,3 +614,24 @@ def test_other_fiducial_sets_still_solve(monkeypatch):
         with pytest.raises(ResidualTooLarge, match=f"^row {row} holds a non-finite value"):
             solve_expansion(values, indices, 1e-8)
     assert calls == []
+
+
+def test_a_row_whose_norm_overflows_is_refused_before_any_solve(monkeypatch):
+    # that row's residual and its bound both overflow to inf in
+    # np.linalg.norm, and inf > inf is false, so a solve would keep a row it
+    # did not reconstruct; the first such row is named, before any lstsq
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    big = np.array([[1e-300, 0.0], [1e300, 0.0], [0.0, 1.0]])
+    # each square is finite here; only their sum passes the largest float
+    edge = np.array([[1.0, 0.0], [0.0, 1.0], [1.2e154, 1.2e154]])
+    for values, indices, row in ((big, (0, 2), 1), (big, (0, 1, 2), 1),
+                                 (edge, (0, 1), 2), (edge[::-1], (1, 2), 0)):
+        with pytest.raises(ResidualTooLarge, match=f"^row {row} has a norm that overflows"):
+            solve_expansion(values, indices, 1e-8)
+    assert calls == []
+    # a row whose squared norm is finite is solved and bounded as before
+    lam = solve_expansion(np.array([[1.0, 0.0], [0.0, 1.0], [1.2e154, 0.0]]), (0, 1), 1e-8)
+    assert np.array_equal(lam, [[1.0, 0.0], [0.0, 1.0], [1.2e154, 0.0]])
+    assert calls == [1]
