@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,7 +137,9 @@ def _tensor_drops(entry: CompositionalLambda) -> bool:
 
 
 def _tensor_omega(stub: DeducedEntry) -> OmegaSet:
-    return product_rows(stub.factor_omegas)
+    # the one row set listing every row: a deduced fiducial set keeps them all
+    rows = product_rows(stub.factor_omegas)
+    return replace(rows, indices=tuple(range(rows.parent_size)))
 
 
 def _tensor_deduce(stub: DeducedEntry) -> CompositionalLambda:
@@ -255,7 +257,9 @@ def _leaf_rows(entries: dict, key) -> tuple[tuple[Region, ...], np.ndarray]:
     omega = entries[key].omega
     if isinstance(key, Region):
         return (key,), np.array(omega.indices, dtype=np.intp)[:, None]
-    return product_leaf_rows([_leaf_rows(entries, child) for child in key], omega)
+    return product_leaf_rows(
+        [_leaf_rows(entries, child) for child in key], omega.indices, omega.dims
+    )
 
 
 def build_causaloid(

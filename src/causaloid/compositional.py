@@ -23,10 +23,10 @@ from .tomographic import (
     DEFAULT_RANK_TOL,
     OmegaSet,
     _folded,
-    _label_row_set,
     _row_set,
     check_expansion,
     find_fiducial_set,
+    label_rows,
 )
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ class CompositionalLambda:
         factors = [o.region for o in self.factor_omegas]
         if len(factors) < 2:
             raise ValueError("a composite needs at least two constituents")
-        rows = _product_row_set(self.factor_omegas)  # raises if two factors overlap
+        rows = product_rows(self.factor_omegas)  # raises if two factors overlap
         if factors != sorted(factors):
             raise ValueError("constituents must be ordered by least location")
         if _row_set(self.omega) != rows:
@@ -79,16 +79,12 @@ class CompositionalLambda:
 
 
 def product_rows(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
-    """Every multi-index over the factors' fiducial sets, last factor fastest.
+    """The parent row set of multi-indices over the factors' fiducial sets,
+    last factor fastest; no row is listed.
 
     The region is the union of the factors' regions, which must be
     pairwise disjoint.
     """
-    return _product_row_set(factor_omegas).every_row()
-
-
-def _product_row_set(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
-    # product_rows with no row listed, as tomographic._row_set describes it
     dims = tuple(o.size for o in factor_omegas)
     return OmegaSet(
         region=disjoint_union(o.region for o in factor_omegas),
@@ -101,16 +97,18 @@ def _product_row_set(factor_omegas: Sequence[OmegaSet]) -> OmegaSet:
 
 
 def product_leaf_rows(
-    parts: Sequence[tuple[tuple[Region, ...], np.ndarray]], omega: OmegaSet
+    parts: Sequence[tuple[tuple[Region, ...], np.ndarray]],
+    flat: Sequence[int] | np.ndarray,
+    dims: Sequence[int],
 ) -> tuple[tuple[Region, ...], np.ndarray]:
-    """Leaf rows of the product rows ``omega`` selects, in ``parts``' form.
+    """Leaf rows of the product rows at ``flat``, in ``parts``' form.
 
     ``parts`` holds, per factor, its leaf regions and an ``(n, k)`` array
     of one gamma row index per leaf for each of its n fiducial elements.
-    Each row of ``omega`` (a flat index over its ``dims``, last factor
-    fastest) joins one such row per factor.
+    Each flat index (over ``dims``, last factor fastest) joins one such row
+    per factor.
     """
-    pos = np.unravel_index(np.array(omega.indices, dtype=np.intp), omega.dims)
+    pos = np.unravel_index(np.asarray(flat, dtype=np.intp), dims)
     leaves = tuple(itertools.chain(*(part[0] for part in parts)))
     return leaves, np.concatenate([part[1][q] for part, q in zip(parts, pos)], axis=1)
 
@@ -129,7 +127,7 @@ def fiducial_rows_matrix(
     rows are copied out of the table.
     """
     product = product_rows(factor_omegas)
-    leaves, rows = product_leaf_rows(parts, product)
+    leaves, rows = product_leaf_rows(parts, np.arange(product.parent_size), product.dims)
     vals, exteriors = _folded(table, [table.region_axis(r) for r in leaves])
     if len(exteriors) < 2:
         raise DegenerateExterior(
@@ -152,7 +150,7 @@ def joint_fiducial_matrix(
         raise ValueError("a joint matrix needs at least two factors")
     for o in omegas:
         gamma = table.gammas[table.region_axis(o.region)]
-        if _row_set(o) != _label_row_set(gamma):
+        if _row_set(o) != label_rows(gamma):
             raise ContextMismatch(
                 f"fiducial set of {o.region} does not index this table"
             )

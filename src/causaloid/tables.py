@@ -244,7 +244,7 @@ class ProbTable:
 class MeasurementMatrix:
     """Rows of joint probabilities over the exterior axis.
 
-    ``rows`` keeps every row of the parent row set it tabulates: the labels
+    ``rows`` is the parent row set it tabulates, listing no row: the labels
     of one region, or the product of the factors' fiducial sets.
     """
 

@@ -61,9 +61,9 @@ class OmegaSet:
     ``row_kind`` is "gamma" when the parent rows are the labels of one
     region, and "omega-product" when they are multi-indices over factor
     fiducial sets (last factor fastest, lexicographic). ``label_rows`` and
-    ``compositional.product_rows`` build the parent row sets, and
-    ``every_row`` recovers the parent of any subset. Two sets index the same
-    parent rows when they agree in every field but ``indices``.
+    ``compositional.product_rows`` build the parent row sets, which list no
+    row. Two sets index the same parent rows when they agree in every field
+    but ``indices``.
     """
 
     region: Region
@@ -102,10 +102,6 @@ class OmegaSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def every_row(self) -> "OmegaSet":
-        """The same parent row set with every row kept."""
-        return replace(self, indices=tuple(range(self.parent_size)))
-
 
 def _row_set(omega: OmegaSet) -> OmegaSet:
     # the parent row set described by region, size, kind, factors and dims,
@@ -116,14 +112,10 @@ def _row_set(omega: OmegaSet) -> OmegaSet:
     )
 
 
-def _label_row_set(gamma: GammaSet) -> OmegaSet:
-    # label_rows with no row listed, as _row_set describes it
-    return OmegaSet(gamma.region, (), gamma.size)
-
-
 def label_rows(gamma: GammaSet) -> OmegaSet:
-    """Every label of one region, in label order."""
-    return OmegaSet(gamma.region, tuple(range(gamma.size)), gamma.size)
+    """The parent row set of one region's labels, in label order; no row is
+    listed."""
+    return OmegaSet(gamma.region, (), gamma.size)
 
 
 def check_expansion(omega: OmegaSet, matrix: np.ndarray) -> None:
@@ -156,7 +148,7 @@ class TomographicLambda:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if _row_set(self.omega) != _label_row_set(self.gamma):
+        if _row_set(self.omega) != label_rows(self.gamma):
             raise ValueError("fiducial set must index the labels of its region")
         check_expansion(self.omega, self.matrix)
 
@@ -305,7 +297,7 @@ def state_vector(
     matrix: MeasurementMatrix, omega: OmegaSet, exterior_index: int
 ) -> StateVector:
     """The fiducial probability list of one exterior column."""
-    if _row_set(omega) != _row_set(matrix.rows):
+    if _row_set(omega) != matrix.rows:
         raise ContextMismatch("fiducial set does not describe this matrix")
     if not 0 <= exterior_index < len(matrix.exteriors):
         raise UnknownExterior(f"exterior index {exterior_index} out of range")

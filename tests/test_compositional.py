@@ -238,7 +238,10 @@ def test_composite_rows_fold_no_table(scenarios, monkeypatch):
         entries = {**dict(zip(c.regions, c.elementary)), **dict(c.composites)}
         for key, entry in c.composites:
             parts = [_leaf_rows(entries, child) for child in key]
-            leaves, rows = product_leaf_rows(parts, product_rows(entry.factor_omegas))
+            product = product_rows(entry.factor_omegas)
+            leaves, rows = product_leaf_rows(
+                parts, np.arange(product.parent_size), product.dims
+            )
             vals, exteriors = fold_to_exterior(table, leaves)
             want = np.ascontiguousarray(vals[tuple(rows.T)])
             cases.append((fiducial_rows_matrix, (table, parts, entry.factor_omegas),

@@ -27,6 +27,7 @@ from causaloid import (
     clamp_probability,
     find_fiducial_set,
     fold_to_exterior,
+    joint_fiducial_matrix,
     r_vector,
     run_pipeline,
     solve_expansion,
@@ -197,10 +198,11 @@ def test_expansion_reconstructs_all_rows(polariser_entry):
     assert np.array_equal(fid, np.eye(omega.size))
 
 
-# two factor fiducial sets of sizes 2 and 1, and their product rows
+# two factor fiducial sets of sizes 2 and 1, and a fiducial set keeping
+# both of their product rows
 _A = OmegaSet(Region((1,)), (0, 1), 3)
 _B = OmegaSet(Region((3,)), (1,), 2)
-_AB = product_rows((_A, _B))
+_AB = replace(product_rows((_A, _B)), indices=(0, 1))
 
 # (constructor of an object whose row set disagrees with its parent rows,
 # the ValueError message)
@@ -238,7 +240,7 @@ ROW_SET_FAULTS = {
     ),
     "measurement-matrix-wrong-size": (
         lambda m, lam: MeasurementMatrix(
-            replace(m.rows, parent_size=m.n_rows + 1).every_row(), m.exteriors, m.values
+            replace(m.rows, parent_size=m.n_rows + 1), m.exteriors, m.values
         ),
         "the row set size must equal the row count",
     ),
@@ -388,10 +390,40 @@ def test_omega_sets_order_and_hash_as_built():
             moved = replace(o, indices=indices)
             fresh = OmegaSet(o.region, indices, o.parent_size, o.row_kind, o.factors, o.dims)
             assert moved == fresh and hash(moved) == hash(fresh)
-    assert len({_A, replace(_A, indices=(0, 1)), _A.every_row()}) == 2
+    assert len({_A, replace(_A, indices=(0, 1)), replace(_A, indices=(0, 1, 2))}) == 2
     for bad in ((1, 1), (0, 2, 1), (2, 0)):
         with pytest.raises(ValueError, match="strictly increasing"):
             OmegaSet(Region((1,)), bad, 3)
+
+
+def test_parent_row_sets_list_no_row(scenarios, monkeypatch):
+    # a measurement matrix's parent row set lists no row, so across the
+    # bundled pipelines no fiducial set carries more indices than the
+    # largest one a report lists
+    lengths = []
+    checked = OmegaSet.__post_init__
+
+    def counted(self):
+        lengths.append(len(self.indices))
+        checked(self)
+
+    monkeypatch.setattr(OmegaSet, "__post_init__", counted)
+    listed = []
+    for name in SCENARIO_NAMES:
+        payload = run_pipeline(scenarios(name)).payload
+        listed += [
+            (len(item["omega_indices"]), name)
+            for item in payload["regions"] + payload["composites"]
+        ]
+    assert max(listed) == (81, "qutrit_channel")
+    assert max(lengths) == 81
+
+    s = scenarios("adjacent_gates")
+    table = build_prob_table(s.spec, s.regions)
+    c = build_causaloid(table, composites=())
+    assert all(build_measurement_matrix(table, r).rows.indices == () for r in c.regions)
+    joint = joint_fiducial_matrix(table, [c.omega_of(r) for r in c.regions[:2]])
+    assert joint.n_rows == 256 and joint.rows.indices == ()
 
 
 # tolerances of the rejection-run property: at 1e-15 the screen's rounding
