@@ -4,8 +4,9 @@ Both theories compile to the same wire algebra. A chain carries a real
 vector (a probability distribution, or Hermitian-basis coordinates of a
 density operator); each location applies one real transfer matrix per
 (action, outcome); preparations seed the vector and terminal effects read
-it out. Joint probabilities are therefore exact matrix folds, and tables
-over whole label sets are assembled with vectorized contractions.
+it out. Joint probabilities are therefore exact matrix folds, and a table
+over whole label sets is its chains' cut rows: one contraction per chain
+(``_cut_rows``), which the span check reads at a region's cuts as well.
 """
 from __future__ import annotations
 
@@ -606,9 +607,10 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
 
     Everything not probed is swept as exterior: preparations and terminal
     effects per chain, plus one (action, outcome) conditioning choice per
-    unprobed location. Each chain is contracted once over every label at
-    each of its locations; the chains' tensors multiply out and one
-    transpose puts the region axes first and the exterior digits last.
+    unprobed location. Each chain's tensor is its cut rows over every
+    location, its declared preparations and effects as the slots; the
+    tensors multiply out and one transpose puts the region axes first and
+    the exterior digits last.
     """
     regions = tuple(regions)
     try:
@@ -624,26 +626,19 @@ def build_prob_table(spec: TheorySpec, regions: Sequence[Region]) -> ProbTable:
     orders = [_label_order(spec, r) for r in regions]
     gammas = tuple(gamma for gamma, _ in orders)
 
-    # axes of the product tensor, per chain: (preparation, label at each
-    # location in wire order, effect)
+    # per chain, with the empty gaps' size-1 axes dropped: (preparation,
+    # label at each location in wire order, effect)
     full = np.ones(())
     prep_axes, eff_axes, loc_axes = [], [], {}
-    for ci, chain in enumerate(spec.chains):
-        acc = np.stack(spec.preparations[ci])
-        shape = [len(acc)]
-        for loc in chain.locations:
-            stack = spec.family(loc).stacked  # (n_labels, D, D)
-            acc = np.einsum("kmn,cn->ckm", stack, acc.reshape(-1, stack.shape[1]))
-            loc_axes[loc] = full.ndim + len(shape)
-            shape.append(len(stack))
-        # one matrix-vector product per effect: a matrix product or einsum
-        # sums some entries in another order (last-bit changes on
-        # 9-dimensional wires)
-        flat = acc.reshape(-1, acc.shape[-1])
-        t = np.stack([flat @ e for e in spec.effects[ci]], axis=-1)
+    for chain, preps, effs in zip(spec.chains, spec.preparations, spec.effects):
+        n = len(chain.locations)
+        stacks = [spec.family(x).stacked for x in chain.locations]
+        slots = (stacks, [np.stack(preps)], [None] * n + [np.stack(effs)])
         prep_axes.append(full.ndim)
-        eff_axes.append(full.ndim + len(shape))
-        full = np.multiply.outer(full, t.reshape(shape + [t.shape[-1]]))
+        loc_axes.update((x, full.ndim + 1 + p) for p, x in enumerate(chain.locations))
+        eff_axes.append(full.ndim + n + 1)
+        t = _cut_rows(range(n), slots).squeeze(axis=tuple(range(2, 2 * n, 2)))
+        full = np.multiply.outer(full, t)
     unprobed = [loc_axes[x] for x, _ in exteriors.conditioning]
     region_axes = [loc_axes[x] for r in regions for x in r.locations]
     values = np.transpose(full, region_axes + prep_axes + unprobed + eff_axes)
@@ -730,23 +725,31 @@ def _gap_slot(stacks: Sequence[np.ndarray], d: int) -> np.ndarray:
 
 
 def _cut_rows(positions: Sequence[int], slots: tuple[list[np.ndarray], ...]) -> np.ndarray:
-    """One chain's factor of a region's rows at its cuts.
+    """One chain's contraction over a region's locations, read at its cuts.
 
-    ``slots`` is the chain's ``_cut_slots``. ``positions`` are the
-    region's locations on the chain, as indices into its wire order. Each
-    label (one card per location, row-major in wire order) gives one row:
-    its transfer maps contracted with the input slot, each gap slot and
-    the output slot.
+    ``slots`` is ``(stacks, inputs, outputs)`` as ``_cut_slots`` builds
+    them; ``positions`` index the region's locations in wire order. Axes:
+    the input slot's columns, the labels at the first location, the gap
+    slot to the next (size 1 if empty), the labels there, and so on, then
+    the output slot's covectors. Read by ``build_prob_table`` (every
+    location, the declared vectors as slots) and ``_extended_rows``.
     """
     stacks, inputs, outputs = slots
-    d = inputs[0].shape[1]
-    x = inputs[positions[0]][None]  # (rows, columns, d) states
+    x = inputs[positions[0]]
+    d, shape = x.shape[1], [len(x)]
     for j, p in enumerate(positions):
-        if j:
+        if j and p > positions[j - 1] + 1:
             gap = _gap_slot(stacks[positions[j - 1] + 1:p], d)
-            x = np.einsum("bij,rcj->rcbi", gap, x).reshape(len(x), -1, d)
-        x = np.einsum("lij,rcj->rlci", stacks[p], x).reshape(-1, x.shape[1], d)
-    return np.einsum("gi,rci->rcg", outputs[positions[-1] + 1], x).reshape(len(x), -1)
+            x = np.einsum("kmn,cn->ckm", gap, x.reshape(-1, d))
+            shape.append(len(gap))
+        elif j:
+            shape.append(1)  # an empty gap
+        x = np.einsum("kmn,cn->ckm", stacks[p], x.reshape(-1, d))
+        shape.append(len(stacks[p]))
+    # one gemv per covector (a stacked matmul makes one gemv call each): an
+    # einsum or a matrix product sums some entries in another order on 9-dim wires
+    t = np.matmul(x.reshape(-1, d), outputs[positions[-1] + 1][:, :, None])
+    return t.reshape([-1] + shape).transpose([*range(1, len(shape) + 1), 0])
 
 
 def _extended_rows(
@@ -756,29 +759,26 @@ def _extended_rows(
     of its columns: the same Gram matrix, in label-set order.
 
     ``slots`` holds every chain's ``_cut_slots``, in chain order. The
-    table's entries multiply over chains. Each chain the region touches
-    contributes its ``_cut_rows``, and the rows are their Kronecker
-    product, from the first such chain on; every other chain is one column
-    vector shared by all rows and contributes only its norm, multiplied in
-    chain order: the input slot after its last location against its
-    output slot there.
+    table's entries multiply over chains: each chain the region touches
+    contributes its ``_cut_rows``; every other chain is one column vector
+    shared by all rows and contributes only its norm, the input slot after
+    its last location against its output slot there. The label axes then
+    move first, in location order, and the other axes flatten into columns.
     """
-    rows = 1.0  # a scalar until the first chain the region touches
-    wire: list[int] = []
+    rows = np.ones(())
+    label_axes = {}  # location -> its axis of ``rows``
     for chain, slot in zip(spec.chains, slots, strict=True):
         positions = [p for p, x in enumerate(chain.locations) if x in region]
         if positions:
-            cut = _cut_rows(positions, slot)
-            rows = np.kron(rows, cut) if np.ndim(rows) else cut * rows
-            wire += [chain.locations[p] for p in positions]
+            for j, p in enumerate(positions):
+                label_axes[chain.locations[p]] = rows.ndim + 1 + 2 * j
+            rows = np.multiply.outer(rows, _cut_rows(positions, slot))
         else:
             stacks, inputs, outputs = slot
             rows = rows * np.linalg.norm(_pushed(inputs[-1], stacks[-1]) @ outputs[-1].T)
-    # row-major in wire order -> row-major in sorted location order -> label set
-    order = sorted(range(len(wire)), key=wire.__getitem__)
-    sizes = [spec.family(x).offsets[-1] for x in wire]
-    rows = rows.reshape(sizes + [-1]).transpose(order + [len(order)])
-    return rows.reshape(math.prod(sizes), -1)[_label_sort(spec, region)[1]]
+    labels = [label_axes[x] for x in region.locations]
+    rows = rows.transpose(labels + sorted(set(range(rows.ndim)) - set(labels)))
+    return rows.reshape(_label_count(spec, region), -1)[_label_sort(spec, region)[1]]
 
 
 def validate_table_spans(

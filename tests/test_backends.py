@@ -1118,6 +1118,8 @@ def test_cut_spans_follow_the_wire_order():
     )
     for regions in ([Region((2, 3))], [Region((1,)), Region((2, 3))], [Region((3,))]):
         assert_cut_spans_match_the_table(spec, regions, TOL_GRID)
+        # the reference above shares the table's contraction; the oracle does not
+        _assert_table_matches_oracle(spec, build_prob_table(spec, regions))
 
 
 @pytest.mark.parametrize("name,n_chains,n_regions", [("spacelike_bits", 2, 2), ("polariser_chain", 1, 3)])
@@ -1136,6 +1138,26 @@ def test_span_check_builds_each_chains_slots_once(scenarios, monkeypatch, name, 
     assert (len(s.spec.chains), len(s.regions)) == (n_chains, n_regions)
     run_pipeline(s)
     assert calls == list(range(n_chains))
+
+
+@pytest.mark.parametrize("name,n_chains", [("polariser_chain", 1), ("spacelike_bits", 2)])
+def test_a_table_contracts_each_chain_once_through_its_cut_rows(
+    scenarios, monkeypatch, name, n_chains
+):
+    # the table and the span check share one chain contraction: the table
+    # reads each chain's cut rows once, over every location
+    calls = []
+    contract = backends._cut_rows
+
+    def counted(positions, slots):
+        calls.append(list(positions))
+        return contract(positions, slots)
+
+    monkeypatch.setattr(backends, "_cut_rows", counted)
+    s = scenarios(name)
+    assert len(s.spec.chains) == n_chains
+    build_prob_table(s.spec, s.regions)
+    assert calls == [list(range(len(chain.locations))) for chain in s.spec.chains]
 
 
 def test_parse_runs_one_basis_contraction_per_family(monkeypatch):

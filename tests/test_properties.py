@@ -98,7 +98,8 @@ def _family(rng, location: int, size: int, outcomes_per_action, resets=False):
 def arrangements(
     draw, n_chains=st.integers(1, 2), straddle=True, resets=False, labels=2
 ):
-    """A classical spec with random kernels and a random region partition.
+    """A classical spec with random kernels, each chain wired in a drawn
+    order (not only sorted), and a random region partition.
 
     With ``straddle`` false every region stays on one chain; ``resets`` is
     passed to ``_family``. Each location has up to ``labels`` actions of up
@@ -108,10 +109,11 @@ def arrangements(
     owners = draw(st.permutations([c for c, n in enumerate(lengths) for _ in range(n)]))
     sizes = [draw(st.integers(2, 3)) for _ in lengths]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    chains = tuple(
-        Chain(f"c{c}", sizes[c], tuple(x + 1 for x, o in enumerate(owners) if o == c))
+    wires = [
+        draw(st.permutations([x + 1 for x, o in enumerate(owners) if o == c]))
         for c in range(len(lengths))
-    )
+    ]
+    chains = tuple(Chain(f"c{c}", sizes[c], tuple(w)) for c, w in enumerate(wires))
     instruments = tuple(
         _family(
             rng,
